@@ -462,11 +462,13 @@ class MonteCarlo(Workload):
     TRANSCRIPT_ALICE = (HonestAlice(), CheatingAlice())
     TRANSCRIPT_TOSSES = ((False, False), (True, False), (False, True))
     REPEATS_CHECKED = 3  # bulk calls of round 0 re-run to test bit-identity
+    # Transcript sets follow every bulk call rather than forming one block per
+    # round, so a brief slowdown of the machine cannot hit a whole round's sets.
+    SETS_PER_BULK = 2
 
     def __init__(self, seed, tiny, workdir):
         super().__init__(seed, tiny, workdir)
         self.n_runs = 10_000 if tiny else 1_000_000
-        self.per_round = 1 if tiny else 40
         self.protocols = (
             ("fair", qbc.fair_toss_protocol().base),
             ("8x8", qbc.random_protocol(8, 8, derive(seed, 88))),
@@ -551,8 +553,11 @@ class MonteCarlo(Workload):
                             units=self.n_runs,
                         )
                     )
-            ops.extend(op for _ in range(self.per_round) for op in self.transcripts)
-            yield ops
+            yield [
+                op
+                for bulk in ops
+                for op in [bulk] + self.transcripts * self.SETS_PER_BULK
+            ]
 
     # checks ---------------------------------------------------------------
 
@@ -780,8 +785,12 @@ class Cli(Workload):
             ["cointoss", str(fair), "--cheater", "alice",
              "--runs", runs, "--seed", str(derive(seed, 11) % 2**31)],
         ]
-        self.ops = [self._op("light", argv) for argv in light] + [
-            self._op("heavy", argv) for argv in heavy
+        # Each heavy command follows two light ones, spreading both over the round.
+        self.ops = [
+            op
+            for i, argv in enumerate(heavy)
+            for op in (self._op("light", light[2 * i]), self._op("light", light[2 * i + 1]),
+                       self._op("heavy", argv))
         ]
         self.reference: dict[str, bytes] = {}
         self.python_start: list[float] = []
