@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """qbc benchmark: one workload, one seed, a fixed measuring time.
 
-    python3 perfbench/run.py --workload sweep --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload sweep --seed 1 --seconds 20 --trace 0
 
 Run it from a qbc checkout; it imports qbc from the checkout's ``src``.
 Workloads: sweep, audit, montecarlo, cli (see perfbench/README.md).  The
@@ -19,6 +19,7 @@ operations, for smoke tests.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -46,7 +47,7 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=WORKLOAD_NAMES, required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--tiny", action="store_true", help="small sizes, one round")
     parser.add_argument("--probe", action="store_true", help=argparse.SUPPRESS)
@@ -116,6 +117,31 @@ def environment(args) -> dict:
     }
 
 
+def usage() -> tuple[float, float, int | None, int | None]:
+    """Wall clock, CPU seconds of this process and its waited-for children,
+    and the host's steal and total CPU time in jiffies (None off Linux)."""
+    t = os.times()
+    cpu = t.user + t.system + t.children_user + t.children_system
+    try:
+        with open("/proc/stat") as f:
+            fields = [int(x) for x in f.readline().split()[1:]]
+        steal, total = fields[7], sum(fields)
+    except (OSError, ValueError, IndexError):
+        steal = total = None
+    return time.perf_counter(), cpu, steal, total
+
+
+def load_lines(before, after) -> list[tuple[str, float, str, str]]:
+    """How busy this run kept the CPU, and how much the host took away."""
+    wall = after[0] - before[0]
+    lines = [("loop_cpu_per_wall", (after[1] - before[1]) / wall, "ratio",
+              "CPU time of this process and its children / wall time, measuring loop")]
+    if before[2] is not None and after[3] > before[3]:
+        steal = 100.0 * (after[2] - before[2]) / (after[3] - before[3])
+        lines.append(("host_steal_pct", steal, "%", "steal share of all vCPU time, measuring loop"))
+    return lines
+
+
 def measure(workload, seconds: float, max_rounds: int | None, traced: bool):
     """Closed loop over the workload's rounds; checks run after the loop."""
     import numpy as np
@@ -126,7 +152,8 @@ def measure(workload, seconds: float, max_rounds: int | None, traced: bool):
     tracer = Tracer()
     counter = KernelCounter(np.linalg)
     samples = []
-    start = time.perf_counter()
+    before = usage()
+    start = before[0]
     for r, ops in enumerate(workload.rounds()):
         if max_rounds is not None and r >= max_rounds:
             break
@@ -139,14 +166,21 @@ def measure(workload, seconds: float, max_rounds: int | None, traced: bool):
         else:
             continue
         break
+    load = load_lines(before, usage())
     for s in samples:
-        if s.ok and not s.op.check(s.result):
-            s.ok, s.error = False, "output check failed"
         traced_result = s.extra.pop("traced_result", s.result)
-        if s.ok and not s.op.check(traced_result):
-            s.ok, s.error = False, "output check of the traced repeat failed"
+        for result, what in ((s.result, "output check"), (traced_result, "output check of the traced repeat")):
+            if not s.ok:
+                break
+            try:
+                passed = s.op.check(result)
+            except Exception as exc:  # a failed check is counted, not fatal
+                s.ok, s.error = False, f"{what} raised {exc!r}"
+            else:
+                if not passed:
+                    s.ok, s.error = False, f"{what} failed"
     workload.after(samples)
-    return samples, tracer
+    return samples, tracer, load
 
 
 def run_op(op, r, sample_cls):
@@ -159,23 +193,26 @@ def run_op(op, r, sample_cls):
 
 
 def trace_op(workload, sample, tracer, counter) -> None:
-    """Repeat the operation with counters on, then replay its parts."""
+    """Repeat the operation with the layers wrapped and kernels counted."""
+    from workloads import LAYERS
+
     if not sample.ok:
         return
     op = sample.op
     try:
-        with counter.counting():
-            before = counter.total
-            with tracer.span(op.span) as whole:
-                result = op.run()
-            sample.kernels = counter.total - before
-        sample.whole = whole
-        sample.extra["traced_result"] = result
-        if op.replay is not None:
-            with tracer.under(whole):
-                replay_ok = op.replay(tracer, result)
-            if replay_ok is False:
-                sample.ok, sample.error = False, "replay disagrees with the operation"
+        with tracer.wrapping([name for name in LAYERS if name != op.span]):
+            with counter.counting():
+                before = counter.total
+                with tracer.span(op.span) as whole:
+                    result = (op.traced or op.run)()
+                sample.kernels = counter.total - before
+            sample.whole = whole
+            sample.extra["traced_result"] = result
+            if op.replay is not None:
+                with tracer.under(whole):
+                    replay_ok = op.replay(tracer, result)
+                if replay_ok is False:
+                    sample.ok, sample.error = False, "replay disagrees with the operation"
         workload.trace_extra(op, sample)
     except Exception as exc:
         sample.ok, sample.error = False, f"traced repeat: {exc!r}"
@@ -183,13 +220,16 @@ def trace_op(workload, sample, tracer, counter) -> None:
 
 def per_layer_metrics(workload, samples, tracer) -> dict[str, float]:
     from tracing import median
-    from workloads import ALL_LAYERS, layer_metrics
+    from workloads import LAYERS, layer_metrics
 
     traced = [s for s in samples if s.whole is not None]
-    out = layer_metrics(tracer, ALL_LAYERS)
+    out = layer_metrics(tracer, LAYERS)
     out.update(workload.per_layer(samples, tracer))
-    out["trace.coverage"] = workload.coverage(samples)
-    out["trace.overhead_pct"] = 100.0 * (median([s.whole.duration / s.seconds for s in traced]) - 1.0)
+    out["trace.coverage"] = workload.coverage(samples, tracer)
+    untraced = [s.extra.get("untraced_s", s.seconds) for s in traced]
+    out["trace.overhead_pct"] = 100.0 * (
+        median([s.whole.duration / u for s, u in zip(traced, untraced)]) - 1.0
+    )
     return out
 
 
@@ -205,6 +245,8 @@ def main(argv=None) -> int:
         return run(args, workdir)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+        with contextlib.suppress(OSError):  # other runs may still use it
+            workdir.parent.rmdir()
 
 
 def run(args, workdir: Path) -> int:
@@ -220,7 +262,7 @@ def run(args, workdir: Path) -> int:
     workload = workloads.WORKLOADS[args.workload](args.seed, args.tiny, workdir)
     workload.warmup()
     probes = run_probes(args, workdir, 1 if args.tiny else SETUP_PROBES)
-    samples, tracer = measure(workload, args.seconds, 1 if args.tiny else None, bool(args.trace))
+    samples, tracer, load = measure(workload, args.seconds, 1 if args.tiny else None, bool(args.trace))
     failed = [s for s in samples if not s.ok]
     for s in failed[:5]:
         print(f"failed {s.op.label}: {s.error}", file=sys.stderr)
@@ -236,6 +278,9 @@ def run(args, workdir: Path) -> int:
         values = dict(report.values, setup_s=median([s for s, _ in probes]))
         lines = [("setup_s", values["setup_s"], "s", f"median of {len(probes)} probes")]
         lines += report.lines
+        printed = {line[0] for line in lines}
+        lines += [(n, values[n], unit, "") for n, unit in workloads.END_TO_END if n not in printed]
+        lines += load
         metrics = {name: (values[name], unit) for name, unit in workloads.END_TO_END}
     lines.append(("fail_ratio", len(failed) / len(samples), "ratio", f"{len(failed)} of {len(samples)}"))
     for name, value, unit, note in lines:

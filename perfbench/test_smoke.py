@@ -3,8 +3,9 @@
     python3 -m pytest perfbench/test_smoke.py
 
 Checks that every metric BENCHMARK.json names is emitted with its unit,
-that the workload-specific figures are printed by name, and that the
-benchmark refuses to run where there are no qbc sources.
+that the workload-specific figures are printed by name, that an output
+check that raises counts as a failed operation, and that the benchmark
+refuses to run where there are no qbc sources.
 """
 
 import json
@@ -22,7 +23,7 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 PRINTED = {
     "sweep": {"sweep_ms_p50": "ms", "sweep_points_per_s": "1/s"},
-    "audit": {"audit_ms_p50": "ms", "audit_ms_p90": "ms"},
+    "audit": {"audit_ms_p50": "ms", "audit_ms_p90": "ms", "audit_cycle_ms_p50": "ms"},
     "montecarlo": {"mc_runs_per_s": "1/s", "mc_peak_bytes_per_run": "B", "transcripts_per_s": "1/s"},
     "cli": {
         "cli_light_ms_p50": "ms",
@@ -77,6 +78,24 @@ def test_workload_emits_every_metric(workload, trace):
         for name, unit in PRINTED[workload].items():
             assert printed[name] == unit
         assert all(m["value"] > 0 for m in result["metrics"].values())
+
+
+def test_a_raising_check_counts_as_a_failed_operation(tmp_path):
+    sys.path[:0] = [str(ROOT / "src"), str(HERE)]
+    try:
+        import run
+        import workloads
+
+        class Raising(workloads.Workload):
+            def rounds(self):
+                while True:
+                    yield [workloads.Op("op", "op", "op", lambda: "", lambda out: dict([out]))]
+
+        samples, _, _ = run.measure(Raising(0, True, tmp_path), 1.0, 1, traced=False)
+    finally:
+        del sys.path[:2]
+    assert [s.ok for s in samples] == [False]
+    assert "raised" in samples[0].error
 
 
 def test_refuses_to_run_without_sources():

@@ -1,10 +1,13 @@
 """Spans, decomposition counters and order statistics for the qbc benchmark.
 
-A span times one call.  A span opened while another is open becomes its
-child.  ``Tracer.under(span)`` re-opens a closed span as the parent of the
-spans recorded next: this is how the replay of an operation's public calls
-is attached to the operation that was timed as a whole.  A span's self time
-is its duration minus the durations of its direct children.
+A span times one call.  A span opened while another is open on the same
+thread becomes its child.  ``Tracer.wrapping(names)`` replaces public qbc
+functions, in every qbc module that holds them, by wrappers that open a
+span named after the function; the spans of a traced operation therefore
+come from the library's real call tree.  ``Tracer.under(span)`` re-opens a
+closed span as the parent of the spans recorded next, which attaches an
+extra timed call (such as a bare Philox draw) to an operation.  A span's
+self time is its duration minus the durations of its direct children.
 
 Spans are kept in memory and aggregated per name when the run ends.
 """
@@ -13,7 +16,9 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import importlib
 import math
+import sys
 import threading
 import time
 from collections import Counter, defaultdict
@@ -52,23 +57,31 @@ class Span:
 
 
 class Tracer:
-    """Records spans opened from one thread."""
+    """Records spans.  Each thread has its own stack of open spans, so a
+    span opened on a pool thread has no parent."""
 
     def __init__(self):
-        self._stack: list[Span] = []
+        self._local = threading.local()
         self.spans: list[Span] = []
+
+    @property
+    def _stack(self) -> list[Span]:
+        if not hasattr(self._local, "stack"):
+            self._local.stack = []
+        return self._local.stack
 
     @contextlib.contextmanager
     def span(self, name: str) -> Iterator[Span]:
         record = Span(name)
-        parent = self._stack[-1] if self._stack else None
-        self._stack.append(record)
+        stack = self._stack
+        parent = stack[-1] if stack else None
+        stack.append(record)
         start = time.perf_counter()
         try:
             yield record
         finally:
             record.duration = time.perf_counter() - start
-            self._stack.pop()
+            stack.pop()
             if parent is not None:
                 parent.children += record.duration
             self.spans.append(record)
@@ -80,6 +93,41 @@ class Tracer:
             yield
         finally:
             self._stack.pop()
+
+    @contextlib.contextmanager
+    def wrapping(self, names: Sequence[str]) -> Iterator[None]:
+        """Time every call of the named qbc functions ("module.function").
+
+        A qbc module that imported a function by name calls it through its
+        own namespace, so the wrapper is set in every loaded qbc module that
+        holds the function, and the originals are put back on exit.
+        """
+        targets = {}
+        for name in names:
+            module, function = name.split(".")
+            fn = getattr(importlib.import_module(f"qbc.{module}"), function)
+            targets[id(fn)] = (fn, self._wrap(name, fn))
+        patched = []
+        for module_name, module in list(sys.modules.items()):
+            if module is None or not (module_name == "qbc" or module_name.startswith("qbc.")):
+                continue
+            for attr, value in list(vars(module).items()):
+                if id(value) in targets and targets[id(value)][0] is value:
+                    setattr(module, attr, targets[id(value)][1])
+                    patched.append((module, attr, value))
+        try:
+            yield
+        finally:
+            for module, attr, value in patched:
+                setattr(module, attr, value)
+
+    def _wrap(self, name: str, fn):
+        @functools.wraps(fn)
+        def traced(*args, **kwargs):
+            with self.span(name):
+                return fn(*args, **kwargs)
+
+        return traced
 
     def durations(self, name: str) -> list[float]:
         return [s.duration for s in self.spans if s.name == name]
@@ -136,3 +184,4 @@ class KernelCounter:
             return fn(*args, **kwargs)
 
         return counted
+

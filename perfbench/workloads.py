@@ -4,8 +4,9 @@ Each workload builds its inputs from the seed and then yields rounds of
 operations.  An operation is the sequence of public ``qbc`` calls a user
 makes for one request, called exactly as a user calls it (default sweep
 workers, ``QBC_THREADS`` left as found, the default CLI entry point).  Its
-check runs after the timed loop.  In a traced run its replay times the
-public calls the operation is made of, as child spans of the operation.
+check runs after the timed loop.  A traced run repeats the operation with
+the layer functions (``LAYERS``) wrapped in place, so their spans come from
+the library's own call tree.
 
 Every workload reports the same end-to-end metrics (see ``END_TO_END``);
 what "one operation" and "work" mean differs per workload and is listed
@@ -41,7 +42,6 @@ from qbc import (
     HonestBob,
     Outcome,
     PurePair,
-    PureState,
     QubitPureMixed,
 )
 from tracing import Tracer, median, quantile
@@ -52,7 +52,6 @@ SRC = ROOT / "src"
 END_TO_END = (
     ("setup_s", "s"),
     ("op_ms_p50", "ms"),
-    ("op_ms_p90", "ms"),
     ("work_per_s", "1/s"),
     ("peak_rss_mib", "MiB"),
 )
@@ -83,7 +82,9 @@ AUDIT_LAYERS = (
 TRANSCRIPT_LAYERS = ("protocol.simulate_run", "cointoss.simulate_toss", "protocol.born_sample")
 CLI_COMMANDS = ("analyze", "check", "make-spec", "sweep", "simulate", "cointoss")
 CLI_LAYERS = ("specfile.parse_protocol_spec", "specfile.format_float")
-ALL_LAYERS = SWEEP_LAYERS + AUDIT_LAYERS + TRANSCRIPT_LAYERS + CLI_LAYERS
+# Every layer is a public qbc function, named "module.function"; the traced
+# run wraps each one in place, except the one an operation's own span names.
+LAYERS = SWEEP_LAYERS + AUDIT_LAYERS + TRANSCRIPT_LAYERS + CLI_LAYERS
 
 PER_LAYER = (
     [("trace.coverage", "ratio"), ("trace.overhead_pct", "%")]
@@ -131,6 +132,7 @@ class Op:
     check: Callable[[Any], bool]
     replay: Callable[[Tracer, Any], bool | None] | None = None
     units: int = 1  # work units (points, sampled runs) one call does
+    traced: Callable[[], Any] | None = None  # the form a traced run repeats; run if None
 
 
 @dataclass
@@ -155,7 +157,15 @@ class Report:
 
 
 def latency_ms(seconds: list[float]) -> tuple[float, float]:
+    """Median and p90 in ms; 0 when no operation succeeded (the run then
+    reports failures, so its figures are not used)."""
+    if not seconds:
+        return 0.0, 0.0
     return 1e3 * median(seconds), 1e3 * quantile(seconds, 0.9)
+
+
+def rate(work: float, seconds: float) -> float:
+    return work / seconds if seconds > 0 else 0.0
 
 
 def layer_metrics(tracer: Tracer, names) -> dict[str, float]:
@@ -177,10 +187,14 @@ class Workload:
     def rounds(self) -> Iterator[list[Op]]:
         raise NotImplementedError
 
+    # How many operations of the first round the warm-up runs.  The set-up
+    # probes read their peak RSS after it, so it covers every input size.
+    WARMUP_OPS = 1
+
     def warmup(self) -> None:
-        op = next(self.rounds())[0]
-        if not op.check(op.run()):
-            raise RuntimeError(f"warm-up operation {op.label} failed its check")
+        for op in next(self.rounds())[: self.WARMUP_OPS]:
+            if not op.check(op.run()):
+                raise RuntimeError(f"warm-up operation {op.label} failed its check")
 
     def after(self, samples: list[Sample]) -> None:
         """Checks that need extra calls; run after the timed loop."""
@@ -188,7 +202,7 @@ class Workload:
     def trace_extra(self, op: Op, sample: Sample) -> None:
         """Extra traced-run measurements of one operation."""
 
-    def coverage(self, samples: list[Sample]) -> float:
+    def coverage(self, samples: list[Sample], tracer: Tracer) -> float:
         traced = [s.whole for s in samples if s.whole is not None]
         return sum(w.children for w in traced) / sum(w.duration for w in traced)
 
@@ -216,7 +230,7 @@ def _family_closed_form(kind, params) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Sweep(Workload):
-    """qbc.sweep over the default grid, rotating through the three families."""
+    """qbc.sweep over the default grid of each of the three families."""
 
     name = "sweep"
     FAMILIES = (Commuting3D, QubitPureMixed, PurePair)
@@ -226,27 +240,35 @@ class Sweep(Workload):
         n_points = 101 if tiny else 1001
         first = seed % len(self.FAMILIES)
         order = self.FAMILIES[first:] + self.FAMILIES[:first]
-        self.ops = []
-        for kind in order:
-            grid = qbc.uniform_grid(kind, n_points)
-            self.ops.append(
-                Op(
-                    "sweep",
-                    kind.__name__,
-                    "tradeoff.sweep",
-                    partial(qbc.sweep, kind, grid),
-                    partial(self._check, grid, *_family_closed_form(kind, grid)),
-                    partial(self._replay, kind, grid),
-                    units=n_points,
-                )
-            )
+        self.grids = [(kind, qbc.uniform_grid(kind, n_points)) for kind in order]
+        # One operation sweeps all three families.  A single family sweep
+        # differs in cost from family to family, so the median of a mix of
+        # them would jump between families from run to run.
+        self.op = Op(
+            "rotation",
+            "rotation",
+            "sweep.rotation",
+            self._rotation,
+            self._check,
+            units=len(self.grids) * n_points,
+            traced=partial(self._rotation, max_workers=1),
+        )
 
     def rounds(self):
         while True:
-            yield self.ops
+            yield [self.op]
+
+    def _rotation(self, **kwargs) -> list:
+        return [qbc.sweep(kind, grid, **kwargs) for kind, grid in self.grids]
+
+    def _check(self, sweeps) -> bool:
+        return all(
+            self._check_family(grid, *_family_closed_form(kind, grid), points)
+            for (kind, grid), points in zip(self.grids, sweeps)
+        )
 
     @staticmethod
-    def _check(grid, d_ref, f_ref, points) -> bool:
+    def _check_family(grid, d_ref, f_ref, points) -> bool:
         if [pt.family_param for pt in points] != grid:
             return False
         d = 2.0 * np.array([pt.g_max for pt in points])
@@ -257,57 +279,47 @@ class Sweep(Workload):
             and not any(qbc.check_bounds(pt) for pt in points)
         )
 
-    @staticmethod
-    def _replay(kind, grid, tracer: Tracer, _points) -> None:
-        for param in grid:
-            with tracer.span("tradeoff.family_protocol"):
-                p = qbc.family_protocol(kind(param))
-            _replay_security_report(tracer, p)
-
     def trace_extra(self, op, sample):
+        # The traced repeat is serial (spans from pool threads would have no
+        # parent); its untraced twin gives the overhead and the pool figures.
         start = time.perf_counter()
-        qbc.sweep(*op.run.args, max_workers=1)
-        sample.extra["serial_s"] = time.perf_counter() - start
+        self._rotation(max_workers=1)
+        sample.extra["untraced_s"] = time.perf_counter() - start
+
+    def coverage(self, samples, tracer):
+        sweeps = [s for s in tracer.spans if s.name == "tradeoff.sweep"]
+        return sum(s.children for s in sweeps) / sum(s.duration for s in sweeps)
 
     def end_to_end(self, samples, probes):
-        ok = self._ok(samples, "sweep")
+        ok = self._ok(samples, "rotation")
         seconds = [s.seconds for s in ok]
         p50, p90 = latency_ms(seconds)
-        rate = sum(s.op.units for s in ok) / sum(seconds)
+        points_per_s = rate(sum(s.op.units for s in ok), sum(seconds))
         rss = median([r for _, r in probes])
+        n = len(self.grids)
         return Report(
-            {"op_ms_p50": p50, "op_ms_p90": p90, "work_per_s": rate, "peak_rss_mib": rss},
+            {"op_ms_p50": p50, "work_per_s": points_per_s, "peak_rss_mib": rss},
             [
-                ("sweep_ms_p50", p50, "ms", f"n={len(seconds)}"),
-                ("sweep_ms_p90", p90, "ms", f"n={len(seconds)}"),
-                ("sweep_points_per_s", rate, "1/s", ""),
-                ("peak_rss_mib", rss, "MiB", "set-up probe: import, inputs, one sweep"),
+                ("rotation_ms_p50", p50, "ms", f"n={len(seconds)} rotations of {n} family sweeps"),
+                ("rotation_ms_p90", p90, "ms", f"n={len(seconds)}"),
+                ("sweep_ms_p50", p50 / n, "ms", f"one family sweep: rotation median / {n}"),
+                ("sweep_points_per_s", points_per_s, "1/s", ""),
+                ("peak_rss_mib", rss, "MiB", "set-up probe: import, inputs, one rotation"),
             ],
         )
 
     def per_layer(self, samples, tracer):
-        traced = [s for s in samples if s.whole is not None and "serial_s" in s.extra]
+        traced = [s for s in samples if s.whole is not None and "untraced_s" in s.extra]
+        n = len(self.grids)
         out = {}
         out["tradeoff.sweep.pool_overhead_ms"] = 1e3 * median(
-            [s.seconds - s.extra["serial_s"] for s in traced]
+            [(s.seconds - s.extra["untraced_s"]) / n for s in traced]
         )
-        out["tradeoff.sweep.pool_speedup"] = median([s.extra["serial_s"] / s.seconds for s in traced])
+        out["tradeoff.sweep.pool_speedup"] = median([s.extra["untraced_s"] / s.seconds for s in traced])
         out["kernel.decomp_per_point"] = sum(s.kernels for s in traced) / sum(
             s.op.units for s in traced
         )
         return out
-
-
-def _replay_security_report(tracer: Tracer, p) -> None:
-    with tracer.span("protocol.security_report") as whole:
-        qbc.security_report(p)
-    with tracer.under(whole):
-        with tracer.span("protocol.honest_reduced_states"):
-            rho0, rho1 = qbc.honest_reduced_states(p)
-        with tracer.span("distinguish.trace_distance"):
-            qbc.trace_distance(rho0, rho1)
-        with tracer.span("distinguish.fidelity"):
-            qbc.fidelity(rho0, rho1)
 
 
 # --------------------------------------------------------------------------
@@ -335,6 +347,7 @@ class Audit(Workload):
 
     name = "audit"
     DIMS = ((2, 2), (3, 2), (4, 4), (8, 8), (16, 4), (4, 16))
+    WARMUP_OPS = len(DIMS)  # one bundle of each dimension pair
     # One ascent start (20 iterates) plus a few uniform draws: below about
     # half of a bundle's time at every dimension pair.
     SEARCH_BUDGET = 20
@@ -354,7 +367,6 @@ class Audit(Workload):
                     "audit.bundle",
                     partial(self._bundle, p, search_seed),
                     self._check,
-                    partial(self._replay, p, search_seed),
                 )
             )
 
@@ -383,34 +395,26 @@ class Audit(Workload):
             and r.search.best_value <= optimum + CLOSED_FORM_TOL
         )
 
-    def _replay(self, p, search_seed, tracer: Tracer, _result) -> None:
-        _replay_security_report(tracer, p)
-        with tracer.span("protocol.optimal_cheat_kit"):
-            qbc.optimal_cheat_kit(p)
-        with tracer.span("protocol.honest_reduced_states"):
-            rho0, rho1 = qbc.honest_reduced_states(p)
-        with tracer.span("distinguish.helstrom"):
-            qbc.helstrom(rho0, rho1)
-        with tracer.span("distinguish.check_inequalities"):
-            qbc.check_inequalities(rho0, rho1)
-        for a, b in PAIRINGS:
-            with tracer.span("protocol.exact_statistics"):
-                qbc.exact_statistics(p, a, b)
-        with tracer.span("protocol.random_cheat_search"):
-            qbc.random_cheat_search(p, self.SEARCH_BUDGET, search_seed)
-
     def end_to_end(self, samples, probes):
         seconds = [s.seconds for s in self._ok(samples, "bundle")]
         p50, p90 = latency_ms(seconds)
-        rate = len(seconds) / sum(seconds)
+        bundles_per_s = rate(len(seconds), sum(seconds))
+        # The gated latency is that of a cycle: one bundle of each dimension
+        # pair, in order.  Bundles of different sizes differ in cost tenfold,
+        # so the median of single bundles sits between two sizes and jumps.
+        bundles = [s for s in samples if s.op.kind == "bundle"]
+        k = len(self.DIMS)
+        cycles = [bundles[i : i + k] for i in range(0, len(bundles) - k + 1, k)]
+        cycle_p50, _ = latency_ms([sum(s.seconds for s in c) for c in cycles if all(s.ok for s in c)])
         rss = median([r for _, r in probes])
         return Report(
-            {"op_ms_p50": p50, "op_ms_p90": p90, "work_per_s": rate, "peak_rss_mib": rss},
+            {"op_ms_p50": cycle_p50, "work_per_s": bundles_per_s, "peak_rss_mib": rss},
             [
-                ("audit_ms_p50", p50, "ms", f"n={len(seconds)}"),
-                ("audit_ms_p90", p90, "ms", f"n={len(seconds)}"),
-                ("audit_bundles_per_s", rate, "1/s", ""),
-                ("peak_rss_mib", rss, "MiB", "set-up probe: import, inputs, one bundle"),
+                ("audit_ms_p50", p50, "ms", f"n={len(seconds)} bundles"),
+                ("audit_ms_p90", p90, "ms", f"n={len(seconds)} bundles"),
+                ("audit_cycle_ms_p50", cycle_p50, "ms", f"n={len(cycles)} cycles of {k} bundles"),
+                ("audit_bundles_per_s", bundles_per_s, "1/s", ""),
+                ("peak_rss_mib", rss, "MiB", "set-up probe: import, inputs, one bundle per dims"),
             ],
         )
 
@@ -435,20 +439,6 @@ class Audit(Workload):
 # montecarlo
 
 
-def _final_projectors(p) -> list[np.ndarray]:
-    p0 = qbc.projector(p.chi0.state)
-    p1 = qbc.projector(p.chi1.state)
-    return [p0, p1, np.eye(p.dim_proof * p.dim_token, dtype=np.complex128) - p0 - p1]
-
-
-def _extended_helstrom(p, measurement) -> list[np.ndarray]:
-    eye = np.eye(p.dim_proof, dtype=np.complex128)
-    return [
-        qbc.tensor_product(eye, measurement.projector0),
-        qbc.tensor_product(eye, measurement.projector1),
-    ]
-
-
 def _within(value: float, stderr: float, predicted: float, n: int) -> bool:
     spread = max(stderr, math.sqrt(max(0.0, predicted * (1.0 - predicted)) / n))
     return abs(value - predicted) <= Z_LIMIT * spread + 1e-12
@@ -462,9 +452,10 @@ class MonteCarlo(Workload):
     TRANSCRIPT_ALICE = (HonestAlice(), CheatingAlice())
     TRANSCRIPT_TOSSES = ((False, False), (True, False), (False, True))
     REPEATS_CHECKED = 3  # bulk calls of round 0 re-run to test bit-identity
-    # Transcript sets follow every bulk call rather than forming one block per
-    # round, so a brief slowdown of the machine cannot hit a whole round's sets.
-    SETS_PER_BULK = 2
+    # A batch of transcript sets follows every bulk call rather than forming
+    # one block per round, so a brief slowdown of the machine cannot hit a
+    # whole round's transcripts.  A batch is one latency sample (about 20 ms).
+    SETS_PER_BULK = 3
 
     def __init__(self, seed, tiny, workdir):
         super().__init__(seed, tiny, workdir)
@@ -474,9 +465,7 @@ class MonteCarlo(Workload):
             ("8x8", qbc.random_protocol(8, 8, derive(seed, 88))),
         )
         self.transcripts: list[Op] = []
-        self.replay_rng = np.random.default_rng(derive(seed, 3))
         for label, p in self.protocols:
-            final = _final_projectors(p)
             for a, b in itertools.product(self.TRANSCRIPT_ALICE, (HonestBob(), HelstromBob())):
                 k = len(self.transcripts)
                 rng = np.random.default_rng(derive(seed, 4, k))
@@ -488,7 +477,6 @@ class MonteCarlo(Workload):
                         "protocol.simulate_run",
                         partial(qbc.simulate_run, p, a, b, k % 2, rng),
                         partial(self._check_run, honest),
-                        partial(self._replay_run, p, a, b, final),
                     )
                 )
             ct = CoinTossProtocol(p)
@@ -502,7 +490,6 @@ class MonteCarlo(Workload):
                         "cointoss.simulate_toss",
                         partial(qbc.simulate_toss, ct, alice_cheats, bob_cheats, rng),
                         partial(self._check_toss, alice_cheats),
-                        partial(self._replay_toss, p, alice_cheats, bob_cheats),
                     )
                 )
         self.predicted = {
@@ -519,6 +506,7 @@ class MonteCarlo(Workload):
         _, p = self.protocols[1]
         a, b = PAIRINGS[-1]
         qbc.estimate_statistics(p, a, b, self.n_runs, derive(self.seed, 5))
+        qbc.toss_statistics(CoinTossProtocol(p), "alice", self.n_runs, derive(self.seed, 5))
         for op in self.transcripts:
             op.run()
 
@@ -535,7 +523,7 @@ class MonteCarlo(Workload):
                             "protocol.estimate_statistics",
                             partial(qbc.estimate_statistics, p, a, b, self.n_runs, call_seed),
                             partial(self._check_estimate, self.predicted[(label, i)], b),
-                            partial(self._replay_estimate, p, a, b, call_seed),
+                            partial(self._replay_draws, call_seed),
                             units=self.n_runs,
                         )
                     )
@@ -549,7 +537,7 @@ class MonteCarlo(Workload):
                             "cointoss.toss_statistics",
                             partial(qbc.toss_statistics, ct, cheater, self.n_runs, call_seed),
                             partial(self._check_toss_stats, self.predicted[(label, cheater)]),
-                            partial(self._replay_toss_stats, p, cheater, call_seed),
+                            partial(self._replay_draws, call_seed),
                             units=self.n_runs,
                         )
                     )
@@ -612,75 +600,37 @@ class MonteCarlo(Workload):
             tracemalloc.stop()
         return out
 
-    # replays --------------------------------------------------------------
-
-    def _replay_draws(self, tracer: Tracer, call_seed: int) -> None:
+    def _replay_draws(self, call_seed: int, tracer: Tracer, _stats) -> None:
+        # The uniforms a bulk call draws, bare: the call's self time less this
+        # is its sampling.  Its strategy tables are its own child spans.
         with tracer.span("mc.philox_draw"):
             np.random.Generator(np.random.Philox(call_seed)).random((self.n_runs, 4))
-
-    def _replay_estimate(self, p, a, b, call_seed, tracer, _stats) -> None:
-        self._replay_draws(tracer, call_seed)
-        with tracer.span("protocol.exact_statistics"):  # the strategy tables
-            qbc.exact_statistics(p, a, b)
-
-    def _replay_toss_stats(self, p, cheater, call_seed, tracer, _stats) -> None:
-        self._replay_draws(tracer, call_seed)
-        if cheater == "alice":
-            with tracer.span("protocol.optimal_cheat_kit"):
-                qbc.optimal_cheat_kit(p)
-        elif cheater == "bob":
-            _replay_helstrom(tracer, p)
-
-    def _replay_run(self, p, a, b, final, tracer, _record) -> None:
-        if isinstance(a, CheatingAlice):
-            with tracer.span("protocol.optimal_cheat_kit"):
-                kit = qbc.optimal_cheat_kit(p)
-            state = kit.psi_max.state
-        else:
-            state = p.chi0.state
-        if isinstance(b, HelstromBob):
-            extended = _extended_helstrom(p, _replay_helstrom(tracer, p))
-            with tracer.span("protocol.born_sample"):
-                qbc.born_sample(state, extended, self.replay_rng)
-        with tracer.span("protocol.born_sample"):
-            qbc.born_sample(state, final, self.replay_rng)
-
-    def _replay_toss(self, p, alice_cheats, bob_cheats, tracer, _result) -> None:
-        if alice_cheats:
-            with tracer.span("protocol.optimal_cheat_kit"):
-                kit = qbc.optimal_cheat_kit(p)
-            steered = PureState((kit.u1 @ kit.psi_max.as_matrix()).reshape(-1))
-            with tracer.span("protocol.born_sample"):
-                qbc.born_sample(steered, _final_projectors(p), self.replay_rng)
-        elif bob_cheats:
-            extended = _extended_helstrom(p, _replay_helstrom(tracer, p))
-            with tracer.span("protocol.born_sample"):
-                qbc.born_sample(p.chi0.state, extended, self.replay_rng)
 
     # metrics --------------------------------------------------------------
 
     def end_to_end(self, samples, probes):
-        # One operation is a set: one transcript of each kind, in order.  A
+        # One operation is the batch of transcripts that follows a bulk call:
+        # SETS_PER_BULK sets of one transcript of each kind, in order.  A
         # single transcript's latency depends on its kind, so the median of
-        # a mix of kinds jumps when two kinds trade places; a set's does not.
+        # a mix of kinds jumps when two kinds trade places; a batch's does not.
         transcripts = [s for s in samples if s.op.kind == "transcript"]
-        k = len(self.transcripts)
-        sets = [transcripts[i : i + k] for i in range(0, len(transcripts) - k + 1, k)]
-        seconds = [sum(s.seconds for s in group) for group in sets if all(s.ok for s in group)]
+        k = len(self.transcripts) * self.SETS_PER_BULK
+        batches = [transcripts[i : i + k] for i in range(0, len(transcripts) - k + 1, k)]
+        seconds = [sum(s.seconds for s in group) for group in batches if all(s.ok for s in group)]
         bulk = self._ok(samples, "bulk")
         p50, p90 = latency_ms(seconds)
-        runs_per_s = sum(s.op.units for s in bulk) / sum(s.seconds for s in bulk)
+        runs_per_s = rate(sum(s.op.units for s in bulk), sum(s.seconds for s in bulk))
         rss = median([r for _, r in probes])
         peak = self.memory_pass()
         return Report(
-            {"op_ms_p50": p50, "op_ms_p90": p90, "work_per_s": runs_per_s, "peak_rss_mib": rss},
+            {"op_ms_p50": p50, "work_per_s": runs_per_s, "peak_rss_mib": rss},
             [
                 ("mc_runs_per_s", runs_per_s, "1/s", f"{len(bulk)} bulk calls"),
                 ("mc_peak_bytes_per_run", peak[1_000_000], "B", "tracemalloc, 1e6 runs"),
-                ("transcripts_per_s", k * len(seconds) / sum(seconds), "1/s", ""),
-                ("transcript_set_ms_p50", p50, "ms", f"n={len(seconds)} sets of {k}"),
-                ("transcript_set_ms_p90", p90, "ms", f"n={len(seconds)} sets of {k}"),
-                ("peak_rss_mib", rss, "MiB", "set-up probe: import, inputs, one bulk call"),
+                ("transcripts_per_s", rate(k * len(seconds), sum(seconds)), "1/s", ""),
+                ("transcript_batch_ms_p50", p50, "ms", f"n={len(seconds)} batches of {k}"),
+                ("transcript_batch_ms_p90", p90, "ms", f"n={len(seconds)} batches of {k}"),
+                ("peak_rss_mib", rss, "MiB", "set-up probe: import, inputs, one estimate and one toss call"),
             ],
         )
 
@@ -699,13 +649,6 @@ class MonteCarlo(Workload):
         cheat_runs = [s for s in traced if s.op.label.endswith("CheatingAlice/HelstromBob")]
         out["kernel.decomp_per_transcript"] = sum(s.kernels for s in cheat_runs) / len(cheat_runs)
         return out
-
-
-def _replay_helstrom(tracer: Tracer, p):
-    with tracer.span("protocol.honest_reduced_states"):
-        rho0, rho1 = qbc.honest_reduced_states(p)
-    with tracer.span("distinguish.helstrom"):
-        return qbc.helstrom(rho0, rho1)
 
 
 # --------------------------------------------------------------------------
@@ -757,7 +700,6 @@ class Cli(Workload):
         self.stderr_path = workdir / "stderr.txt"
         fair = workdir / "fair.json"
         big = workdir / "random8x8.json"
-        self.big = str(big)
         qbc.write_protocol_spec(qbc.fair_toss_protocol().base, fair)
         qbc.write_protocol_spec(qbc.random_protocol(8, 8, derive(seed, 88)), big)
         self.expected = {}
@@ -785,6 +727,7 @@ class Cli(Workload):
             ["cointoss", str(fair), "--cheater", "alice",
              "--runs", runs, "--seed", str(derive(seed, 11) % 2**31)],
         ]
+        self.per_round = {"light": len(light), "heavy": len(heavy)}
         # Each heavy command follows two light ones, spreading both over the round.
         self.ops = [
             op
@@ -821,26 +764,17 @@ class Cli(Workload):
         if self.reference.setdefault(label, result.stdout) != result.stdout:
             return False
         if argv[0] == "analyze":
-            printed = dict(
-                line.split(" = ", 1) for line in result.stdout.decode().splitlines()
-            )
+            lines = result.stdout.decode().splitlines()
+            printed = dict(line.split(" = ", 1) for line in lines if " = " in line)
             return all(printed.get(k) == v for k, v in self.expected[argv[1]].items())
         return True
 
     def _replay(self, argv, tracer: Tracer, result: ChildResult) -> bool:
+        # The command again, in-process; the layer wrappers time its calls.
         captured = io.StringIO()
-        with tracer.span(f"cli.main_inprocess.{argv[0]}") as whole:
+        with tracer.span(f"cli.main_inprocess.{argv[0]}"):
             with contextlib.redirect_stdout(captured):
                 code = qbc.cli.main(argv)
-        with tracer.under(whole):
-            if self.big in argv:
-                with tracer.span("specfile.parse_protocol_spec"):
-                    qbc.parse_protocol_spec(self.big)
-            if argv[0] == "sweep":
-                rows = result.stdout.decode().splitlines()[1:]
-                for cell in (float(x) for row in rows for x in row.split(",")):
-                    with tracer.span("specfile.format_float"):
-                        qbc.specfile.format_float(cell)
         return code == 0 and captured.getvalue().encode() == result.stdout
 
     def trace_extra(self, op, sample):
@@ -853,28 +787,39 @@ class Cli(Workload):
         _, result = run_child([exe, "-c", probe], self.env, self.stderr_path)
         self.import_qbc.append(float(result.stdout))
 
-    def coverage(self, samples):
+    def coverage(self, samples, tracer):
         traced = [s for s in samples if s.whole is not None]
         start = median(self.python_start) + median(self.import_qbc)
         return sum(start + s.whole.children for s in traced) / sum(s.whole.duration for s in traced)
 
     def end_to_end(self, samples, probes):
-        light = [s.seconds for s in self._ok(samples, "light")]
-        p50, p90 = latency_ms(light)
-        passes: dict[int, list[float]] = {}
-        for s in self._ok(samples, "heavy"):
-            passes.setdefault(s.round, []).append(s.seconds)
-        heavy_pass = median([sum(v) for v in passes.values() if len(v) == 3])
-        rss = max(s.result.maxrss_kib for s in samples if s.ok) / 1024.0
+        light = self._ok(samples, "light")
+        _, p90 = latency_ms([s.seconds for s in light])
+        # The six light commands differ in cost, so a round's mean is one
+        # latency sample, as the sweep's rotation is.
+        light_rounds = self._rounds(light, self.per_round["light"])
+        p50, _ = latency_ms([sum(v) / len(v) for v in light_rounds])
+        heavy = self._ok(samples, "heavy")
+        heavy_passes = [sum(v) for v in self._rounds(heavy, self.per_round["heavy"])]
+        heavy_pass = median(heavy_passes) if heavy_passes else 0.0
+        rss = max((s.result.maxrss_kib for s in samples if s.ok), default=0) / 1024.0
         return Report(
-            {"op_ms_p50": p50, "op_ms_p90": p90, "work_per_s": 1.0 / heavy_pass, "peak_rss_mib": rss},
+            {"op_ms_p50": p50, "work_per_s": rate(1.0, heavy_pass), "peak_rss_mib": rss},
             [
-                ("cli_light_ms_p50", p50, "ms", f"n={len(light)}"),
-                ("cli_light_ms_p90", p90, "ms", f"n={len(light)}"),
-                ("cli_heavy_pass_s", heavy_pass, "s", f"{len(passes)} passes"),
+                ("cli_light_ms_p50", p50, "ms", f"median of {len(light_rounds)} round means"),
+                ("cli_light_ms_p90", p90, "ms", f"n={len(light)} commands"),
+                ("cli_heavy_pass_s", heavy_pass, "s", f"{len(heavy_passes)} passes"),
                 ("cli_peak_rss_mib", rss, "MiB", "largest child ru_maxrss"),
             ],
         )
+
+    @staticmethod
+    def _rounds(samples: list[Sample], per_round: int) -> list[list[float]]:
+        """Seconds of the rounds in which all per_round commands succeeded."""
+        rounds: dict[int, list[float]] = {}
+        for s in samples:
+            rounds.setdefault(s.round, []).append(s.seconds)
+        return [v for v in rounds.values() if len(v) == per_round]
 
     def per_layer(self, samples, tracer):
         out = {}
