@@ -4,7 +4,8 @@
 
 Checks that every metric BENCHMARK.json names is emitted with its unit,
 that the workload-specific figures are printed by name, that an output
-check that raises counts as a failed operation, and that the benchmark
+check that raises counts as a failed operation, that an operation is
+scaled by the reference timed around it, and that the benchmark
 refuses to run where there are no qbc sources.
 """
 
@@ -68,13 +69,15 @@ def test_workload_emits_every_metric(workload, trace):
     }
     assert printed["fail_ratio"] == "ratio"
     env = json.loads(lines[0].removeprefix("env "))
-    assert {"nproc", "python", "numpy", "blas", "thread_env", "seed"} <= set(env)
+    assert {"nproc", "python", "numpy", "blas", "thread_env", "thread_env_used", "seed"} <= set(env)
     if trace:
         for name, count in EXACT_COUNTS.get(workload, {}).items():
             assert result["metrics"][name]["value"] == count
         assert 0 < result["metrics"]["trace.coverage"]["value"]
     else:
         assert printed["setup_s"] == "s"
+        # The wall-time twin of a metric given at the reference speed.
+        assert printed["wall_work_per_s"] == "1/s" and printed["reference_ms_p50"] == "ms"
         for name, unit in PRINTED[workload].items():
             assert printed[name] == unit
         assert all(m["value"] > 0 for m in result["metrics"].values())
@@ -109,3 +112,21 @@ def test_refuses_to_run_without_sources():
         assert '"metrics"' not in proc.stdout
     finally:
         shutil.rmtree(bare, ignore_errors=True)
+
+
+def test_each_operation_is_scaled_by_the_reference_around_it():
+    sys.path[:0] = [str(ROOT / "src"), str(HERE)]
+    try:
+        import run
+        import workloads
+
+        op = workloads.Op("op", "op", "op", lambda: None, lambda out: True)
+        samples = [workloads.Sample(op, 0, 0.1, None, True, start=t) for t in (0.0, 10.0)]
+        nominal = workloads.Workload.REFERENCE_NOMINAL_S
+        # The machine runs at the reference speed, then at half of it.
+        refs = [(0.15, nominal), (10.15, 2 * nominal)]
+        scaled = run.at_reference_speed(samples, refs, nominal)
+    finally:
+        del sys.path[:2]
+    assert [s.seconds for s in scaled] == pytest.approx([0.1, 0.05])
+    assert [s.seconds for s in samples] == [0.1, 0.1]

@@ -10,7 +10,9 @@ the library's own call tree.
 
 Every workload reports the same end-to-end metrics (see ``END_TO_END``);
 what "one operation" and "work" mean differs per workload and is listed
-in perfbench/README.md.
+in perfbench/README.md.  ``timings`` computes the two timed ones from the
+samples' seconds, so run.py can compute them from wall time and from
+time scaled to the reference speed alike.
 """
 
 from __future__ import annotations
@@ -143,6 +145,7 @@ class Sample:
     result: Any
     ok: bool
     error: str | None = None
+    start: float = 0.0  # perf_counter when the operation began
     whole: Any = None  # the Span of the traced repeat
     kernels: int = 0  # decompositions called during the traced repeat
     extra: dict = field(default_factory=dict)
@@ -206,8 +209,22 @@ class Workload:
         traced = [s.whole for s in samples if s.whole is not None]
         return sum(w.children for w in traced) / sum(w.duration for w in traced)
 
-    def end_to_end(self, samples: list[Sample], probes: list[tuple[float, float]]) -> Report:
+    # The reference that run.py scales timings by: (matrix size, repeats),
+    # and its time on a 2-vCPU x86 VM.  Sizes 16 and 64 are those of the
+    # random protocols (up to 8x8, 16x4, 4x16).
+    REFERENCE_MATRICES = ((16, 8), (64, 1))
+    REFERENCE_NOMINAL_S = 2.8e-3
+
+    def timings(self, samples: list[Sample]) -> Report:
+        """op_ms_p50 and work_per_s, plus the workload's named timing lines."""
         raise NotImplementedError
+
+    def end_to_end(self, samples: list[Sample], probe_rss: list[float]) -> Report:
+        """peak_rss_mib, plus the workload's other named lines."""
+        rss = median(probe_rss)
+        return Report({"peak_rss_mib": rss}, [("peak_rss_mib", rss, "MiB", self.PROBE_RSS_NOTE)])
+
+    PROBE_RSS_NOTE = "set-up probes: import, inputs, warm-up"
 
     def per_layer(self, samples: list[Sample], tracer: Tracer) -> dict[str, float]:
         raise NotImplementedError
@@ -234,6 +251,11 @@ class Sweep(Workload):
 
     name = "sweep"
     FAMILIES = (Commuting3D, QubitPureMixed, PurePair)
+    # Its protocols are at most 4x3.  With the 64x64 part in the reference,
+    # the spread over ten runs of its scaled timings was 0.09, against 0.04
+    # without it.
+    REFERENCE_MATRICES = ((16, 8),)
+    REFERENCE_NOMINAL_S = 1.8e-3
 
     def __init__(self, seed, tiny, workdir):
         super().__init__(seed, tiny, workdir)
@@ -290,23 +312,23 @@ class Sweep(Workload):
         sweeps = [s for s in tracer.spans if s.name == "tradeoff.sweep"]
         return sum(s.children for s in sweeps) / sum(s.duration for s in sweeps)
 
-    def end_to_end(self, samples, probes):
+    def timings(self, samples):
         ok = self._ok(samples, "rotation")
         seconds = [s.seconds for s in ok]
         p50, p90 = latency_ms(seconds)
         points_per_s = rate(sum(s.op.units for s in ok), sum(seconds))
-        rss = median([r for _, r in probes])
         n = len(self.grids)
         return Report(
-            {"op_ms_p50": p50, "work_per_s": points_per_s, "peak_rss_mib": rss},
+            {"op_ms_p50": p50, "work_per_s": points_per_s},
             [
                 ("rotation_ms_p50", p50, "ms", f"n={len(seconds)} rotations of {n} family sweeps"),
                 ("rotation_ms_p90", p90, "ms", f"n={len(seconds)}"),
                 ("sweep_ms_p50", p50 / n, "ms", f"one family sweep: rotation median / {n}"),
                 ("sweep_points_per_s", points_per_s, "1/s", ""),
-                ("peak_rss_mib", rss, "MiB", "set-up probe: import, inputs, one rotation"),
             ],
         )
+
+    PROBE_RSS_NOTE = "set-up probes: import, inputs, one rotation"
 
     def per_layer(self, samples, tracer):
         traced = [s for s in samples if s.whole is not None and "untraced_s" in s.extra]
@@ -395,7 +417,7 @@ class Audit(Workload):
             and r.search.best_value <= optimum + CLOSED_FORM_TOL
         )
 
-    def end_to_end(self, samples, probes):
+    def timings(self, samples):
         seconds = [s.seconds for s in self._ok(samples, "bundle")]
         p50, p90 = latency_ms(seconds)
         bundles_per_s = rate(len(seconds), sum(seconds))
@@ -406,17 +428,17 @@ class Audit(Workload):
         k = len(self.DIMS)
         cycles = [bundles[i : i + k] for i in range(0, len(bundles) - k + 1, k)]
         cycle_p50, _ = latency_ms([sum(s.seconds for s in c) for c in cycles if all(s.ok for s in c)])
-        rss = median([r for _, r in probes])
         return Report(
-            {"op_ms_p50": cycle_p50, "work_per_s": bundles_per_s, "peak_rss_mib": rss},
+            {"op_ms_p50": cycle_p50, "work_per_s": bundles_per_s},
             [
                 ("audit_ms_p50", p50, "ms", f"n={len(seconds)} bundles"),
                 ("audit_ms_p90", p90, "ms", f"n={len(seconds)} bundles"),
                 ("audit_cycle_ms_p50", cycle_p50, "ms", f"n={len(cycles)} cycles of {k} bundles"),
                 ("audit_bundles_per_s", bundles_per_s, "1/s", ""),
-                ("peak_rss_mib", rss, "MiB", "set-up probe: import, inputs, one bundle per dims"),
             ],
         )
+
+    PROBE_RSS_NOTE = "set-up probes: import, inputs, one bundle per dims"
 
     def per_layer(self, samples, tracer):
         traced = [s for s in samples if s.whole is not None and s.ok]
@@ -608,7 +630,7 @@ class MonteCarlo(Workload):
 
     # metrics --------------------------------------------------------------
 
-    def end_to_end(self, samples, probes):
+    def timings(self, samples):
         # One operation is the batch of transcripts that follows a bulk call:
         # SETS_PER_BULK sets of one transcript of each kind, in order.  A
         # single transcript's latency depends on its kind, so the median of
@@ -620,19 +642,23 @@ class MonteCarlo(Workload):
         bulk = self._ok(samples, "bulk")
         p50, p90 = latency_ms(seconds)
         runs_per_s = rate(sum(s.op.units for s in bulk), sum(s.seconds for s in bulk))
-        rss = median([r for _, r in probes])
-        peak = self.memory_pass()
         return Report(
-            {"op_ms_p50": p50, "work_per_s": runs_per_s, "peak_rss_mib": rss},
+            {"op_ms_p50": p50, "work_per_s": runs_per_s},
             [
                 ("mc_runs_per_s", runs_per_s, "1/s", f"{len(bulk)} bulk calls"),
-                ("mc_peak_bytes_per_run", peak[1_000_000], "B", "tracemalloc, 1e6 runs"),
                 ("transcripts_per_s", rate(k * len(seconds), sum(seconds)), "1/s", ""),
                 ("transcript_batch_ms_p50", p50, "ms", f"n={len(seconds)} batches of {k}"),
                 ("transcript_batch_ms_p90", p90, "ms", f"n={len(seconds)} batches of {k}"),
-                ("peak_rss_mib", rss, "MiB", "set-up probe: import, inputs, one estimate and one toss call"),
             ],
         )
+
+    PROBE_RSS_NOTE = "set-up probes: import, inputs, one estimate and one toss call"
+
+    def end_to_end(self, samples, probe_rss):
+        report = super().end_to_end(samples, probe_rss)
+        peak = self.memory_pass()
+        report.lines.append(("mc_peak_bytes_per_run", peak[1_000_000], "B", "tracemalloc, 1e6 runs"))
+        return report
 
     def per_layer(self, samples, tracer):
         traced = [s for s in samples if s.whole is not None]
@@ -693,6 +719,9 @@ class Cli(Workload):
         "gMax": "g_max",
         "cMax": "c_max",
     }
+    # One family for every seed: family sweeps differ in cost by a third,
+    # so a family picked by seed would spread the heavy pass over seeds.
+    SWEEP_FAMILY = "pure-pair"
 
     def __init__(self, seed, tiny, workdir):
         super().__init__(seed, tiny, workdir)
@@ -711,7 +740,6 @@ class Cli(Workload):
             }
         rng = np.random.default_rng(derive(seed, 9))
         runs = "10000" if tiny else "1000000"
-        family = sorted(qbc.tradeoff.FAMILY_KINDS)[seed % 3]
         light = [
             ["analyze", str(fair)],
             ["analyze", str(big)],
@@ -721,7 +749,7 @@ class Cli(Workload):
             ["make-spec", "--family", "commuting3d", "--param", repr(float(rng.uniform(0, 1)))],
         ]
         heavy = [
-            ["sweep", "--family", family, "--points", "101" if tiny else "1001"],
+            ["sweep", "--family", self.SWEEP_FAMILY, "--points", "101" if tiny else "1001"],
             ["simulate", str(big), "--alice", "cheat", "--bob", "helstrom",
              "--runs", runs, "--seed", str(derive(seed, 10) % 2**31)],
             ["cointoss", str(fair), "--cheater", "alice",
@@ -792,7 +820,7 @@ class Cli(Workload):
         start = median(self.python_start) + median(self.import_qbc)
         return sum(start + s.whole.children for s in traced) / sum(s.whole.duration for s in traced)
 
-    def end_to_end(self, samples, probes):
+    def timings(self, samples):
         light = self._ok(samples, "light")
         _, p90 = latency_ms([s.seconds for s in light])
         # The six light commands differ in cost, so a round's mean is one
@@ -802,16 +830,18 @@ class Cli(Workload):
         heavy = self._ok(samples, "heavy")
         heavy_passes = [sum(v) for v in self._rounds(heavy, self.per_round["heavy"])]
         heavy_pass = median(heavy_passes) if heavy_passes else 0.0
-        rss = max((s.result.maxrss_kib for s in samples if s.ok), default=0) / 1024.0
         return Report(
-            {"op_ms_p50": p50, "work_per_s": rate(1.0, heavy_pass), "peak_rss_mib": rss},
+            {"op_ms_p50": p50, "work_per_s": rate(1.0, heavy_pass)},
             [
                 ("cli_light_ms_p50", p50, "ms", f"median of {len(light_rounds)} round means"),
                 ("cli_light_ms_p90", p90, "ms", f"n={len(light)} commands"),
                 ("cli_heavy_pass_s", heavy_pass, "s", f"{len(heavy_passes)} passes"),
-                ("cli_peak_rss_mib", rss, "MiB", "largest child ru_maxrss"),
             ],
         )
+
+    def end_to_end(self, samples, probe_rss):
+        rss = max((s.result.maxrss_kib for s in samples if s.ok), default=0) / 1024.0
+        return Report({"peak_rss_mib": rss}, [("cli_peak_rss_mib", rss, "MiB", "largest child ru_maxrss")])
 
     @staticmethod
     def _rounds(samples: list[Sample], per_round: int) -> list[list[float]]:
