@@ -51,14 +51,11 @@ from .errors import (
 from .linalg import (
     BipartiteState,
     DensityOperator,
-    EigenDecomposition,
     PureState,
     SingularValueDecomposition,
     basis_state,
     bipartite,
     density_from_pure,
-    hermitian_eig,
-    matrix_abs,
     partial_trace,
     projector,
     random_density,

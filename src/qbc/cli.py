@@ -124,6 +124,16 @@ def _max_workers() -> int | None:
     return workers
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _emit_doc(doc: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
         _emit(dumps_deterministic({"schemaVersion": 1, **doc}) + "\n", out)
@@ -208,7 +218,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cointoss_base(args) -> CoinTossProtocol:
+    if args.param is not None and args.family is None:
+        raise ParamOutOfRange("--param requires --family")
     if args.spec is not None:
+        if args.family is not None:
+            raise ParamOutOfRange("give a spec file or --family, not both")
         return CoinTossProtocol(parse_protocol_spec(args.spec))
     if args.family is not None:
         if args.param is None:
@@ -313,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("spec", help="protocol spec file (JSON)")
     simulate.add_argument("--alice", choices=sorted(_ALICE_CHOICES), default="honest0")
     simulate.add_argument("--bob", choices=sorted(_BOB_CHOICES), default="honest")
-    simulate.add_argument("--runs", type=int, default=100_000)
+    simulate.add_argument("--runs", type=_positive_int, default=100_000)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--format", choices=["csv", "json", "text"], default="csv")
     simulate.add_argument("--out", default=None)
@@ -324,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cointoss.add_argument("--family", choices=sorted(FAMILY_KINDS), default=None)
     cointoss.add_argument("--param", type=float, default=None)
     cointoss.add_argument("--cheater", choices=["none", "alice", "bob"], default="none")
-    cointoss.add_argument("--runs", type=int, default=100_000)
+    cointoss.add_argument("--runs", type=_positive_int, default=100_000)
     cointoss.add_argument("--seed", type=int, default=0)
     cointoss.add_argument("--format", choices=["csv", "json", "text"], default="csv")
     cointoss.add_argument("--out", default=None)

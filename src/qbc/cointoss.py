@@ -24,17 +24,16 @@ from typing import Literal
 
 import numpy as np
 
-from .distinguish import helstrom
 from .errors import BothCheat
-from .linalg import PureState, tensor_product
 from .protocol import (
+    CheatingAlice,
+    HelstromBob,
+    HonestAlice,
+    HonestBob,
     Outcome,
     PurificationProtocol,
-    _outcome_cumulative,
-    born_sample,
-    honest_reduced_states,
-    optimal_cheat_kit,
     security_report,
+    strategy_tables,
 )
 from .tradeoff import Commuting3D, family_protocol
 
@@ -91,6 +90,10 @@ def simulate_toss(
     comparing Bob's guess with her committed bit.  Cheating Alice's
     unveiling is a genuine Born trial on the steered state; a Fail outcome
     marks her caught and hands the toss to Bob.
+
+    Draw order: honest Alice consumes one uniform for her bit, then Bob one
+    for his guess (his Helstrom estimate when he cheats); against cheating
+    Alice, Bob consumes one for his guess and her unveiling one more.
     """
     if alice_cheats and bob_cheats:
         raise BothCheat("one-sided cheating only")
@@ -99,29 +102,14 @@ def simulate_toss(
     if not alice_cheats:
         committed = int(rng.random() >= 0.5)
         if bob_cheats:
-            measurement = helstrom(*honest_reduced_states(p))
-            eye_proof = np.eye(p.dim_proof, dtype=np.complex128)
-            extended = [
-                tensor_product(eye_proof, measurement.projector0),
-                tensor_product(eye_proof, measurement.projector1),
-            ]
-            guess = born_sample(p.chi(committed).state, extended, rng)
+            guess = strategy_tables(p, HonestAlice(), HelstromBob()).draw_estimate(committed, rng)
         else:
             guess = int(rng.random() >= 0.5)
         return TossResult("bob" if guess == committed else "alice", alice_caught=False)
 
-    kit = optimal_cheat_kit(p)
     guess = int(rng.random() >= 0.5)
     target = 1 - guess
-    steered = (
-        kit.unveil_unitary(target) @ kit.psi_max.as_matrix()
-    ).reshape(-1)
-    final = [
-        np.outer(p.chi0.amplitudes, p.chi0.amplitudes.conj()),
-        np.outer(p.chi1.amplitudes, p.chi1.amplitudes.conj()),
-    ]
-    final.append(np.eye(p.dim_proof * p.dim_token, dtype=np.complex128) - final[0] - final[1])
-    outcome = Outcome(born_sample(PureState(steered), final, rng))
+    outcome = strategy_tables(p, CheatingAlice(), HonestBob()).draw_outcome(0, 0, target, rng)
     if outcome == target:
         return TossResult("alice", alice_caught=False)
     return TossResult("bob", alice_caught=(outcome == Outcome.FAIL))
@@ -144,58 +132,38 @@ def toss_statistics(
 ) -> TossStatistics:
     """Vectorized Monte Carlo over many tosses.
 
-    Toss i consumes the block of four uniforms at offset 4*i of a Philox
-    stream keyed by ``seed`` (columns: commit bit, guess bit, estimate,
-    unveiling outcome), so results are seed-reproducible and independent
-    of execution order.
+    The tosses are commitment runs sampled by
+    :meth:`~qbc.protocol.StrategyTables.sample_counts`: toss i consumes the
+    block of four uniforms at offset 4*i of a Philox stream keyed by
+    ``seed`` (columns: commit bit, guess bit, estimate, unveiling outcome),
+    so results are seed-reproducible and independent of execution order.
+    Bob's guess is the guess bit, or his estimate when he cheats; cheating
+    Alice targets 1 - guess.
     """
-    if n_tosses < 1:
-        raise ValueError("n_tosses must be >= 1")
     if cheater not in ("none", "alice", "bob"):
         raise ValueError(f"cheater must be 'none', 'alice' or 'bob', got {cheater!r}")
-    p = ct.base
-    rng = np.random.Generator(np.random.Philox(seed))
-    u = rng.random((n_tosses, 4))
-
-    caught = np.zeros(n_tosses, dtype=bool)
     if cheater == "alice":
-        kit = optimal_cheat_kit(p)
-        guess = (u[:, 1] >= 0.5).astype(np.intp)
-        target = 1 - guess
-        cum_by_target = np.stack(
-            [
-                _outcome_cumulative(
-                    p, (kit.unveil_unitary(t) @ kit.psi_max.as_matrix()).reshape(-1)
-                )
-                for t in (0, 1)
-            ]
+        tables = strategy_tables(ct.base, CheatingAlice(), HonestBob())
+        wins, caught = tables.sample_counts(
+            n_tosses,
+            seed,
+            lambda runs: (runs.outcome == runs.target, runs.outcome == Outcome.FAIL),
+            against_guess=True,
         )
-        cums = cum_by_target[target]
-        outcome = (u[:, 3] >= cums[:, 0]).astype(np.intp) + (u[:, 3] >= cums[:, 1]).astype(np.intp)
-        alice_wins = outcome == target
-        caught = outcome == int(Outcome.FAIL)
-    else:
-        committed = (u[:, 0] >= 0.5).astype(np.intp)
-        if cheater == "bob":
-            rho0, rho1 = honest_reduced_states(p)
-            measurement = helstrom(rho0, rho1)
-            est_prob0 = np.array(
-                [
-                    float(np.trace(measurement.projector0 @ rho.matrix).real)
-                    for rho in (rho0, rho1)
-                ]
-            )
-            guess = (u[:, 2] >= est_prob0[committed]).astype(np.intp)
-        else:
-            guess = (u[:, 1] >= 0.5).astype(np.intp)
-        alice_wins = guess != committed
+    else:  # honest Alice wins when Bob's guess misses her bit and is never caught
+        bob_cheats = cheater == "bob"
+        tables = strategy_tables(ct.base, HonestAlice(), HelstromBob() if bob_cheats else HonestBob())
+        (wins,) = tables.sample_counts(
+            n_tosses, seed, lambda runs: ((runs.estimate if bob_cheats else runs.coin) != runs.commit,)
+        )
+        caught = 0
 
-    rate = float(np.mean(alice_wins))
+    rate = wins / n_tosses
     stderr = float(np.sqrt(max(0.0, rate * (1.0 - rate)) / n_tosses))
     return TossStatistics(
         alice_win_rate=rate,
         bob_win_rate=1.0 - rate,
-        alice_caught_rate=float(np.mean(caught)),
+        alice_caught_rate=caught / n_tosses,
         alice_win_stderr=stderr,
         n_tosses=n_tosses,
     )

@@ -14,6 +14,7 @@ products, partial traces and one-sided unitaries below all assume this.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
 
@@ -27,12 +28,10 @@ from .errors import (
     NotPositiveSemidefinite,
 )
 
-# Closed-form identities are checked at 1e-9; identities mediated by a
-# spectral decomposition get 1e-8.
+# Closed-form identities are checked at 1e-9.
 NORM_TOL = 1e-9
 HERMITIAN_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
-DECOMP_TOL = 1e-8
 
 # Eigenvalues below this are eigensolver noise on a unit-trace operator;
 # sqrt_psd zeroes them so sqrt(noise) cannot pollute fidelities.
@@ -53,9 +52,10 @@ def _frozen_array(values, shape_check=None) -> np.ndarray:
 class PureState:
     """Normalized complex amplitude vector.
 
-    Construction rejects vectors whose norm deviates from 1 by more than
-    ``NORM_TOL`` and then renormalizes exactly, so downstream traces are
-    clean to machine precision.
+    Construction rejects vectors whose norm is not finite (a NaN or
+    infinite amplitude) or deviates from 1 by more than ``NORM_TOL``, and
+    then renormalizes exactly, so downstream traces are clean to machine
+    precision.
     """
 
     amplitudes: np.ndarray
@@ -63,7 +63,7 @@ class PureState:
     def __post_init__(self):
         arr = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not math.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:
             raise NotNormalized(f"state norm {norm} not within {NORM_TOL} of 1")
         if abs(norm - 1.0) > 1e-12:  # idempotent: re-wrapping never shifts bits
             arr = arr / norm
@@ -129,11 +129,6 @@ class BipartiteState:
         return self.amplitudes.reshape(self.dim_proof, self.dim_token)
 
 
-class EigenDecomposition(NamedTuple):
-    eigenvalues: np.ndarray  # real, descending
-    eigenvectors: np.ndarray  # orthonormal columns
-
-
 class SingularValueDecomposition(NamedTuple):
     left_vectors: np.ndarray
     singular_values: np.ndarray  # nonnegative, descending
@@ -195,34 +190,10 @@ def apply_to_token(u: np.ndarray, state: BipartiteState) -> BipartiteState:
     return bipartite(state.dim_proof, state.dim_token, (a @ u.T).reshape(-1))
 
 
-def hermitian_eig(h: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Raises NotHermitian when the input deviates from Hermiticity by more
-    than ``DECOMP_TOL`` entrywise.  Ordering is the stable reversal of the
-    ascending LAPACK output, so repeated calls are reproducible.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    dev = float(np.max(np.abs(h - h.conj().T)))
-    if dev > DECOMP_TOL:
-        raise NotHermitian(f"Hermiticity deviation {dev} exceeds {DECOMP_TOL}")
-    eigenvalues, eigenvectors = np.linalg.eigh(h)
-    return EigenDecomposition(eigenvalues[::-1].copy(), eigenvectors[:, ::-1].copy())
-
-
 def svd(m: np.ndarray) -> SingularValueDecomposition:
     """Singular value decomposition m = W diag(s) V^dagger."""
     w, s, vh = np.linalg.svd(np.asarray(m, dtype=np.complex128))
     return SingularValueDecomposition(w, s, vh.conj().T)
-
-
-def matrix_abs(a: np.ndarray) -> np.ndarray:
-    """|a| = sqrt(a^dagger a), the positive-semidefinite polar factor."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimMismatch(f"matrix_abs requires a square matrix, got {a.shape}")
-    _, s, v = svd(a)
-    return (v * s) @ v.conj().T
 
 
 def sqrt_psd(rho: DensityOperator) -> np.ndarray:

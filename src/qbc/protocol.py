@@ -16,13 +16,16 @@ Closed-form security: with rho_b the honest token reductions,
 
 Both optimal strategies are constructed explicitly and can be run through
 a Born-rule Monte Carlo, either one transcript at a time
-(:func:`simulate_run`) or in bulk (:func:`estimate_statistics`).
+(:func:`simulate_run`) or in bulk (:func:`estimate_statistics`).  Both
+read the exact per-configuration :class:`StrategyTables`, which the coin
+toss samples too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -36,7 +39,6 @@ from .linalg import (
     apply_to_proof,
     bipartite,
     partial_trace,
-    projector,
     random_pure_state,
     tensor_product,
 )
@@ -265,11 +267,194 @@ def born_sample(state: PureState, projectors: Sequence[np.ndarray], rng) -> int:
     return len(projectors) - 1
 
 
-def _final_projectors(p: PurificationProtocol) -> list[np.ndarray]:
-    p0 = projector(p.chi0.state)
-    p1 = projector(p.chi1.state)
-    fail = np.eye(p.dim_proof * p.dim_token, dtype=np.complex128) - p0 - p1
-    return [p0, p1, fail]
+# --------------------------------------------------------------------------
+# the Monte Carlo engine: exact strategy tables, sampled per run or in bulk
+
+# Runs drawn per chunk by the bulk sampler; peak memory is O(chunk).
+MC_CHUNK_RUNS = 1 << 16
+
+
+def _outcome_cumulative(p: PurificationProtocol, vec: np.ndarray) -> np.ndarray:
+    """(P(outcome=0), P(outcome<=1)) for the final verification measurement."""
+    q0 = abs(np.vdot(p.chi0.amplitudes, vec)) ** 2
+    q1 = abs(np.vdot(p.chi1.amplitudes, vec)) ** 2
+    return np.array([q0, min(1.0, q0 + q1)])
+
+
+def _collapse(vec: np.ndarray, extended: np.ndarray) -> np.ndarray:
+    """Normalized projection of ``vec`` by a proof-extended token projector."""
+    collapsed = extended @ vec
+    norm = np.linalg.norm(collapsed)
+    if norm < 1e-12:  # branch of probability ~0; never sampled
+        return np.zeros_like(vec)
+    return collapsed / norm
+
+
+class SampledRuns:
+    """One chunk of bulk-sampled runs from a strategy table, one entry per run.
+
+    ``commit`` is the commitment context (the committed bit, 0 for the
+    cheat state); ``coin`` the fair bit of uniform column 1 (the target in
+    the commitment game, Bob's guess in the coin toss); ``target`` the bit
+    Alice stands behind; ``estimate`` Bob's holding-phase estimate (0 when
+    he abstains); ``outcome`` the final verification outcome.  A column is
+    computed on first use, so a score pays only for the columns it reads.
+    """
+
+    def __init__(self, tables: StrategyTables, u: np.ndarray, against_guess: bool):
+        self._tables = tables
+        self._u = u
+        self._against_guess = against_guess
+
+    @cached_property
+    def commit(self) -> np.ndarray:
+        tables = self._tables
+        if tables.alice_honest and tables.fixed_bit is None:
+            return (self._u[:, 0] >= 0.5).astype(np.intp)
+        return np.full(self._u.shape[0], tables.fixed_bit or 0, dtype=np.intp)
+
+    @cached_property
+    def coin(self) -> np.ndarray:
+        return (self._u[:, 1] >= 0.5).astype(np.intp)
+
+    @cached_property
+    def target(self) -> np.ndarray:
+        return 1 - self.coin if self._against_guess else self.coin
+
+    @cached_property
+    def estimate(self) -> np.ndarray:
+        if not self._tables.bob_cheats:
+            return np.zeros(self._u.shape[0], dtype=np.intp)
+        return (self._u[:, 2] >= self._tables.est_prob0[self.commit]).astype(np.intp)
+
+    @cached_property
+    def outcome(self) -> np.ndarray:
+        out_cum = self._tables.out_cum
+        row = (self.commit * out_cum.shape[1] + self.estimate) * 2 + self.target
+        edges = out_cum.reshape(-1, 2)
+        draw = self._u[:, 3]
+        return (draw >= edges[:, 0].take(row)).astype(np.intp) + (draw >= edges[:, 1].take(row))
+
+
+@dataclass(frozen=True)
+class StrategyTables:
+    """Exact per-configuration probabilities for one strategy pairing.
+
+    ``commit_weights`` is the distribution of Alice's commitment context
+    (two entries for honest Alice, one for the cheat state).
+    ``est_prob0[c]`` is the chance a measuring Bob sees estimate 0 given
+    context c (absent when he abstains).  ``out_cum[c, e, t]`` holds the
+    cumulative final-outcome probabilities (P(0), P(0 or 1)) when Alice
+    stands behind bit t.
+
+    Single runs (the ``draw_*`` methods) take one uniform per step played,
+    bulk runs (:meth:`sample_counts`) a block of four; both apply the same
+    rules: a bit is ``u >= 1/2``, an estimate ``u >= est_prob0[c]``, and
+    an outcome counts the cumulative edges at or below ``u``.
+    """
+
+    alice_honest: bool
+    fixed_bit: int | None
+    bob_cheats: bool
+    commit_weights: np.ndarray
+    est_prob0: np.ndarray | None
+    out_cum: np.ndarray
+
+    def draw_commit(self, rng) -> int:
+        """Commitment context of one run; a uniform is drawn only for an unfixed honest bit."""
+        if self.alice_honest and self.fixed_bit is None:
+            return int(rng.random() >= 0.5)
+        return self.fixed_bit or 0
+
+    def draw_estimate(self, commit: int, rng) -> int:
+        """Measuring Bob's holding-phase estimate given the commitment context."""
+        return int(rng.random() >= self.est_prob0[commit])
+
+    def draw_outcome(self, commit: int, estimate: int, target: int, rng) -> Outcome:
+        """Final verification outcome when Alice stands behind ``target``."""
+        edges = self.out_cum[commit, estimate, target]
+        draw = rng.random()
+        return Outcome(int(draw >= edges[0]) + int(draw >= edges[1]))
+
+    def sample_counts(self, n_runs: int, seed: int, score, against_guess=False) -> list[int]:
+        """Hit counts of the boolean arrays ``score(SampledRuns)`` returns, over ``n_runs`` runs.
+
+        Run i consumes the four uniforms at offset 4*i of a Philox counter
+        stream keyed by ``seed`` (columns: committed bit, coin, holding-phase
+        estimate, final outcome).  The stream is drawn in order in chunks of
+        ``MC_CHUNK_RUNS`` runs, so memory does not grow with ``n_runs`` and
+        the counts equal those of a single ``(n_runs, 4)`` block.  Alice
+        stands behind the coin, or with ``against_guess`` (the coin toss,
+        where the coin is Bob's guess) behind its complement.
+        """
+        if n_runs < 1:
+            raise ValueError(f"the run count must be >= 1, got {n_runs}")
+        rng = np.random.Generator(np.random.Philox(seed))
+        counts = None
+        for start in range(0, n_runs, MC_CHUNK_RUNS):
+            u = rng.random((min(MC_CHUNK_RUNS, n_runs - start), 4))
+            hits = [int(np.count_nonzero(h)) for h in score(SampledRuns(self, u, against_guess))]
+            counts = hits if counts is None else [c + h for c, h in zip(counts, hits)]
+        return counts
+
+
+def strategy_tables(
+    p: PurificationProtocol, alice: AliceStrategy, bob: BobStrategy
+) -> StrategyTables:
+    """Exact tables of a strategy pairing; shared by every sampler."""
+    alice_honest = isinstance(alice, HonestAlice)
+    bob_cheats = isinstance(bob, HelstromBob)
+
+    kit = None
+    if alice_honest:
+        pre_states = [p.chi0.amplitudes, p.chi1.amplitudes]
+        if alice.bit is None:
+            commit_weights = np.array([0.5, 0.5])
+        else:
+            commit_weights = np.array([1.0 - alice.bit, float(alice.bit)])
+    else:
+        kit = optimal_cheat_kit(p)
+        pre_states = [kit.psi_max.amplitudes]
+        commit_weights = np.array([1.0])
+    n_commit = len(pre_states)
+
+    if bob_cheats:
+        measurement = helstrom(*honest_reduced_states(p))
+        token_projs = [measurement.projector0, measurement.projector1]
+        eye_proof = np.eye(p.dim_proof, dtype=np.complex128)
+        extended = [tensor_product(eye_proof, proj) for proj in token_projs]
+        n_est = 2
+        est_prob0 = np.empty(n_commit)
+        branches: list[list[np.ndarray]] = []
+        for ci, vec in enumerate(pre_states):
+            state = vec.reshape(p.dim_proof, p.dim_token)
+            prob0 = np.einsum("pt,ts,ps->", state.conj(), token_projs[0], state).real
+            est_prob0[ci] = min(max(float(prob0), 0.0), 1.0)
+            branches.append([_collapse(vec, ext) for ext in extended])
+    else:
+        n_est = 1
+        est_prob0 = None
+        branches = [[vec] for vec in pre_states]
+
+    out_cum = np.empty((n_commit, n_est, 2, 2))
+    for ci in range(n_commit):
+        for ei in range(n_est):
+            branch = branches[ci][ei]
+            if kit is None:  # honest Alice unveils her commitment whatever the target
+                out_cum[ci, ei] = _outcome_cumulative(p, branch)
+                continue
+            for t in (0, 1):
+                steered = kit.unveil_unitary(t) @ branch.reshape(p.dim_proof, p.dim_token)
+                out_cum[ci, ei, t] = _outcome_cumulative(p, steered.reshape(-1))
+
+    return StrategyTables(
+        alice_honest=alice_honest,
+        fixed_bit=alice.bit if alice_honest else None,
+        bob_cheats=bob_cheats,
+        commit_weights=commit_weights,
+        est_prob0=est_prob0,
+        out_cum=out_cum,
+    )
 
 
 def simulate_run(
@@ -289,36 +474,11 @@ def simulate_run(
     """
     if target_bit not in (0, 1):
         raise ValueError(f"target_bit must be 0 or 1, got {target_bit!r}")
-
-    kit = None
-    if isinstance(alice, HonestAlice):
-        committed = alice.bit if alice.bit is not None else int(rng.random() >= 0.5)
-        vec = p.chi(committed).amplitudes
-    else:
-        kit = optimal_cheat_kit(p)
-        committed = None
-        vec = kit.psi_max.amplitudes
-
-    estimate = None
-    if isinstance(bob, HelstromBob):
-        rho0, rho1 = honest_reduced_states(p)
-        measurement = helstrom(rho0, rho1)
-        eye_proof = np.eye(p.dim_proof, dtype=np.complex128)
-        extended = [
-            tensor_product(eye_proof, measurement.projector0),
-            tensor_product(eye_proof, measurement.projector1),
-        ]
-        estimate = born_sample(PureState(vec), extended, rng)
-        vec = extended[estimate] @ vec
-        vec = vec / np.linalg.norm(vec)
-
-    if kit is not None:
-        state = apply_to_proof(
-            kit.unveil_unitary(target_bit), bipartite(p.dim_proof, p.dim_token, vec)
-        )
-        vec = state.amplitudes
-
-    outcome = Outcome(born_sample(PureState(vec), _final_projectors(p), rng))
+    tables = strategy_tables(p, alice, bob)
+    commit = tables.draw_commit(rng)
+    estimate = tables.draw_estimate(commit, rng) if tables.bob_cheats else None
+    outcome = tables.draw_outcome(commit, estimate or 0, target_bit, rng)
+    committed = commit if tables.alice_honest else None
     return RunRecord(alice, bob, committed, target_bit, estimate, outcome)
 
 
@@ -348,104 +508,6 @@ def _binomial_stderr(p_hat: float, n: int) -> float:
     return float(np.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / n))
 
 
-def _outcome_cumulative(p: PurificationProtocol, vec: np.ndarray) -> np.ndarray:
-    """(P(outcome=0), P(outcome<=1)) for the final verification measurement."""
-    q0 = abs(np.vdot(p.chi0.amplitudes, vec)) ** 2
-    q1 = abs(np.vdot(p.chi1.amplitudes, vec)) ** 2
-    return np.array([q0, min(1.0, q0 + q1)])
-
-
-def _collapse(p: PurificationProtocol, vec: np.ndarray, token_proj: np.ndarray) -> np.ndarray:
-    extended = tensor_product(np.eye(p.dim_proof, dtype=np.complex128), token_proj)
-    collapsed = extended @ vec
-    norm = np.linalg.norm(collapsed)
-    if norm < 1e-12:  # branch of probability ~0; never sampled
-        return np.zeros_like(vec)
-    return collapsed / norm
-
-
-@dataclass(frozen=True)
-class _StrategyTables:
-    """Exact per-configuration probabilities for one strategy pairing.
-
-    ``commit_weights`` is the distribution of Alice's commitment context
-    (two entries for honest Alice, one for the cheat state).
-    ``est_prob0[c]`` is the chance a measuring Bob sees estimate 0 given
-    context c (absent when he abstains).  ``out_cum[c, e, t]`` holds the
-    cumulative final-outcome probabilities (P(0), P(0 or 1)) when Alice
-    stands behind bit t.
-    """
-
-    alice_honest: bool
-    fixed_bit: int | None
-    bob_cheats: bool
-    commit_weights: np.ndarray
-    est_prob0: np.ndarray | None
-    out_cum: np.ndarray
-
-    @property
-    def n_commit(self) -> int:
-        return self.commit_weights.shape[0]
-
-
-def _strategy_tables(
-    p: PurificationProtocol, alice: AliceStrategy, bob: BobStrategy
-) -> _StrategyTables:
-    alice_honest = isinstance(alice, HonestAlice)
-    bob_cheats = isinstance(bob, HelstromBob)
-
-    kit = None
-    if alice_honest:
-        pre_states = [p.chi0.amplitudes, p.chi1.amplitudes]
-        if alice.bit is None:
-            commit_weights = np.array([0.5, 0.5])
-        else:
-            commit_weights = np.array([1.0 - alice.bit, float(alice.bit)])
-    else:
-        kit = optimal_cheat_kit(p)
-        pre_states = [kit.psi_max.amplitudes]
-        commit_weights = np.array([1.0])
-    n_commit = len(pre_states)
-
-    if bob_cheats:
-        measurement = helstrom(*honest_reduced_states(p))
-        token_projs = [measurement.projector0, measurement.projector1]
-        n_est = 2
-        est_prob0 = np.empty(n_commit)
-        branches: list[list[np.ndarray]] = []
-        for ci, vec in enumerate(pre_states):
-            state = vec.reshape(p.dim_proof, p.dim_token)
-            prob0 = np.einsum("pt,ts,ps->", state.conj(), token_projs[0], state).real
-            est_prob0[ci] = float(np.clip(prob0, 0.0, 1.0))
-            branches.append([_collapse(p, vec, proj) for proj in token_projs])
-    else:
-        n_est = 1
-        est_prob0 = None
-        branches = [[vec] for vec in pre_states]
-
-    out_cum = np.empty((n_commit, n_est, 2, 2))
-    for ci in range(n_commit):
-        for ei in range(n_est):
-            branch = branches[ci][ei]
-            for t in (0, 1):
-                if kit is None:
-                    final_vec = branch
-                else:
-                    final_vec = (
-                        kit.unveil_unitary(t) @ branch.reshape(p.dim_proof, p.dim_token)
-                    ).reshape(-1)
-                out_cum[ci, ei, t] = _outcome_cumulative(p, final_vec)
-
-    return _StrategyTables(
-        alice_honest=alice_honest,
-        fixed_bit=alice.bit if alice_honest else None,
-        bob_cheats=bob_cheats,
-        commit_weights=commit_weights,
-        est_prob0=est_prob0,
-        out_cum=out_cum,
-    )
-
-
 def exact_statistics(
     p: PurificationProtocol, alice: AliceStrategy, bob: BobStrategy
 ) -> tuple[float, float]:
@@ -456,22 +518,22 @@ def exact_statistics(
     stands behind, and the probability the final outcome equals her
     uniformly drawn target.  An abstaining Bob scores 0.5 by definition.
     """
-    tables = _strategy_tables(p, alice, bob)
+    tables = strategy_tables(p, alice, bob)
     commit_w = tables.commit_weights
 
     if tables.bob_cheats:
         est_w = np.stack([tables.est_prob0, 1.0 - tables.est_prob0], axis=1)  # (n_c, 2)
         if tables.alice_honest:
             # P(estimate = committed bit), commitment weighted by its prior.
-            p_estimate = float(sum(commit_w[c] * est_w[c, c] for c in range(tables.n_commit)))
+            p_estimate = float(sum(commit_w[c] * est_w[c, c] for c in range(len(commit_w))))
         else:
             p_estimate = 0.5  # estimate is independent of the later target draw
     else:
-        est_w = np.ones((tables.n_commit, 1))
+        est_w = np.ones((len(commit_w), 1))
         p_estimate = 0.5
 
     p_unveil = 0.0
-    for c in range(tables.n_commit):
+    for c in range(len(commit_w)):
         for e in range(est_w.shape[1]):
             for t in (0, 1):
                 cum = tables.out_cum[c, e, t]
@@ -490,46 +552,29 @@ def estimate_statistics(
     """Monte Carlo estimate of Bob's guess rate and Alice's unveil rate.
 
     Per-run probabilities are computed exactly once per configuration; the
-    sampling itself is vectorized.  Run i consumes the fixed-width block of
-    four uniforms at offset 4*i of a Philox counter stream keyed by
-    ``seed`` (columns: committed bit, target bit, holding-phase estimate,
-    final outcome), so results are reproducible and independent of any
-    execution order.  Target bits are drawn uniformly; honest Alice with
-    ``bit=None`` also draws her committed bit uniformly per run (equal
-    priors), which is the setting in which the closed forms
-    p_estimate = (1 + D)/2 and p_unveil = (1 + F)/2 apply.
+    sampling itself is vectorized and streamed in bounded memory.  Run i
+    consumes the fixed-width block of four uniforms at offset 4*i of a
+    Philox counter stream keyed by ``seed`` (columns: committed bit, target
+    bit, holding-phase estimate, final outcome), so results are
+    reproducible and independent of any execution order.  Target bits are
+    drawn uniformly; honest Alice with ``bit=None`` also draws her
+    committed bit uniformly per run (equal priors), which is the setting in
+    which the closed forms p_estimate = (1 + D)/2 and p_unveil = (1 + F)/2
+    apply.
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
+    tables = strategy_tables(p, alice, bob)
 
-    tables = _strategy_tables(p, alice, bob)
+    def score(runs: SampledRuns) -> list[np.ndarray]:
+        hits = [runs.outcome == runs.target]
+        if tables.bob_cheats:
+            reference = runs.commit if tables.alice_honest else runs.target
+            hits.append(runs.estimate == reference)
+        return hits
 
-    rng = np.random.Generator(np.random.Philox(seed))
-    u = rng.random((n_runs, 4))
-
-    if tables.alice_honest:
-        if tables.fixed_bit is None:
-            commit = (u[:, 0] >= 0.5).astype(np.intp)
-        else:
-            commit = np.full(n_runs, tables.fixed_bit, dtype=np.intp)
-        commit_idx = commit
-    else:
-        commit_idx = np.zeros(n_runs, dtype=np.intp)
-
-    target = (u[:, 1] >= 0.5).astype(np.intp)
-
+    counts = tables.sample_counts(n_runs, seed, score)
+    p_unveil = counts[0] / n_runs
     if tables.bob_cheats:
-        estimate = (u[:, 2] >= tables.est_prob0[commit_idx]).astype(np.intp)
-    else:
-        estimate = np.zeros(n_runs, dtype=np.intp)
-
-    cums = tables.out_cum[commit_idx, estimate, target]
-    outcome = (u[:, 3] >= cums[:, 0]).astype(np.intp) + (u[:, 3] >= cums[:, 1]).astype(np.intp)
-
-    p_unveil = float(np.mean(outcome == target))
-    if tables.bob_cheats:
-        reference = commit if tables.alice_honest else target
-        p_estimate = float(np.mean(estimate == reference))
+        p_estimate = counts[1] / n_runs
         p_estimate_stderr = _binomial_stderr(p_estimate, n_runs)
     else:
         p_estimate, p_estimate_stderr = 0.5, 0.0

@@ -108,6 +108,14 @@ class TestAnalyze:
         assert run_cli(["analyze", str(tmp_path / "missing.json")]) == 2
         assert "SpecFileError" in capsys.readouterr().err
 
+    def test_nan_amplitude_exits_2(self, tmp_path, capsys):
+        doc = protocol_to_spec(qbc.family_protocol(qbc.Commuting3D(0.3)))
+        doc["chi0"][0] = [float("nan"), 0.0]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # json writes the literal NaN
+        assert run_cli(["analyze", str(path)]) == 2
+        assert "NotNormalized" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_csv_points_on_line(self, tmp_path):
@@ -164,6 +172,12 @@ class TestSimulate:
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("runs", ["0", "-5"])
+    def test_non_positive_runs_is_usage_error(self, tmp_path, capsys, runs):
+        spec = make_spec_file(tmp_path, "commuting3d", 0.3)
+        assert run_cli(["simulate", str(spec), "--runs", runs]) == 2
+        assert f"--runs: must be >= 1, got {int(runs)}" in capsys.readouterr().err
+
     def test_csv_shape(self, tmp_path, capsys):
         spec = make_spec_file(tmp_path, "pure-pair", 1.0)
         assert run_cli(["simulate", str(spec), "--runs", "100", "--seed", "1"]) == 0
@@ -198,6 +212,20 @@ class TestCointoss:
 
     def test_family_requires_param(self, capsys):
         assert run_cli(["cointoss", "--family", "pure-pair"]) == 2
+
+    @pytest.mark.parametrize("runs", ["0", "-5"])
+    def test_non_positive_runs_is_usage_error(self, capsys, runs):
+        assert run_cli(["cointoss", "--runs", runs]) == 2
+        assert f"--runs: must be >= 1, got {int(runs)}" in capsys.readouterr().err
+
+    def test_param_requires_family(self, capsys):
+        assert run_cli(["cointoss", "--param", "0.3"]) == 2
+        assert "ParamOutOfRange: --param requires --family" in capsys.readouterr().err
+
+    def test_spec_and_family_conflict(self, tmp_path, capsys):
+        spec = make_spec_file(tmp_path, "commuting3d", 0.5)
+        assert run_cli(["cointoss", str(spec), "--family", "pure-pair", "--param", "0.4"]) == 2
+        assert "ParamOutOfRange" in capsys.readouterr().err
 
 
 class TestCheck:

@@ -1,0 +1,218 @@
+"""Tests of the shared Monte Carlo engine behind commitment and coin toss.
+
+* Transcripts: ``simulate_run`` and ``simulate_toss`` read the strategy
+  tables; a straightforward Born-rule replay (``born_sample`` on explicit
+  Helstrom-extended and verification projectors) is the reference they
+  must agree with, draw for draw.
+* Bulk statistics: values pinned from the single-block sampler, at sizes
+  below, across and well past one chunk of the streamed Philox draws.
+* Memory: at a million runs the bulk samplers' peak allocation stays
+  within 16 bytes per run; one block of all the uniforms would take 32.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import qbc
+from qbc import (
+    CheatingAlice,
+    CoinTossProtocol,
+    HelstromBob,
+    HonestAlice,
+    HonestBob,
+    Outcome,
+    PureState,
+    RunRecord,
+    TossResult,
+    born_sample,
+    estimate_statistics,
+    helstrom,
+    honest_reduced_states,
+    optimal_cheat_kit,
+    projector,
+    simulate_run,
+    simulate_toss,
+    tensor_product,
+    toss_statistics,
+)
+from qbc.protocol import MC_CHUNK_RUNS
+
+DRAWS = 2000
+ALICES = (HonestAlice(), HonestAlice(0), HonestAlice(1), CheatingAlice())
+BOBS = (HonestBob(), HelstromBob())
+TOSS_KINDS = ((False, False), (True, False), (False, True))
+PROTOCOLS = {
+    "commuting3d": lambda: qbc.family_protocol(qbc.Commuting3D(0.3)),
+    "qubit-pure-mixed": lambda: qbc.family_protocol(qbc.QubitPureMixed(0.4)),
+    "pure-pair": lambda: qbc.family_protocol(qbc.PurePair(0.7)),
+    "random8x8": lambda: qbc.random_protocol(8, 8, 88),
+}
+
+
+class BornReplay:
+    """Transcripts played by Born sampling on explicit projectors."""
+
+    def __init__(self, p):
+        self.p = p
+        self.kit = optimal_cheat_kit(p)
+        measurement = helstrom(*honest_reduced_states(p))
+        eye_proof = np.eye(p.dim_proof, dtype=np.complex128)
+        self.extended = [
+            tensor_product(eye_proof, measurement.projector0),
+            tensor_product(eye_proof, measurement.projector1),
+        ]
+        p0, p1 = projector(p.chi0.state), projector(p.chi1.state)
+        self.final = [p0, p1, np.eye(p.dim_proof * p.dim_token) - p0 - p1]
+
+    def steer(self, vec, target):
+        matrix = vec.reshape(self.p.dim_proof, self.p.dim_token)
+        return (self.kit.unveil_unitary(target) @ matrix).reshape(-1)
+
+    def run(self, alice, bob, target_bit, rng) -> RunRecord:
+        if isinstance(alice, HonestAlice):
+            committed = alice.bit if alice.bit is not None else int(rng.random() >= 0.5)
+            vec = self.p.chi(committed).amplitudes
+        else:
+            committed = None
+            vec = self.kit.psi_max.amplitudes
+        estimate = None
+        if isinstance(bob, HelstromBob):
+            estimate = born_sample(PureState(vec), self.extended, rng)
+            vec = self.extended[estimate] @ vec
+            vec = vec / np.linalg.norm(vec)
+        if committed is None:
+            vec = self.steer(vec, target_bit)
+        outcome = Outcome(born_sample(PureState(vec), self.final, rng))
+        return RunRecord(alice, bob, committed, target_bit, estimate, outcome)
+
+    def toss(self, alice_cheats, bob_cheats, rng) -> TossResult:
+        if not alice_cheats:
+            committed = int(rng.random() >= 0.5)
+            if bob_cheats:
+                guess = born_sample(self.p.chi(committed).state, self.extended, rng)
+            else:
+                guess = int(rng.random() >= 0.5)
+            return TossResult("bob" if guess == committed else "alice", alice_caught=False)
+        target = 1 - int(rng.random() >= 0.5)
+        steered = self.steer(self.kit.psi_max.amplitudes, target)
+        outcome = Outcome(born_sample(PureState(steered), self.final, rng))
+        if outcome == target:
+            return TossResult("alice", alice_caught=False)
+        return TossResult("bob", alice_caught=(outcome == Outcome.FAIL))
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_transcripts_match_born_replay(name):
+    p = PROTOCOLS[name]()
+    replay = BornReplay(p)
+    ct = CoinTossProtocol(p)
+    for k, (alice, bob) in enumerate(itertools.product(ALICES, BOBS)):
+        ours, theirs = np.random.default_rng(k), np.random.default_rng(k)
+        for i in range(DRAWS):
+            assert simulate_run(p, alice, bob, i % 2, ours) == replay.run(alice, bob, i % 2, theirs)
+    for k, (alice_cheats, bob_cheats) in enumerate(TOSS_KINDS):
+        ours, theirs = np.random.default_rng(100 + k), np.random.default_rng(100 + k)
+        for _ in range(DRAWS):
+            assert simulate_toss(ct, alice_cheats, bob_cheats, ours) == replay.toss(
+                alice_cheats, bob_cheats, theirs
+            )
+
+
+# Recorded from the sampler that drew one (n, 4) block of uniforms per
+# call: estimate_statistics on Commuting3D(0.3), seed 7, keyed by
+# (n, index into ALICES, index into BOBS); toss_statistics, seed 11.
+ESTIMATE_PINS = {
+    (1, 0, 0): (0.5, 0.0, 1.0, 0.0, 1),
+    (1, 0, 1): (1.0, 0.0, 1.0, 0.0, 1),
+    (1, 1, 0): (0.5, 0.0, 1.0, 0.0, 1),
+    (1, 1, 1): (1.0, 0.0, 1.0, 0.0, 1),
+    (1, 2, 0): (0.5, 0.0, 0.0, 0.0, 1),
+    (1, 2, 1): (0.0, 0.0, 0.0, 0.0, 1),
+    (1, 3, 0): (0.5, 0.0, 1.0, 0.0, 1),
+    (1, 3, 1): (1.0, 0.0, 1.0, 0.0, 1),
+    (65537, 0, 0): (0.5, 0.0, 0.4986496177731663, 0.0019531029758781955, 65537),
+    (65537, 0, 1): (0.6463066664632192, 0.0018676241289979003, 0.3940369562232022, 0.0019087465642816355, 65537),
+    (65537, 1, 0): (0.5, 0.0, 0.5007858156461236, 0.0019531076868925378, 65537),
+    (65537, 1, 1): (1.0, 0.0, 0.5007858156461236, 0.0019531076868925378, 65537),
+    (65537, 2, 0): (0.5, 0.0, 0.49921418435387643, 0.0019531076868925378, 65537),
+    (65537, 2, 1): (0.3004257137189679, 0.0017907798175049463, 0.2912553214214871, 0.0017747556250940198, 65537),
+    (65537, 3, 0): (0.5, 0.0, 0.8499320994247525, 0.0013950595309832976, 65537),
+    (65537, 3, 1): (0.5002670247341197, 0.0019531098204871868, 0.7269939118360621, 0.0017402365037790053, 65537),
+    (1000003, 0, 0): (0.5, 0.0, 0.49946050161849515, 0.0004999989589435357, 1000003),
+    (1000003, 0, 1): (0.6499040502878491, 0.0004769990493942505, 0.3942998171005487, 0.00048869904323086, 1000003),
+    (1000003, 1, 0): (0.5, 0.0, 0.500222499332502, 0.0004999992004958064, 1000003),
+    (1000003, 1, 1): (1.0, 0.0, 0.500222499332502, 0.0004999992004958064, 1000003),
+    (1000003, 2, 0): (0.5, 0.0, 0.499777500667498, 0.0004999992004958064, 1000003),
+    (1000003, 2, 1): (0.299671100986697, 0.00045811319847501665, 0.28954913135260596, 0.0004535524388161892, 1000003),
+    (1000003, 3, 0): (0.5, 0.0, 0.8499544501366496, 0.0003571155278548589, 1000003),
+    (1000003, 3, 1): (0.5002994991015027, 0.0004999991603021022, 0.7266998199005403, 0.00044565299935855375, 1000003),
+}
+TOSS_PINS = {
+    ("fair", 1, "none"): (0.0, 1.0, 0.0, 0.0, 1),
+    ("fair", 1, "alice"): (0.0, 1.0, 1.0, 0.0, 1),
+    ("fair", 1, "bob"): (0.0, 1.0, 0.0, 0.0, 1),
+    ("fair", 65537, "none"): (0.5014114164517753, 0.49858858354822466, 0.0, 0.0019531023174266372, 65537),
+    ("fair", 65537, "alice"): (0.7507362253383585, 0.2492637746616415, 0.2089354105314555, 0.0016897793216022806, 65537),
+    ("fair", 65537, "bob"): (0.24859239818728351, 0.7514076018127165, 0.0, 0.0016882565196081696, 65537),
+    ("fair", 1000003, "none"): (0.4992755021734935, 0.5007244978265065, 0.0, 0.0004999987251050987, 1000003),
+    ("fair", 1000003, "alice"): (0.7491337525987422, 0.25086624740125785, 0.20927437217688347, 0.00043351102583514547, 1000003),
+    ("fair", 1000003, "bob"): (0.2493552519342442, 0.7506447480657558, 0.0, 0.0004326391669013655, 1000003),
+    ("pure-pair", 1, "none"): (0.0, 1.0, 0.0, 0.0, 1),
+    ("pure-pair", 1, "alice"): (1.0, 0.0, 0.0, 0.0, 1),
+    ("pure-pair", 1, "bob"): (0.0, 1.0, 0.0, 0.0, 1),
+    ("pure-pair", 65537, "none"): (0.5014114164517753, 0.49858858354822466, 0.0, 0.0019531023174266372, 65537),
+    ("pure-pair", 65537, "alice"): (0.9602209438942887, 0.03977905610571131, 0.03977905610571128, 0.0007634305682417367, 65537),
+    ("pure-pair", 65537, "bob"): (0.30265346292933765, 0.6973465370706624, 0.0, 0.001794543000689534, 65537),
+    ("pure-pair", 1000003, "none"): (0.4992755021734935, 0.5007244978265065, 0.0, 0.0004999987251050987, 1000003),
+    ("pure-pair", 1000003, "alice"): (0.9604261187216439, 0.03957388127835615, 0.03957388127835616, 0.00019495557231302005, 1000003),
+    ("pure-pair", 1000003, "bob"): (0.30448008655974035, 0.6955199134402597, 0.0, 0.00046018618855233907, 1000003),
+}
+
+
+def test_chunk_size_is_crossed_by_the_pinned_sizes():
+    assert 1 < MC_CHUNK_RUNS < 65_537 < 2 * MC_CHUNK_RUNS < 1_000_003
+
+
+@pytest.mark.parametrize("key", sorted(ESTIMATE_PINS))
+def test_estimate_statistics_pins(key):
+    n, i, j = key
+    p = qbc.family_protocol(qbc.Commuting3D(0.3))
+    report = estimate_statistics(p, ALICES[i], BOBS[j], n, 7)
+    assert dataclasses.astuple(report) == ESTIMATE_PINS[key]
+
+
+@pytest.mark.parametrize("key", sorted(TOSS_PINS))
+def test_toss_statistics_pins(key):
+    base, n, cheater = key
+    if base == "fair":
+        ct = qbc.fair_toss_protocol()
+    else:
+        ct = CoinTossProtocol(qbc.family_protocol(qbc.PurePair(0.4)))
+    assert dataclasses.astuple(toss_statistics(ct, cheater, n, 11)) == TOSS_PINS[key]
+
+
+def test_bulk_peak_bytes_per_run():
+    n = 1_000_000
+    p = qbc.random_protocol(8, 8, 88)
+    calls = (
+        lambda: estimate_statistics(p, CheatingAlice(), HelstromBob(), n, 3),
+        lambda: estimate_statistics(p, HonestAlice(), HelstromBob(), n, 3),
+        lambda: toss_statistics(CoinTossProtocol(p), "alice", n, 3),
+        lambda: toss_statistics(CoinTossProtocol(p), "bob", n, 3),
+    )
+    tracemalloc.start()
+    try:
+        for call in calls:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak / n <= 16.0
+    finally:
+        tracemalloc.stop()

@@ -19,8 +19,6 @@ from qbc.linalg import (
     PureState,
     basis_state,
     bipartite,
-    hermitian_eig,
-    matrix_abs,
     partial_trace,
     projector,
     random_density,
@@ -35,11 +33,6 @@ from qbc.linalg import (
 def random_matrix(rows, cols, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-def random_hermitian(dim, seed):
-    m = random_matrix(dim, dim, seed)
-    return (m + m.conj().T) / 2
 
 
 class TestTensorProduct:
@@ -92,28 +85,6 @@ class TestPartialTrace:
             assert np.max(np.abs(partial_trace(state, "token").matrix - projector(phi))) <= 1e-9
 
 
-class TestHermitianEig:
-    def test_diagonal(self):
-        dec = hermitian_eig(np.diag([0.7, 0.3]))
-        assert np.allclose(dec.eigenvalues, [0.7, 0.3])
-
-    def test_pauli_x_spectrum(self):
-        dec = hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.allclose(dec.eigenvalues, [1.0, -1.0])
-
-    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
-    def test_reconstruction(self, dim):
-        h = random_hermitian(dim, dim)
-        dec = hermitian_eig(h)
-        rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
-        assert np.max(np.abs(rebuilt - h)) <= 1e-8
-        assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 class TestSvd:
     def test_sign_stripping(self):
         dec = svd(np.diag([-2.0, 1.0]))
@@ -127,7 +98,7 @@ class TestSvd:
     def test_against_eigendecomposition(self, shape):
         m = random_matrix(*shape, seed=7)
         dec = svd(m)
-        gram_eigs = hermitian_eig(m.conj().T @ m).eigenvalues
+        gram_eigs = np.linalg.eigvalsh(m.conj().T @ m)[::-1]  # descending
         expected = np.sqrt(np.clip(gram_eigs, 0.0, None))[: len(dec.singular_values)]
         assert np.allclose(np.sort(dec.singular_values), np.sort(expected), atol=1e-8)
 
@@ -147,27 +118,6 @@ class TestSvd:
         assert np.max(np.abs(rebuilt - m)) <= 1e-8
         assert np.max(np.abs(w.conj().T @ w - np.eye(shape[0]))) <= 1e-8
         assert np.max(np.abs(v.conj().T @ v - np.eye(shape[1]))) <= 1e-8
-
-
-class TestMatrixAbs:
-    def test_diagonal(self):
-        assert np.allclose(matrix_abs(np.diag([-0.3, 0.4])), np.diag([0.3, 0.4]))
-
-    def test_unitary(self):
-        assert np.allclose(matrix_abs(random_unitary(3, 5)), np.eye(3), atol=1e-10)
-
-    def test_square_recovers_gram(self):
-        a = random_matrix(4, 4, 3)
-        out = matrix_abs(a)
-        assert np.max(np.abs(out @ out - a.conj().T @ a)) <= 1e-8
-
-    def test_trace_equals_singular_value_sum(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            dim = int(rng.integers(2, 9))
-            a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            trace = np.trace(matrix_abs(a)).real
-            assert trace == pytest.approx(np.linalg.svd(a, compute_uv=False).sum(), abs=1e-8)
 
 
 class TestSqrtPsd:
@@ -223,6 +173,11 @@ class TestValidation:
     def test_pure_state_norm(self):
         with pytest.raises(NotNormalized):
             PureState(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_pure_state_non_finite(self, bad):
+        with pytest.raises(NotNormalized):
+            PureState(np.array([1.0, bad]))
 
     def test_density_hermitian(self):
         with pytest.raises(NotHermitian):
