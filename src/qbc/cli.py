@@ -8,16 +8,12 @@ significant digits, key/column order is fixed, and every command honors
 Exit codes: 0 success; 1 bound or inequality violation found by ``check``;
 2 usage or spec-file validation error (the violated invariant is named on
 stderr); 3 numeric failure.
-
-The ``QBC_THREADS`` environment variable caps the sweep worker count
-(default: hardware parallelism).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -111,19 +107,6 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _max_workers() -> int | None:
-    raw = os.environ.get("QBC_THREADS")
-    if raw is None:
-        return None
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ParamOutOfRange(f"QBC_THREADS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ParamOutOfRange(f"QBC_THREADS must be >= 1, got {workers}")
-    return workers
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -169,7 +152,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_sweep(args) -> int:
     kind = FAMILY_KINDS[args.family]
     params = uniform_grid(kind, args.points)
-    points = sweep(kind, params, max_workers=_max_workers())
+    points = sweep(kind, params)
     header = ["param", "gMax", "cMax", "curveI", "curveII", "curveIII", "curveIV"]
     rows = [
         [

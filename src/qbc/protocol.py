@@ -14,6 +14,13 @@ Closed-form security: with rho_b the honest token reductions,
                                  committing an aligned superposition and
                                  steering it with proof-side unitaries)
 
+Both figures come from one stacked core, :func:`distance_fidelity`, which
+takes the amplitudes of any number of protocols at once: D from the
+eigenvalues of rho0 - rho1 and, by Uhlmann's theorem, F as the nuclear
+norm of A1 A0^dag (A_b is chi_b as a proof x token matrix), with no square
+root of a reduction.  A single report and a whole family sweep take the
+same route.
+
 Both optimal strategies are constructed explicitly and can be run through
 a Born-rule Monte Carlo, either one transcript at a time
 (:func:`simulate_run`) or in bulk (:func:`estimate_statistics`).  Both
@@ -30,9 +37,18 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .distinguish import fidelity, helstrom, max_parallel_overlap, trace_distance
-from .errors import DimMismatch, NotAMeasurement, NotOrthogonal, QbcError
+from .distinguish import helstrom, max_parallel_overlap
+from .errors import (
+    DimMismatch,
+    NotAMeasurement,
+    NotNormalized,
+    NotOrthogonal,
+    NotPositiveSemidefinite,
+    QbcError,
+)
 from .linalg import (
+    EIGENVALUE_FLOOR,
+    NORM_TOL,
     BipartiteState,
     DensityOperator,
     PureState,
@@ -64,12 +80,38 @@ class PurificationProtocol:
                     f"commitment state dims {chi.dim_proof}x{chi.dim_token}"
                     f" != protocol dims {self.dim_proof}x{self.dim_token}"
                 )
-        overlap = abs(np.vdot(self.chi0.amplitudes, self.chi1.amplitudes))
-        if overlap > ORTHOGONALITY_TOL:
-            raise NotOrthogonal(f"|<chi0|chi1>| = {overlap} exceeds {ORTHOGONALITY_TOL}")
+        _check_orthogonal(self.chi0.as_matrix()[None], self.chi1.as_matrix()[None])
 
     def chi(self, bit: int) -> BipartiteState:
         return self.chi1 if bit else self.chi0
+
+
+def _check_orthogonal(a0: np.ndarray, a1: np.ndarray) -> None:
+    """Reject any protocol of a stack whose |<chi0|chi1>| exceeds ``ORTHOGONALITY_TOL``."""
+    overlap = float(np.abs(np.einsum("npt,npt->n", a0.conj(), a1)).max())
+    if overlap > ORTHOGONALITY_TOL:
+        raise NotOrthogonal(f"|<chi0|chi1>| = {overlap} exceeds {ORTHOGONALITY_TOL}")
+
+
+def checked_stacks(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a stack of protocols given as (n, dim_proof, dim_token) amplitudes.
+
+    Applies, to every protocol at once, the checks :class:`PureState` and
+    :class:`PurificationProtocol` apply to one: each state's norm must be
+    finite and within ``NORM_TOL`` of 1 (a state off by more than 1e-12 is
+    renormalized), and each pair orthogonal within ``ORTHOGONALITY_TOL``.
+    Returns the (renormalized) stacks.
+    """
+    stacks = np.stack([a0, a1]).astype(np.complex128, copy=False)
+    norms = np.linalg.norm(stacks, axis=(-2, -1))
+    bad = ~np.isfinite(norms) | (np.abs(norms - 1.0) > NORM_TOL)
+    if bad.any():
+        raise NotNormalized(f"state norm {norms[bad][0]} not within {NORM_TOL} of 1")
+    off = np.abs(norms - 1.0) > 1e-12
+    if off.any():
+        stacks[off] /= norms[off][:, None, None]
+    _check_orthogonal(stacks[0], stacks[1])
+    return stacks[0], stacks[1]
 
 
 def make_protocol(chi0: BipartiteState, chi1: BipartiteState) -> PurificationProtocol:
@@ -200,10 +242,41 @@ def honest_reduced_states(p: PurificationProtocol) -> tuple[DensityOperator, Den
     )
 
 
+def distance_fidelity(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trace distances and fidelities of the token reductions of a stack of protocols.
+
+    ``a0`` and ``a1`` hold chi0 and chi1 of n protocols as (n, dim_proof,
+    dim_token) amplitude matrices A_b.  The reductions rho_b = A_b^T A_b^*
+    are checked as :class:`DensityOperator` checks one (no eigenvalue below
+    ``EIGENVALUE_FLOOR``, unit trace within ``NORM_TOL``); then
+
+        D = (1/2) sum |eigenvalues of rho0 - rho1|
+        F = sum of singular values of A1 A0^dag      (Uhlmann's theorem)
+
+    each clipped to [0, 1].  The whole stack costs one ``eigvalsh`` and one
+    ``svd`` call.  F takes no square root of a reduction, so it stays exact
+    where a reduction has eigenvalues far below rounding noise (F = 1e-7 at
+    an eigenvalue of 1e-14).
+    """
+    pair = np.stack([a0, a1])
+    reduced = np.swapaxes(pair, -2, -1) @ pair.conj()
+    rho = (reduced + np.swapaxes(reduced, -2, -1).conj()) / 2.0
+    eigenvalues = np.linalg.eigvalsh(np.concatenate([rho, (rho[0] - rho[1])[None]]))
+    lowest = eigenvalues[:2, :, 0].min()
+    if lowest < EIGENVALUE_FLOOR:
+        raise NotPositiveSemidefinite(f"eigenvalue {lowest} below floor {EIGENVALUE_FLOOR}")
+    traces = np.trace(rho, axis1=-2, axis2=-1).real
+    off = np.abs(traces - 1.0) > NORM_TOL
+    if off.any():
+        raise NotNormalized(f"trace {traces[off][0]} not within {NORM_TOL} of 1")
+    d = np.clip(0.5 * np.abs(eigenvalues[2]).sum(axis=-1), 0.0, 1.0)
+    singular_values = np.linalg.svd(a1 @ np.swapaxes(a0, -2, -1).conj(), compute_uv=False)
+    return d, np.clip(singular_values.sum(axis=-1), 0.0, 1.0)
+
+
 def security_report(p: PurificationProtocol) -> SecurityReport:
-    rho0, rho1 = honest_reduced_states(p)
-    d = trace_distance(rho0, rho1)
-    f = fidelity(rho0, rho1)
+    d, f = distance_fidelity(p.chi0.as_matrix()[None], p.chi1.as_matrix()[None])
+    d, f = float(d[0]), float(f[0])
     return SecurityReport(d, f, d / 2.0, f / 2.0)
 
 

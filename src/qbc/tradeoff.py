@@ -16,14 +16,14 @@ drop below; ``check_bounds`` flags points that would.
 
 Each family purifies its target reductions with orthogonal proof-side
 supports, which makes <chi0|chi1> = 0 automatic for every parameter value
-and uses the smallest proof dimension that allows it.
+and uses the smallest proof dimension that allows it.  One function lays
+out the amplitudes of a whole stack of family members; a single protocol
+is a stack of one.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence, Union
@@ -32,9 +32,12 @@ import numpy as np
 
 from .errors import ParamOutOfRange
 from .linalg import bipartite
-from .protocol import PurificationProtocol, make_protocol, security_report
+from .protocol import PurificationProtocol, checked_stacks, distance_fidelity, make_protocol
 
 BOUND_TOL = 1e-9
+
+# Members a sweep passes to the stacked core per call; peak memory is O(chunk).
+SWEEP_CHUNK_POINTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -79,34 +82,47 @@ FAMILY_KINDS: dict[str, Callable[[float], ProtocolFamily]] = {
 }
 
 
+def _amplitude_stacks(members: Sequence[ProtocolFamily]) -> tuple[np.ndarray, np.ndarray]:
+    """(chi0, chi1) of members of one family as (n, dim_proof, dim_token) amplitudes."""
+    kind = type(members[0])
+    if any(type(m) is not kind for m in members):
+        raise TypeError("a stack holds members of one family")
+    n = len(members)
+    if kind is Commuting3D:
+        lam = np.array([m.lam for m in members])
+        a0 = np.zeros((n, 4, 3), dtype=np.complex128)
+        a1 = np.zeros((n, 4, 3), dtype=np.complex128)
+        a0[:, 0, 0] = np.sqrt(lam)
+        a0[:, 1, 1] = np.sqrt(1.0 - lam)
+        a1[:, 2, 2] = np.sqrt(lam)
+        a1[:, 3, 1] = np.sqrt(1.0 - lam)
+    elif kind is QubitPureMixed:
+        lam = np.array([m.lam for m in members])
+        a0 = np.zeros((n, 3, 2), dtype=np.complex128)
+        a1 = np.zeros((n, 3, 2), dtype=np.complex128)
+        a0[:, 0, 0] = 1.0
+        a1[:, 1, 0] = np.sqrt(lam)
+        a1[:, 2, 1] = np.sqrt(1.0 - lam)
+    elif kind is PurePair:
+        phi = np.array([m.phi for m in members])
+        a0 = np.zeros((n, 2, 2), dtype=np.complex128)
+        a1 = np.zeros((n, 2, 2), dtype=np.complex128)
+        a0[:, 0, 0] = 1.0
+        a1[:, 1, 0] = np.cos(phi)
+        a1[:, 1, 1] = np.sin(phi)
+    else:
+        raise TypeError(f"unknown family {members[0]!r}")
+    return a0, a1
+
+
 def family_protocol(family: ProtocolFamily) -> PurificationProtocol:
     """Build the purification protocol realizing a family member's reductions."""
-    if isinstance(family, Commuting3D):
-        lam = family.lam
-        chi0 = np.zeros(12, dtype=np.complex128)
-        chi1 = np.zeros(12, dtype=np.complex128)
-        chi0[0 * 3 + 0] = math.sqrt(lam)
-        chi0[1 * 3 + 1] = math.sqrt(1.0 - lam)
-        chi1[2 * 3 + 2] = math.sqrt(lam)
-        chi1[3 * 3 + 1] = math.sqrt(1.0 - lam)
-        return make_protocol(bipartite(4, 3, chi0), bipartite(4, 3, chi1))
-    if isinstance(family, QubitPureMixed):
-        lam = family.lam
-        chi0 = np.zeros(6, dtype=np.complex128)
-        chi1 = np.zeros(6, dtype=np.complex128)
-        chi0[0 * 2 + 0] = 1.0
-        chi1[1 * 2 + 0] = math.sqrt(lam)
-        chi1[2 * 2 + 1] = math.sqrt(1.0 - lam)
-        return make_protocol(bipartite(3, 2, chi0), bipartite(3, 2, chi1))
-    if isinstance(family, PurePair):
-        phi = family.phi
-        chi0 = np.zeros(4, dtype=np.complex128)
-        chi1 = np.zeros(4, dtype=np.complex128)
-        chi0[0 * 2 + 0] = 1.0
-        chi1[1 * 2 + 0] = math.cos(phi)
-        chi1[1 * 2 + 1] = math.sin(phi)
-        return make_protocol(bipartite(2, 2, chi0), bipartite(2, 2, chi1))
-    raise TypeError(f"unknown family {family!r}")
+    a0, a1 = _amplitude_stacks([family])
+    dim_proof, dim_token = a0.shape[1:]
+    return make_protocol(
+        bipartite(dim_proof, dim_token, a0[0].reshape(-1)),
+        bipartite(dim_proof, dim_token, a1[0].reshape(-1)),
+    )
 
 
 class Curve(Enum):
@@ -137,24 +153,25 @@ def sweep(
 ) -> list[TradeoffPoint]:
     """Evaluate (g_max, c_max) for every parameter of one family.
 
-    Points are independent and evaluated on a thread pool capped at
-    ``max_workers`` (default: hardware parallelism); the returned list is
-    ordered by the input parameters regardless of scheduling.
+    The members' amplitudes are built as stacks of up to
+    ``SWEEP_CHUNK_POINTS``, each validated once and passed through
+    :func:`~qbc.protocol.distance_fidelity` in a single call, so a sweep
+    costs two decompositions per chunk and its working arrays never hold
+    more than one chunk.  Each point equals
+    ``security_report(family_protocol(family_kind(param)))`` bit for bit;
+    points are returned in the order of ``params``.  ``max_workers`` is
+    accepted for callers of the former thread pool and ignored.
     """
-
-    def point(param: float) -> TradeoffPoint:
-        report = security_report(family_protocol(family_kind(param)))
-        return TradeoffPoint(report.g_max, report.c_max, param)
-
     params = list(params)
-    if not params:
-        return []
-    workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(params)))
-    if workers == 1:
-        return [point(x) for x in params]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(point, params))
+    points = []
+    for start in range(0, len(params), SWEEP_CHUNK_POINTS):
+        chunk = params[start : start + SWEEP_CHUNK_POINTS]
+        a0, a1 = checked_stacks(*_amplitude_stacks([family_kind(x) for x in chunk]))
+        d, f = distance_fidelity(a0, a1)
+        points += [
+            TradeoffPoint(g, c, x) for g, c, x in zip((d / 2.0).tolist(), (f / 2.0).tolist(), chunk)
+        ]
+    return points
 
 
 def uniform_grid(family_kind: Callable[[float], ProtocolFamily], n_points: int) -> list[float]:

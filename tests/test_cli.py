@@ -142,13 +142,6 @@ class TestSweep:
             assert run_cli(["sweep", "--family", "qubit-pure-mixed", "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_env_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QBC_THREADS", "2")
-        a = tmp_path / "a.csv"
-        assert run_cli(["sweep", "--family", "commuting3d", "--points", "11", "--out", str(a)]) == 0
-        monkeypatch.setenv("QBC_THREADS", "zero")
-        assert run_cli(["sweep", "--family", "commuting3d"]) == 2
-
 
 class TestSimulate:
     def test_cheating_alice_on_fair_protocol(self, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 import qbc
 from conftest import random_protocols
-from qbc.errors import DimMismatch, NotAMeasurement, NotOrthogonal
+from qbc.errors import DimMismatch, NotAMeasurement, NotNormalized, NotOrthogonal
 from qbc.linalg import apply_to_proof, basis_state, bipartite
 from qbc.protocol import (
     CheatingAlice,
@@ -16,6 +16,8 @@ from qbc.protocol import (
     HonestBob,
     Outcome,
     born_sample,
+    checked_stacks,
+    distance_fidelity,
     estimate_statistics,
     exact_statistics,
     honest_reduced_states,
@@ -105,6 +107,50 @@ class TestSecurityReport:
             assert report.g_max >= d / 2 - 1e-12
             assert report.c_max >= f * f / 2 - 1e-12
             assert 2 * report.g_max + np.sqrt(2 * report.c_max) >= 1 - 1e-9
+
+
+class TestStackedCore:
+    def stacks(self, count=5, seed=3):
+        protocols = [random_protocol(3, 4, seed + i) for i in range(count)]
+        a0 = np.stack([p.chi0.as_matrix() for p in protocols])
+        a1 = np.stack([p.chi1.as_matrix() for p in protocols])
+        return protocols, a0, a1
+
+    def test_stack_equals_single_reports(self):
+        protocols, a0, a1 = self.stacks()
+        d, f = distance_fidelity(a0, a1)
+        for i, p in enumerate(protocols):
+            report = security_report(p)
+            assert (d[i], f[i]) == (report.trace_distance, report.fidelity)
+
+    def test_checked_stacks_keeps_valid_amplitudes(self):
+        _, a0, a1 = self.stacks()
+        c0, c1 = checked_stacks(a0, a1)
+        assert np.array_equal(c0, a0) and np.array_equal(c1, a1)
+
+    def test_checked_stacks_renormalizes_within_tolerance(self):
+        _, a0, a1 = self.stacks()
+        a0[2] *= 1.0 + 1e-10
+        c0, _ = checked_stacks(a0, a1)
+        assert abs(np.linalg.norm(c0[2]) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-6, np.nan])
+    def test_checked_stacks_rejects_bad_norm(self, scale):
+        _, a0, a1 = self.stacks()
+        a1[4] *= scale
+        with pytest.raises(NotNormalized):
+            checked_stacks(a0, a1)
+
+    def test_checked_stacks_rejects_overlap(self):
+        _, a0, a1 = self.stacks()
+        a1[1] = a0[1]
+        with pytest.raises(NotOrthogonal):
+            checked_stacks(a0, a1)
+
+    def test_core_rejects_reduction_off_unit_trace(self):
+        _, a0, a1 = self.stacks()
+        with pytest.raises(NotNormalized):
+            distance_fidelity(a0 * 1.1, a1)
 
 
 class TestOptimalCheatKit:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import qbc
 from qbc.errors import ParamOutOfRange
 from qbc.tradeoff import (
+    SWEEP_CHUNK_POINTS,
     Commuting3D,
     Curve,
     PurePair,
@@ -20,6 +24,23 @@ from qbc.tradeoff import (
     sweep,
     uniform_grid,
 )
+
+FAMILIES = [Commuting3D, QubitPureMixed, PurePair]
+EDGE_LAMBDAS = [0.0, 1e-16, 1e-14, 1e-12, 1e-8, 0.5, 1.0 - 1e-14, 1.0]
+
+
+def edge_params(kind) -> list[float]:
+    scale = np.pi / 2.0 if kind is PurePair else 1.0
+    return [scale * lam for lam in EDGE_LAMBDAS]
+
+
+def closed_form(kind, x: float) -> tuple[float, float]:
+    """(D, F) of a family member."""
+    if kind is Commuting3D:
+        return x, 1.0 - x
+    if kind is QubitPureMixed:
+        return 1.0 - x, np.sqrt(x)
+    return np.sin(x), np.cos(x)
 
 
 class TestFamilies:
@@ -71,14 +92,72 @@ class TestSweep:
         c_values = [pt.c_max for pt in points]
         assert all(a >= b - 1e-12 for a, b in zip(c_values, c_values[1:]))
 
-    def test_parallel_matches_serial(self):
-        params = uniform_grid(Commuting3D, 7)
-        serial = sweep(Commuting3D, params, max_workers=1)
-        parallel = sweep(Commuting3D, params, max_workers=4)
-        assert serial == parallel
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_one_route_one_answer(self, kind):
+        params = uniform_grid(kind, 101) + edge_params(kind)
+        points = sweep(kind, params)
+        for pt, x in zip(points, params):
+            report = qbc.security_report(family_protocol(kind(x)))
+            assert pt == TradeoffPoint(report.g_max, report.c_max, x)
+        assert sweep(kind, params, max_workers=1) == points  # max_workers is ignored
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_decompositions_do_not_grow_with_points(self, kind, monkeypatch):
+        calls = Counter()
+        for name in ("eigvalsh", "svd", "eigh"):
+            def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        totals = []
+        for n_points in (11, 1001):
+            calls.clear()
+            sweep(kind, uniform_grid(kind, n_points))
+            totals.append(sum(calls.values()))
+        assert totals[0] == totals[1] > 0
+
+    def test_memory_bounded_by_chunk(self):
+        params = uniform_grid(Commuting3D, 10 * SWEEP_CHUNK_POINTS + 1)
+        tracemalloc.start()
+        try:
+            points = sweep(Commuting3D, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(points) == len(params)
+        assert peak / len(params) < 800  # about 1.9 kB per point without chunks
+
+    def test_rejects_out_of_range_member(self):
+        with pytest.raises(ParamOutOfRange):
+            sweep(QubitPureMixed, [0.2, 1.5])
 
     def test_empty(self):
         assert sweep(Commuting3D, []) == []
+
+
+class TestEdgeGrid:
+    """Closed forms at the ends of each family's range, through both routes."""
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_sweep_matches_closed_forms(self, kind):
+        params = edge_params(kind)
+        points = sweep(kind, params)
+        for pt, x in zip(points, params):
+            d, f = closed_form(kind, x)
+            assert abs(2.0 * pt.g_max - d) <= 1e-12 and abs(2.0 * pt.c_max - f) <= 1e-12, x
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_security_report_matches_closed_forms(self, kind):
+        for x in edge_params(kind):
+            report = qbc.security_report(family_protocol(kind(x)))
+            d, f = closed_form(kind, x)
+            assert abs(report.trace_distance - d) <= 1e-12, x
+            assert abs(report.fidelity - f) <= 1e-12, x
+
+    def test_fidelity_below_rounding_floor(self):
+        report = qbc.security_report(family_protocol(QubitPureMixed(1e-14)))
+        assert report.fidelity == pytest.approx(1e-7, abs=1e-12)
 
 
 class TestCurveValue:
