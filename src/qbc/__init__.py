@@ -52,7 +52,6 @@ from .linalg import (
     BipartiteState,
     DensityOperator,
     PureState,
-    SingularValueDecomposition,
     basis_state,
     bipartite,
     density_from_pure,
@@ -60,9 +59,7 @@ from .linalg import (
     projector,
     random_density,
     random_pure_state,
-    random_unitary,
     sqrt_psd,
-    svd,
     tensor_product,
 )
 from .protocol import (

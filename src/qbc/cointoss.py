@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
 from .errors import BothCheat
 from .protocol import (
     CheatingAlice,
@@ -32,6 +30,7 @@ from .protocol import (
     HonestBob,
     Outcome,
     PurificationProtocol,
+    binomial_stderr,
     security_report,
     strategy_tables,
 )
@@ -159,11 +158,10 @@ def toss_statistics(
         caught = 0
 
     rate = wins / n_tosses
-    stderr = float(np.sqrt(max(0.0, rate * (1.0 - rate)) / n_tosses))
     return TossStatistics(
         alice_win_rate=rate,
         bob_win_rate=1.0 - rate,
         alice_caught_rate=caught / n_tosses,
-        alice_win_stderr=stderr,
+        alice_win_stderr=binomial_stderr(rate, n_tosses),
         n_tosses=n_tosses,
     )

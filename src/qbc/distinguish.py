@@ -3,9 +3,10 @@
 Implements the trace distance D(rho, sigma) = (1/2) Tr|rho - sigma|, the
 fidelity F(rho, sigma) = Tr|sqrt(rho) sqrt(sigma)|, the Helstrom measurement
 that discriminates two equiprobable states with success (1 + D)/2, the
-Uhlmann unitary aligning two purifications so their overlap reaches F, and
-the exact maximum of F(rho, sigma)^2 + F(rho, omega)^2 over rho together
-with a state achieving it.
+Uhlmann unitary aligning two purifications so their overlap reaches F, the
+phase-aligned superposition of two aligned states, and the exact maximum
+of F(rho, sigma)^2 + F(rho, omega)^2 over rho together with a state
+achieving it.
 
 For qubits, the Bloch-vector forms are provided:
     D = |r - s| / 2
@@ -27,7 +28,6 @@ from .linalg import (
     bipartite,
     partial_trace,
     sqrt_psd,
-    svd,
 )
 
 # Eigenvectors of rho0 - rho1 whose eigenvalue is within this of zero are
@@ -145,9 +145,9 @@ def max_parallel_overlap(
 
     With amplitudes reshaped so the acted factor indexes rows, the overlap
     is |Tr(U A_chi A_psi^dagger)|; its maximum over unitary U is the sum of
-    singular values of M = A_chi A_psi^dagger, attained at U = V W^dagger
-    where M = W diag(s) V^dagger.  The phase of U is thereby fixed so the
-    achieved overlap is real and nonnegative.
+    singular values of M = A_chi A_psi^dagger, attained at the
+    :func:`polar_unitary` of M, whose phase makes the achieved overlap real
+    and nonnegative.
     """
     if (psi.dim_proof, psi.dim_token) != (chi.dim_proof, chi.dim_token):
         raise DimMismatch(
@@ -160,10 +160,31 @@ def max_parallel_overlap(
         a_psi, a_chi = psi.as_matrix().T, chi.as_matrix().T
     else:
         raise ValueError(f"act_on must be 'proof' or 'token', got {act_on!r}")
-    m = a_chi @ a_psi.conj().T
-    w, s, v = svd(m)
-    unitary = v @ w.conj().T
-    return ParallelPurificationResult(float(np.clip(s.sum(), 0.0, 1.0)), unitary)
+    unitary, overlap = polar_unitary(a_chi @ a_psi.conj().T)
+    return ParallelPurificationResult(float(np.clip(overlap, 0.0, 1.0)), unitary)
+
+
+def polar_unitary(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """The U maximizing |Tr(U m)|, and that maximum (the nuclear norm of m).
+
+    With m = W diag(s) V^dagger, U = V W^dagger makes Tr(U m) = sum(s),
+    real and nonnegative.  U is unitary for a square m and an isometry
+    otherwise.
+    """
+    w, s, vh = np.linalg.svd(m, full_matrices=False)
+    return vh.conj().T @ w.conj().T, float(s.sum())
+
+
+def phase_aligned_sum(phi0: np.ndarray, phi1: np.ndarray) -> tuple[np.ndarray, float]:
+    """Normalized phi0 + e^{-i arg c} phi1 with c = <phi0|phi1>, and |c|.
+
+    The phase makes both terms add in step, so the sum has norm^2
+    2 + 2|c| for unit vectors; it is 1 when c vanishes (|c| <= 1e-12).
+    """
+    c = np.vdot(phi0, phi1)
+    phase = 1.0 if abs(c) <= 1e-12 else np.exp(-1j * np.angle(c))
+    vec = phi0 + phase * phi1
+    return vec / np.linalg.norm(vec), abs(c)
 
 
 def _standard_purification(rho: DensityOperator) -> BipartiteState:
@@ -191,12 +212,8 @@ def max_fidelity_sq_sum(
     pur_sigma = _standard_purification(sigma)
     pur_omega = _standard_purification(omega)
     aligned = max_parallel_overlap(pur_sigma, pur_omega, act_on="proof")
-    phi0 = pur_sigma.amplitudes
     phi1 = apply_to_proof(aligned.maximizing_unitary, pur_omega).amplitudes
-    overlap = np.vdot(phi0, phi1)
-    phase = 1.0 if abs(overlap) <= 1e-12 else np.exp(-1j * np.angle(overlap))
-    superposed = phi0 + phase * phi1
-    superposed = superposed / np.linalg.norm(superposed)
+    superposed, _ = phase_aligned_sum(pur_sigma.amplitudes, phi1)
     achiever = partial_trace(bipartite(sigma.dim, sigma.dim, superposed), keep="token")
     return value, achiever
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, NamedTuple
+from typing import Literal
 
 import numpy as np
 
@@ -129,12 +129,6 @@ class BipartiteState:
         return self.amplitudes.reshape(self.dim_proof, self.dim_token)
 
 
-class SingularValueDecomposition(NamedTuple):
-    left_vectors: np.ndarray
-    singular_values: np.ndarray  # nonnegative, descending
-    right_vectors: np.ndarray  # columns; m = W diag(s) V^dagger
-
-
 def basis_state(dim: int, index: int) -> PureState:
     """Computational basis vector |index> in the given dimension."""
     amp = np.zeros(dim, dtype=np.complex128)
@@ -190,12 +184,6 @@ def apply_to_token(u: np.ndarray, state: BipartiteState) -> BipartiteState:
     return bipartite(state.dim_proof, state.dim_token, (a @ u.T).reshape(-1))
 
 
-def svd(m: np.ndarray) -> SingularValueDecomposition:
-    """Singular value decomposition m = W diag(s) V^dagger."""
-    w, s, vh = np.linalg.svd(np.asarray(m, dtype=np.complex128))
-    return SingularValueDecomposition(w, s, vh.conj().T)
-
-
 def sqrt_psd(rho: DensityOperator) -> np.ndarray:
     """Positive square root of a density operator.
 
@@ -229,12 +217,3 @@ def random_density(dim: int, rank: int, seed) -> DensityOperator:
         raise BadRank(f"rank must satisfy 1 <= rank <= {dim}, got {rank}")
     purification = BipartiteState(dim, rank, random_pure_state(dim * rank, seed))
     return partial_trace(purification, keep="proof")
-
-
-def random_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a complex Gaussian."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))

@@ -37,7 +37,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .distinguish import helstrom, max_parallel_overlap
+from .distinguish import helstrom, max_parallel_overlap, phase_aligned_sum, polar_unitary
 from .errors import (
     DimMismatch,
     NotAMeasurement,
@@ -56,7 +56,6 @@ from .linalg import (
     bipartite,
     partial_trace,
     random_pure_state,
-    tensor_product,
 )
 
 ORTHOGONALITY_TOL = 1e-9
@@ -116,11 +115,6 @@ def checked_stacks(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def make_protocol(chi0: BipartiteState, chi1: BipartiteState) -> PurificationProtocol:
     """Validate and assemble a protocol from its two commitment states."""
-    if (chi0.dim_proof, chi0.dim_token) != (chi1.dim_proof, chi1.dim_token):
-        raise DimMismatch(
-            f"commitment states live on different spaces:"
-            f" {chi0.dim_proof}x{chi0.dim_token} vs {chi1.dim_proof}x{chi1.dim_token}"
-        )
     return PurificationProtocol(chi0.dim_proof, chi0.dim_token, chi0, chi1)
 
 
@@ -297,14 +291,10 @@ def optimal_cheat_kit(p: PurificationProtocol) -> CheatKit:
     aligned = max_parallel_overlap(p.chi1, p.chi0, act_on="proof")
     u0 = np.eye(p.dim_proof, dtype=np.complex128)
     u1 = aligned.maximizing_unitary
-    phi0 = p.chi0.amplitudes
     phi1 = apply_to_proof(u1.conj().T, p.chi1).amplitudes
-    c = np.vdot(phi0, phi1)
-    phase = 1.0 if abs(c) <= 1e-12 else np.exp(-1j * np.angle(c))
-    vec = phi0 + phase * phi1
-    vec = vec / np.linalg.norm(vec)
+    vec, overlap = phase_aligned_sum(p.chi0.amplitudes, phi1)
     psi_max = bipartite(p.dim_proof, p.dim_token, vec)
-    return CheatKit(psi_max, u0, u1, (1.0 + abs(c)) / 2.0)
+    return CheatKit(psi_max, u0, u1, (1.0 + overlap) / 2.0)
 
 
 # --------------------------------------------------------------------------
@@ -345,22 +335,6 @@ def born_sample(state: PureState, projectors: Sequence[np.ndarray], rng) -> int:
 
 # Runs drawn per chunk by the bulk sampler; peak memory is O(chunk).
 MC_CHUNK_RUNS = 1 << 16
-
-
-def _outcome_cumulative(p: PurificationProtocol, vec: np.ndarray) -> np.ndarray:
-    """(P(outcome=0), P(outcome<=1)) for the final verification measurement."""
-    q0 = abs(np.vdot(p.chi0.amplitudes, vec)) ** 2
-    q1 = abs(np.vdot(p.chi1.amplitudes, vec)) ** 2
-    return np.array([q0, min(1.0, q0 + q1)])
-
-
-def _collapse(vec: np.ndarray, extended: np.ndarray) -> np.ndarray:
-    """Normalized projection of ``vec`` by a proof-extended token projector."""
-    collapsed = extended @ vec
-    norm = np.linalg.norm(collapsed)
-    if norm < 1e-12:  # branch of probability ~0; never sampled
-        return np.zeros_like(vec)
-    return collapsed / norm
 
 
 class SampledRuns:
@@ -474,51 +448,47 @@ class StrategyTables:
 def strategy_tables(
     p: PurificationProtocol, alice: AliceStrategy, bob: BobStrategy
 ) -> StrategyTables:
-    """Exact tables of a strategy pairing; shared by every sampler."""
+    """Exact tables of a strategy pairing; shared by every sampler.
+
+    Both cheats are one-sided, so every step is a product with the stack of
+    commitment matrices A (commitment context, proof, token): Bob's
+    Helstrom collapse onto estimate e is A P_e^T, Alice's steering toward
+    target t is u_t A, and verification reads |<chi_b|A>|^2.  No operator
+    on the whole proof ⊗ token space is formed.
+    """
     alice_honest = isinstance(alice, HonestAlice)
     bob_cheats = isinstance(bob, HelstromBob)
+    chi = np.array([p.chi0.as_matrix(), p.chi1.as_matrix()])
 
-    kit = None
     if alice_honest:
-        pre_states = [p.chi0.amplitudes, p.chi1.amplitudes]
+        committed = chi
         if alice.bit is None:
             commit_weights = np.array([0.5, 0.5])
         else:
             commit_weights = np.array([1.0 - alice.bit, float(alice.bit)])
     else:
         kit = optimal_cheat_kit(p)
-        pre_states = [kit.psi_max.amplitudes]
+        committed = kit.psi_max.as_matrix()[None]
         commit_weights = np.array([1.0])
-    n_commit = len(pre_states)
 
+    est_prob0 = None
+    branches = committed[:, None]  # (commit, estimate, proof, token)
     if bob_cheats:
         measurement = helstrom(*honest_reduced_states(p))
-        token_projs = [measurement.projector0, measurement.projector1]
-        eye_proof = np.eye(p.dim_proof, dtype=np.complex128)
-        extended = [tensor_product(eye_proof, proj) for proj in token_projs]
-        n_est = 2
-        est_prob0 = np.empty(n_commit)
-        branches: list[list[np.ndarray]] = []
-        for ci, vec in enumerate(pre_states):
-            state = vec.reshape(p.dim_proof, p.dim_token)
-            prob0 = np.einsum("pt,ts,ps->", state.conj(), token_projs[0], state).real
-            est_prob0[ci] = min(max(float(prob0), 0.0), 1.0)
-            branches.append([_collapse(vec, ext) for ext in extended])
-    else:
-        n_est = 1
-        est_prob0 = None
-        branches = [[vec] for vec in pre_states]
+        token_projs = np.array([measurement.projector0, measurement.projector1])
+        prob0 = np.einsum("cpt,ts,cps->c", committed.conj(), token_projs[0], committed).real
+        est_prob0 = np.clip(prob0, 0.0, 1.0)
+        collapsed = branches @ np.swapaxes(token_projs, -2, -1)
+        norms = np.linalg.norm(collapsed, axis=(-2, -1), keepdims=True)
+        # A branch of probability ~0 is never sampled; it stays zero.
+        branches = np.divide(collapsed, norms, out=np.zeros_like(collapsed), where=norms >= 1e-12)
 
-    out_cum = np.empty((n_commit, n_est, 2, 2))
-    for ci in range(n_commit):
-        for ei in range(n_est):
-            branch = branches[ci][ei]
-            if kit is None:  # honest Alice unveils her commitment whatever the target
-                out_cum[ci, ei] = _outcome_cumulative(p, branch)
-                continue
-            for t in (0, 1):
-                steered = kit.unveil_unitary(t) @ branch.reshape(p.dim_proof, p.dim_token)
-                out_cum[ci, ei, t] = _outcome_cumulative(p, steered.reshape(-1))
+    if not alice_honest:  # she steers toward target t with u_t on the proof
+        branches = np.array([kit.u0, kit.u1]) @ branches[:, :, None]
+    out_cum = np.abs(np.einsum("bpt,...pt->...b", chi.conj(), branches)) ** 2
+    out_cum[..., 1] = np.minimum(1.0, out_cum[..., 0] + out_cum[..., 1])  # P(0), P(0 or 1)
+    if alice_honest:  # she unveils her commitment whatever the target
+        out_cum = np.repeat(out_cum[:, :, None], 2, axis=2)
 
     return StrategyTables(
         alice_honest=alice_honest,
@@ -577,7 +547,7 @@ class StatisticsReport:
     n_runs: int
 
 
-def _binomial_stderr(p_hat: float, n: int) -> float:
+def binomial_stderr(p_hat: float, n: int) -> float:
     return float(np.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / n))
 
 
@@ -648,7 +618,7 @@ def estimate_statistics(
     p_unveil = counts[0] / n_runs
     if tables.bob_cheats:
         p_estimate = counts[1] / n_runs
-        p_estimate_stderr = _binomial_stderr(p_estimate, n_runs)
+        p_estimate_stderr = binomial_stderr(p_estimate, n_runs)
     else:
         p_estimate, p_estimate_stderr = 0.5, 0.0
 
@@ -656,7 +626,7 @@ def estimate_statistics(
         p_estimate=p_estimate,
         p_estimate_stderr=p_estimate_stderr,
         p_unveil=p_unveil,
-        p_unveil_stderr=_binomial_stderr(p_unveil, n_runs),
+        p_unveil_stderr=binomial_stderr(p_unveil, n_runs),
         n_runs=n_runs,
     )
 
@@ -722,17 +692,11 @@ def random_cheat_search(
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         a_psi = (vec / np.linalg.norm(vec)).reshape(dp, dt)
         for _ in range(iters_per_start):
-            responses = []
-            for a_chi in (a0, a1):
-                w, _, vh = np.linalg.svd(a_psi @ a_chi.conj().T)
-                responses.append(vh.conj().T @ w.conj().T)  # maximizes |Tr(U N)|
-            phi0 = (responses[0].conj().T @ a0).reshape(-1)
-            phi1 = (responses[1].conj().T @ a1).reshape(-1)
-            c = np.vdot(phi0, phi1)
-            phase = 1.0 if abs(c) <= 1e-12 else np.exp(-1j * np.angle(c))
-            value = (1.0 + abs(c)) / 2.0
-            best = max(best, float(value))
-            merged = phi0 + phase * phi1
-            a_psi = (merged / np.linalg.norm(merged)).reshape(dp, dt)
+            v0, v1 = (polar_unitary(a_psi @ a_chi.conj().T)[0] for a_chi in (a0, a1))
+            merged, overlap = phase_aligned_sum(
+                (v0.conj().T @ a0).reshape(-1), (v1.conj().T @ a1).reshape(-1)
+            )
+            best = max(best, float((1.0 + overlap) / 2.0))
+            a_psi = merged.reshape(dp, dt)
 
     return CheatSearchResult(best, n_raw + n_starts * iters_per_start)

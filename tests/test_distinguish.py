@@ -20,6 +20,8 @@ from qbc.distinguish import (
     is_pure,
     max_fidelity_sq_sum,
     max_parallel_overlap,
+    phase_aligned_sum,
+    polar_unitary,
     qubit_bloch,
     trace_distance,
 )
@@ -161,6 +163,48 @@ class TestMaxParallelOverlap:
         chi = BipartiteState(2, 3, random_pure_state(6, 0))
         with pytest.raises(DimMismatch):
             max_parallel_overlap(psi, chi, act_on="proof")
+
+
+class TestAlignmentKernels:
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (4, 4), (4, 2), (2, 5)])
+    def test_polar_unitary_reaches_nuclear_norm(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        rows, cols = shape
+        for _ in range(20):
+            m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            u, nuclear = polar_unitary(m)
+            assert u.shape == (cols, rows)
+            # Orthonormal columns when rows <= cols, orthonormal rows when rows >= cols.
+            if rows <= cols:
+                assert np.max(np.abs(u.conj().T @ u - np.eye(rows))) <= 1e-12
+            if rows >= cols:
+                assert np.max(np.abs(u @ u.conj().T - np.eye(cols))) <= 1e-12
+            gram = m @ m.conj().T if rows <= cols else m.conj().T @ m
+            expected = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None)).sum()
+            achieved = np.trace(u @ m)
+            assert nuclear == pytest.approx(expected, rel=1e-12)
+            assert abs(achieved.imag) <= 1e-12 * nuclear
+            assert achieved.real == pytest.approx(nuclear, rel=1e-12)
+
+    def test_phase_aligned_sum_of_orthogonal_states_uses_phase_one(self):
+        phi0 = random_pure_state(6, 1).amplitudes
+        raw = random_pure_state(6, 2).amplitudes
+        raw = raw - np.vdot(phi0, raw) * phi0
+        phi1 = raw / np.linalg.norm(raw)
+        vec, overlap = phase_aligned_sum(phi0, phi1)
+        assert overlap <= 1e-15
+        assert np.max(np.abs(vec - (phi0 + phi1) / np.sqrt(2.0))) <= 1e-15
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
+
+    def test_phase_aligned_sum_adds_in_step(self):
+        for seed in range(20):
+            phi0 = random_pure_state(5, 10 + seed).amplitudes
+            phi1 = random_pure_state(5, 50 + seed).amplitudes
+            vec, overlap = phase_aligned_sum(phi0, phi1)
+            assert overlap == abs(np.vdot(phi0, phi1))
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
+            for phi in (phi0, phi1):
+                assert abs(np.vdot(phi, vec)) ** 2 == pytest.approx((1.0 + overlap) / 2.0, abs=1e-14)
 
 
 class TestMaxFidelitySqSum:

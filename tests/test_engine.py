@@ -41,7 +41,7 @@ from qbc import (
     tensor_product,
     toss_statistics,
 )
-from qbc.protocol import MC_CHUNK_RUNS
+from qbc.protocol import MC_CHUNK_RUNS, strategy_tables
 
 DRAWS = 2000
 ALICES = (HonestAlice(), HonestAlice(0), HonestAlice(1), CheatingAlice())
@@ -122,6 +122,30 @@ def test_transcripts_match_born_replay(name):
             assert simulate_toss(ct, alice_cheats, bob_cheats, ours) == replay.toss(
                 alice_cheats, bob_cheats, theirs
             )
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_engine_forms_no_full_dimension_operator(name, monkeypatch):
+    """Both cheats are one-sided, so the engine never needs an operator on
+    the whole proof x token space: building the tables of every pairing,
+    transcripts and bulk runs all work with Kronecker products refused."""
+    p = PROTOCOLS[name]()
+    ct = CoinTossProtocol(p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("formed an operator on the whole proof x token space")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    monkeypatch.setattr(qbc.linalg, "tensor_product", refuse)
+    rng = np.random.default_rng(0)
+    for alice, bob in itertools.product(ALICES, BOBS):
+        strategy_tables(p, alice, bob)
+        simulate_run(p, alice, bob, 1, rng)
+        estimate_statistics(p, alice, bob, 1000, 0)
+    for alice_cheats, bob_cheats in TOSS_KINDS:
+        simulate_toss(ct, alice_cheats, bob_cheats, rng)
+    for cheater in ("none", "alice", "bob"):
+        toss_statistics(ct, cheater, 1000, 0)
 
 
 # Recorded from the sampler that drew one (n, 4) block of uniforms per

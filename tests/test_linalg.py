@@ -23,9 +23,7 @@ from qbc.linalg import (
     projector,
     random_density,
     random_pure_state,
-    random_unitary,
     sqrt_psd,
-    svd,
     tensor_product,
 )
 
@@ -83,41 +81,6 @@ class TestPartialTrace:
             state = bipartite(3, 2, np.kron(psi.amplitudes, phi.amplitudes))
             assert np.max(np.abs(partial_trace(state, "proof").matrix - projector(psi))) <= 1e-9
             assert np.max(np.abs(partial_trace(state, "token").matrix - projector(phi))) <= 1e-9
-
-
-class TestSvd:
-    def test_sign_stripping(self):
-        dec = svd(np.diag([-2.0, 1.0]))
-        assert np.allclose(dec.singular_values, [2.0, 1.0])
-
-    def test_unitary_input(self):
-        dec = svd(random_unitary(4, 0))
-        assert np.allclose(dec.singular_values, np.ones(4), atol=1e-12)
-
-    @pytest.mark.parametrize("shape", [(3, 3), (4, 2), (2, 5)])
-    def test_against_eigendecomposition(self, shape):
-        m = random_matrix(*shape, seed=7)
-        dec = svd(m)
-        gram_eigs = np.linalg.eigvalsh(m.conj().T @ m)[::-1]  # descending
-        expected = np.sqrt(np.clip(gram_eigs, 0.0, None))[: len(dec.singular_values)]
-        assert np.allclose(np.sort(dec.singular_values), np.sort(expected), atol=1e-8)
-
-    def test_reconstruction_and_unitarity(self):
-        m = random_matrix(4, 4, 11)
-        w, s, v = svd(m)
-        assert np.max(np.abs(w @ np.diag(s) @ v.conj().T - m)) <= 1e-8
-        assert np.max(np.abs(w.conj().T @ w - np.eye(4))) <= 1e-8
-        assert np.max(np.abs(v.conj().T @ v - np.eye(4))) <= 1e-8
-
-    @pytest.mark.parametrize("shape", [(4, 2), (2, 5)])
-    def test_rectangular_reconstruction(self, shape):
-        m = random_matrix(*shape, seed=13)
-        w, s, v = svd(m)
-        k = len(s)
-        rebuilt = w[:, :k] @ np.diag(s) @ v.conj().T[:k, :]
-        assert np.max(np.abs(rebuilt - m)) <= 1e-8
-        assert np.max(np.abs(w.conj().T @ w - np.eye(shape[0]))) <= 1e-8
-        assert np.max(np.abs(v.conj().T @ v - np.eye(shape[1]))) <= 1e-8
 
 
 class TestSqrtPsd:
