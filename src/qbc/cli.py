@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .cointoss import CoinTossProtocol, biases, fair_toss_protocol, toss_statistics
-from .distinguish import check_inequalities
+from .distinguish import inequalities_at
 from .errors import (
     BadRank,
     DimMismatch,
@@ -107,14 +107,19 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an int >= ``minimum``; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _emit_doc(doc: dict, fmt: str, out: str | None) -> None:
@@ -247,15 +252,16 @@ def _cmd_check(args) -> int:
 
     if args.spec is not None:
         p = parse_protocol_spec(args.spec)
-        rho0, rho1 = honest_reduced_states(p)
-        inequality_report = check_inequalities(rho0, rho1)
+        report = security_report(p)
+        inequality_report = inequalities_at(
+            report.trace_distance, report.fidelity, *honest_reduced_states(p)
+        )
         for check in inequality_report.checks:
             if not check.applicable:
                 continue
             status = "OK" if check.satisfied else "VIOLATION"
             lines.append(f"{status} {check.name} slack={format_float(check.slack)}")
             violated = violated or not check.satisfied
-        report = security_report(p)
         points = [(report.g_max, report.c_max)]
     else:
         points = []
@@ -310,8 +316,8 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("spec", help="protocol spec file (JSON)")
     simulate.add_argument("--alice", choices=sorted(_ALICE_CHOICES), default="honest0")
     simulate.add_argument("--bob", choices=sorted(_BOB_CHOICES), default="honest")
-    simulate.add_argument("--runs", type=_positive_int, default=100_000)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--runs", type=_int_at_least(1), default=100_000)
+    simulate.add_argument("--seed", type=_int_at_least(0), default=0)
     simulate.add_argument("--format", choices=["csv", "json", "text"], default="csv")
     simulate.add_argument("--out", default=None)
     simulate.set_defaults(handler=_cmd_simulate)
@@ -321,8 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cointoss.add_argument("--family", choices=sorted(FAMILY_KINDS), default=None)
     cointoss.add_argument("--param", type=float, default=None)
     cointoss.add_argument("--cheater", choices=["none", "alice", "bob"], default="none")
-    cointoss.add_argument("--runs", type=_positive_int, default=100_000)
-    cointoss.add_argument("--seed", type=int, default=0)
+    cointoss.add_argument("--runs", type=_int_at_least(1), default=100_000)
+    cointoss.add_argument("--seed", type=_int_at_least(0), default=0)
     cointoss.add_argument("--format", choices=["csv", "json", "text"], default="csv")
     cointoss.add_argument("--out", default=None)
     cointoss.set_defaults(handler=_cmd_cointoss)

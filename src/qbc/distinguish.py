@@ -305,14 +305,24 @@ class InequalityReport:
 def check_inequalities(rho: DensityOperator, sigma: DensityOperator) -> InequalityReport:
     """Evaluate the distance/fidelity inequalities applicable to a pair.
 
+    D and F are :func:`trace_distance` and :func:`fidelity` of the pair;
+    the checks are those of :func:`inequalities_at`.
+    """
+    return inequalities_at(trace_distance(rho, sigma), fidelity(rho, sigma), rho, sigma)
+
+
+def inequalities_at(
+    d: float, f: float, rho: DensityOperator, sigma: DensityOperator
+) -> InequalityReport:
+    """Evaluate the distance/fidelity inequalities at a given (D, F) of a pair.
+
     Always checked: 1 - F <= D and D <= sqrt(1 - F^2).  When both states
     are pure, the upper bound must be an equality.  When at least one state
     is pure, or both supports fit inside a common 2-dimensional subspace,
     the stronger lower bound 1 - F^2 <= D applies.  Each check is granted
-    ``INEQUALITY_TOL`` of slack.
+    ``INEQUALITY_TOL`` of slack.  ``rho`` and ``sigma`` decide only which
+    checks apply.
     """
-    d = trace_distance(rho, sigma)
-    f = fidelity(rho, sigma)
     both_pure = is_pure(rho) and is_pure(sigma)
     strong_applicable = is_pure(rho) or is_pure(sigma) or combined_support_rank(rho, sigma) <= 2
     upper = float(np.sqrt(max(0.0, 1.0 - f * f)))

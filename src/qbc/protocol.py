@@ -25,7 +25,8 @@ Both optimal strategies are constructed explicitly and can be run through
 a Born-rule Monte Carlo, either one transcript at a time
 (:func:`simulate_run`) or in bulk (:func:`estimate_statistics`).  Both
 read the exact per-configuration :class:`StrategyTables`, which the coin
-toss samples too.
+toss samples too.  The tables depend on the protocol alone, so each
+protocol builds the table of a strategy pairing once and keeps it.
 """
 
 from __future__ import annotations
@@ -84,6 +85,15 @@ class PurificationProtocol:
     def chi(self, bit: int) -> BipartiteState:
         return self.chi1 if bit else self.chi0
 
+    @cached_property
+    def _table_store(self) -> dict:
+        """Strategy tables built so far, keyed by (alice, bob); see :func:`strategy_tables`.
+
+        Not a field, so equality and repr ignore it; a frozen dataclass
+        allows it because ``cached_property`` writes the instance ``__dict__``.
+        """
+        return {}
+
 
 def _check_orthogonal(a0: np.ndarray, a1: np.ndarray) -> None:
     """Reject any protocol of a stack whose |<chi0|chi1>| exceeds ``ORTHOGONALITY_TOL``."""
@@ -139,6 +149,13 @@ def random_protocol(dim_proof: int, dim_token: int, seed) -> PurificationProtoco
 # strategies and records
 
 
+def _checked_bit(value, name: str) -> int:
+    """``value`` as the int 0 or 1; a bool or a non-integral value is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value not in (0, 1):
+        raise ValueError(f"{name} must be the integer 0 or 1, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class HonestAlice:
     """Commit a bit honestly.  bit=None draws the bit uniformly per run."""
@@ -146,8 +163,8 @@ class HonestAlice:
     bit: int | None = None
 
     def __post_init__(self):
-        if self.bit not in (None, 0, 1):
-            raise ValueError(f"bit must be 0, 1 or None, got {self.bit!r}")
+        if self.bit is not None:
+            object.__setattr__(self, "bit", _checked_bit(self.bit, "bit"))
 
 
 @dataclass(frozen=True)
@@ -450,6 +467,22 @@ def strategy_tables(
 ) -> StrategyTables:
     """Exact tables of a strategy pairing; shared by every sampler.
 
+    Both optimal cheats are fixed by the protocol, so the table of a
+    pairing is built on its first call and kept by ``p`` (at most eight per
+    protocol, freed with it); later calls return the same object.  Its
+    arrays are read-only, because every caller shares them.
+    """
+    store, key = p._table_store, (alice, bob)
+    if key not in store:
+        store[key] = _build_strategy_tables(p, alice, bob)
+    return store[key]
+
+
+def _build_strategy_tables(
+    p: PurificationProtocol, alice: AliceStrategy, bob: BobStrategy
+) -> StrategyTables:
+    """Build the exact tables of a strategy pairing.
+
     Both cheats are one-sided, so every step is a product with the stack of
     commitment matrices A (commitment context, proof, token): Bob's
     Helstrom collapse onto estimate e is A P_e^T, Alice's steering toward
@@ -490,6 +523,9 @@ def strategy_tables(
     if alice_honest:  # she unveils her commitment whatever the target
         out_cum = np.repeat(out_cum[:, :, None], 2, axis=2)
 
+    for array in (commit_weights, est_prob0, out_cum):
+        if array is not None:
+            array.flags.writeable = False
     return StrategyTables(
         alice_honest=alice_honest,
         fixed_bit=alice.bit if alice_honest else None,
@@ -515,8 +551,7 @@ def simulate_run(
     final verification measurement always consumes one.  ``target_bit`` is
     the bit a cheating Alice steers toward and is ignored by honest Alice.
     """
-    if target_bit not in (0, 1):
-        raise ValueError(f"target_bit must be 0 or 1, got {target_bit!r}")
+    target_bit = _checked_bit(target_bit, "target_bit")
     tables = strategy_tables(p, alice, bob)
     commit = tables.draw_commit(rng)
     estimate = tables.draw_estimate(commit, rng) if tables.bob_cheats else None

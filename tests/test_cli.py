@@ -171,6 +171,11 @@ class TestSimulate:
         assert run_cli(["simulate", str(spec), "--runs", runs]) == 2
         assert f"--runs: must be >= 1, got {int(runs)}" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        spec = make_spec_file(tmp_path, "commuting3d", 0.3)
+        assert run_cli(["simulate", str(spec), "--seed", "-1"]) == 2
+        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+
     def test_csv_shape(self, tmp_path, capsys):
         spec = make_spec_file(tmp_path, "pure-pair", 1.0)
         assert run_cli(["simulate", str(spec), "--runs", "100", "--seed", "1"]) == 0
@@ -211,6 +216,10 @@ class TestCointoss:
         assert run_cli(["cointoss", "--runs", runs]) == 2
         assert f"--runs: must be >= 1, got {int(runs)}" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert run_cli(["cointoss", "--seed", "-1"]) == 2
+        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+
     def test_param_requires_family(self, capsys):
         assert run_cli(["cointoss", "--param", "0.3"]) == 2
         assert "ParamOutOfRange: --param requires --family" in capsys.readouterr().err
@@ -227,6 +236,17 @@ class TestCheck:
         assert run_cli(["check", str(spec)]) == 0
         out = capsys.readouterr().out
         assert "VIOLATION" not in out and "OK" in out
+
+    def test_inequalities_use_the_reported_fidelity(self, tmp_path, capsys):
+        # F = 1e-7 here, which the square-root route floors to 0.
+        spec = make_spec_file(tmp_path, "qubit-pure-mixed", 1e-14)
+        report = qbc.security_report(parse_protocol_spec(spec))
+        assert run_cli(["check", str(spec)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        slack = report.trace_distance - (1.0 - report.fidelity)
+        assert f"OK fidelity_lower_bound slack={format_float(slack)}" in lines
+        assert f"OK point gMax={format_float(report.g_max)} cMax={format_float(report.c_max)} above_curve_I" in lines
+        assert report.fidelity == pytest.approx(1e-7, rel=1e-9)
 
     def test_impossible_point_fails(self, capsys):
         assert run_cli(["check", "--point", "0.1", "0.1"]) == 1

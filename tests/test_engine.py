@@ -8,6 +8,8 @@
   below, across and well past one chunk of the streamed Philox draws.
 * Memory: at a million runs the bulk samplers' peak allocation stays
   within 16 bytes per run; one block of all the uniforms would take 32.
+* Table store: each protocol builds the table of a pairing once, keeps it
+  read-only and serves every sampler from it without a decomposition.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ from qbc import (
     PureState,
     RunRecord,
     TossResult,
+    PurificationProtocol,
     born_sample,
     estimate_statistics,
+    exact_statistics,
     helstrom,
     honest_reduced_states,
     optimal_cheat_kit,
@@ -240,3 +244,61 @@ def test_bulk_peak_bytes_per_run():
             assert peak / n <= 16.0
     finally:
         tracemalloc.stop()
+
+
+def test_tables_are_built_once_per_pairing():
+    p = PROTOCOLS["commuting3d"]()
+    for alice, bob in itertools.product(ALICES, BOBS):
+        assert strategy_tables(p, alice, bob) is strategy_tables(p, alice, bob)
+    for bob in BOBS:
+        drawn, fixed = strategy_tables(p, HonestAlice(), bob), strategy_tables(p, HonestAlice(0), bob)
+        assert drawn is not fixed
+        assert (drawn.fixed_bit, fixed.fixed_bit) == (None, 0)
+
+
+def test_primed_protocol_samples_without_decompositions(monkeypatch):
+    """Once every pairing is built, no sampler decomposes a matrix again;
+    a new protocol with the same amplitudes still builds its own tables."""
+    p = PROTOCOLS["random8x8"]()
+    ct = CoinTossProtocol(p)
+    for alice, bob in itertools.product(ALICES, BOBS):
+        strategy_tables(p, alice, bob)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decomposed a matrix after the tables were built")
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rng = np.random.default_rng(0)
+    for alice, bob in itertools.product(ALICES, BOBS):
+        simulate_run(p, alice, bob, 1, rng)
+        exact_statistics(p, alice, bob)
+        estimate_statistics(p, alice, bob, 1000, 0)
+    for alice_cheats, bob_cheats in TOSS_KINDS:
+        simulate_toss(ct, alice_cheats, bob_cheats, rng)
+    for cheater in ("none", "alice", "bob"):
+        toss_statistics(ct, cheater, 1000, 0)
+
+    fresh = dataclasses.replace(p)
+    for alice, bob in ((HonestAlice(), HelstromBob()), (CheatingAlice(), HonestBob())):
+        with pytest.raises(AssertionError, match="decomposed"):
+            strategy_tables(fresh, alice, bob)
+
+
+def test_stored_tables_are_read_only():
+    p = PROTOCOLS["pure-pair"]()
+    tables = strategy_tables(p, HonestAlice(), HelstromBob())
+    for array in (tables.out_cum, tables.est_prob0, tables.commit_weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
+    assert strategy_tables(p, HonestAlice(), HelstromBob()).commit_weights.tolist() == [0.5, 0.5]
+
+
+def test_table_store_is_not_a_field():
+    p = PROTOCOLS["qubit-pure-mixed"]()
+    names = [f.name for f in dataclasses.fields(PurificationProtocol)]
+    assert names == ["dim_proof", "dim_token", "chi0", "chi1"]
+    before = repr(p)
+    for alice, bob in itertools.product(ALICES, BOBS):
+        strategy_tables(p, alice, bob)
+    assert repr(p) == before

@@ -267,6 +267,22 @@ class TestSimulateRun:
         record = simulate_run(p, HonestAlice(1), HonestBob(), 0, rng)
         assert record.committed_bit == 1 and record.outcome == Outcome.ONE
 
+    @pytest.mark.parametrize("bit", [1.0, True, np.True_, 0.5, 2, -1, np.int64(2), "1"])
+    def test_bits_must_be_the_integers_0_or_1(self, bit):
+        p = qbc.family_protocol(qbc.Commuting3D(0.3))
+        with pytest.raises(ValueError, match="bit must be the integer 0 or 1"):
+            HonestAlice(bit)
+        with pytest.raises(ValueError, match="target_bit must be the integer 0 or 1"):
+            simulate_run(p, CheatingAlice(), HonestBob(), bit, np.random.default_rng(0))
+
+    def test_numpy_integer_bits_become_int(self):
+        p = qbc.family_protocol(qbc.Commuting3D(0.3))
+        alice = HonestAlice(np.int64(1))
+        assert type(alice.bit) is int and alice == HonestAlice(1)
+        record = simulate_run(p, alice, HonestBob(), np.int64(0), np.random.default_rng(0))
+        assert type(record.target_bit) is int
+        assert record.committed_bit == 1 and record.outcome == Outcome.ONE
+
     def test_cheating_alice_orthogonal_reductions(self):
         # No usable overlap: each unveiling succeeds half the time, the
         # rest land in Fail (never the opposite bit).
