@@ -18,7 +18,6 @@ from .cointoss import (
 )
 from .distinguish import (
     BlochVector,
-    DistinguishabilityReport,
     HelstromMeasurement,
     InequalityCheck,
     InequalityReport,
@@ -27,7 +26,6 @@ from .distinguish import (
     bloch_to_density,
     bloch_trace_distance,
     check_inequalities,
-    distinguishability_report,
     fidelity,
     helstrom,
     max_fidelity_sq_sum,

@@ -6,8 +6,8 @@ significant digits, key/column order is fixed, and every command honors
 ``--seed``, so identical invocations produce byte-identical files.
 
 Exit codes: 0 success; 1 bound or inequality violation found by ``check``;
-2 usage or spec-file validation error (the violated invariant is named on
-stderr); 3 numeric failure.
+2 usage or spec-file validation error, or an unwritable ``--out`` path (the
+violated invariant or the I/O error is named on stderr); 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-_VALIDATION_ERRORS = (
+_USAGE_ERRORS = (
     SpecFileError,
     NotOrthogonal,
     NotNormalized,
@@ -74,6 +74,7 @@ _VALIDATION_ERRORS = (
     NotPositiveSemidefinite,
     ParamOutOfRange,
     BadRank,
+    OSError,  # writing --out failed
 )
 
 _ALICE_CHOICES = {
@@ -363,7 +364,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except _VALIDATION_ERRORS as exc:
+    except _USAGE_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (QbcError, ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -71,31 +71,6 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 
 @dataclass(frozen=True)
-class DistinguishabilityReport:
-    """Trace distance and fidelity of one pair of states.
-
-    Construction re-checks the two universal bounds tying the measures
-    together: 1 - F <= D and D <= sqrt(1 - F^2).
-    """
-
-    trace_distance: float
-    fidelity: float
-
-    def __post_init__(self):
-        d, f = self.trace_distance, self.fidelity
-        if not (0.0 <= d <= 1.0 and 0.0 <= f <= 1.0):
-            raise ValueError(f"D={d}, F={f} outside [0, 1]")
-        if 1.0 - f > d + INEQUALITY_TOL:
-            raise ValueError(f"1 - F = {1 - f} exceeds D = {d}")
-        if d > np.sqrt(max(0.0, 1.0 - f * f)) + INEQUALITY_TOL:
-            raise ValueError(f"D = {d} exceeds sqrt(1 - F^2)")
-
-
-def distinguishability_report(rho: DensityOperator, sigma: DensityOperator) -> DistinguishabilityReport:
-    return DistinguishabilityReport(trace_distance(rho, sigma), fidelity(rho, sigma))
-
-
-@dataclass(frozen=True)
 class HelstromMeasurement:
     """Optimal two-outcome discrimination of two equiprobable states.
 
@@ -188,12 +163,12 @@ def phase_aligned_sum(phi0: np.ndarray, phi1: np.ndarray) -> tuple[np.ndarray, f
 
 
 def _standard_purification(rho: DensityOperator) -> BipartiteState:
-    """Purify rho on a d ⊗ d space with rho living on the token factor."""
-    eigenvalues, vectors = np.linalg.eigh(rho.matrix)
-    weights = np.sqrt(np.clip(eigenvalues, 0.0, None))
-    amplitudes = (vectors * weights).T.reshape(-1)  # row p holds sqrt(w_p) v_p
-    amplitudes = amplitudes / np.linalg.norm(amplitudes)  # clipping may shave the norm
-    return bipartite(rho.dim, rho.dim, amplitudes)
+    """Purify rho on a d ⊗ d space with rho living on the token factor.
+
+    The amplitude matrix is A = sqrt(rho)^T, so A^T A^* = rho; it shares
+    :func:`~qbc.linalg.sqrt_psd`, and its noise floor, with :func:`fidelity`.
+    """
+    return bipartite(rho.dim, rho.dim, sqrt_psd(rho).T.reshape(-1))
 
 
 def max_fidelity_sq_sum(
@@ -201,21 +176,19 @@ def max_fidelity_sq_sum(
 ) -> tuple[float, DensityOperator]:
     """Maximum of F(rho, sigma)^2 + F(rho, omega)^2 over density operators rho.
 
-    The maximum equals 1 + F(sigma, omega) and is returned in closed form,
-    together with a state achieving it: reduce the equal-weight
-    superposition of two maximally parallel purifications of sigma and
-    omega back onto the original space.
+    The maximum equals 1 + F(sigma, omega), F being the overlap of two
+    maximally parallel purifications of sigma and omega; it is returned
+    with a state achieving it, the reduction of their equal-weight
+    superposition back onto the original space.
     """
     _check_same_dim(sigma, omega)
-    value = 1.0 + fidelity(sigma, omega)
-
     pur_sigma = _standard_purification(sigma)
     pur_omega = _standard_purification(omega)
     aligned = max_parallel_overlap(pur_sigma, pur_omega, act_on="proof")
     phi1 = apply_to_proof(aligned.maximizing_unitary, pur_omega).amplitudes
     superposed, _ = phase_aligned_sum(pur_sigma.amplitudes, phi1)
     achiever = partial_trace(bipartite(sigma.dim, sigma.dim, superposed), keep="token")
-    return value, achiever
+    return 1.0 + aligned.overlap, achiever
 
 
 @dataclass(frozen=True)

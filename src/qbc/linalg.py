@@ -3,8 +3,15 @@
 Everything here works on plain ``numpy`` complex arrays; the thin frozen
 dataclasses (:class:`PureState`, :class:`DensityOperator`,
 :class:`BipartiteState`) validate their physics invariants on construction
-and freeze the underlying buffers, so values are safe to share across
-threads.
+and freeze the underlying buffers, so values are safe to share: a
+protocol keeps its states and its strategy tables and hands the same
+arrays to every caller.
+
+Each state invariant is one function here, which the single objects and
+the stacked core of :mod:`qbc.protocol` both call: the norm rule
+(:func:`normalize_states`), the density rule (:func:`check_spectra`), the
+token reduction (:func:`token_reductions`) and the square-root floor
+(:func:`sqrt_psd`).
 
 Index convention, fixed globally: the amplitude of a bipartite state at
 (proof index p, token index t) sits at flat index ``p * dim_token + t``.
@@ -14,7 +21,6 @@ products, partial traces and one-sided unitaries below all assume this.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -40,33 +46,63 @@ SQRT_NOISE_FLOOR = 1e-13
 Factor = Literal["proof", "token"]
 
 
-def _frozen_array(values, shape_check=None) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
-    if shape_check is not None and arr.shape != shape_check:
-        raise DimMismatch(f"expected shape {shape_check}, got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
+def _unit_deviation(values: np.ndarray, name: str) -> float:
+    """Largest |value - 1|; NotNormalized unless every value is finite and within NORM_TOL of 1."""
+    deviation = np.abs(values - 1.0)
+    worst = deviation.max(initial=0.0)
+    if not worst <= NORM_TOL:  # a NaN compares False
+        raise NotNormalized(f"{name} {values.flat[deviation.argmax()]} not within {NORM_TOL} of 1")
+    return worst
+
+
+def normalize_states(states: np.ndarray) -> np.ndarray:
+    """The norm rule, applied to each row of a C-contiguous (count, dim) complex array.
+
+    Every row's norm must be finite and within ``NORM_TOL`` of 1.  A row off
+    by more than 1e-12 is rescaled in place to unit norm; any other keeps
+    its bits, so re-checking a state never moves it.  A NaN or infinite
+    amplitude raises NotNormalized without a floating-point warning.
+    Returns ``states``.
+    """
+    parts = states.view(np.float64)  # real squares: inf * conj(inf) would warn
+    norms = np.sqrt(np.add.reduce(parts * parts, axis=-1))
+    if _unit_deviation(norms, "state norm") > 1e-12:
+        off = np.abs(norms - 1.0) > 1e-12
+        states[off] /= norms[off, None]
+    return states
+
+
+def check_spectra(eigenvalues: np.ndarray) -> None:
+    """The density rule, on ascending spectra (..., dim) as ``eigvalsh`` returns them.
+
+    No eigenvalue may lie below ``EIGENVALUE_FLOOR`` (NotPositiveSemidefinite)
+    and each trace, the sum of a spectrum, must be within ``NORM_TOL`` of 1
+    (NotNormalized).
+    """
+    lowest = eigenvalues[..., 0].min()
+    if lowest < EIGENVALUE_FLOOR:
+        raise NotPositiveSemidefinite(f"eigenvalue {lowest} below floor {EIGENVALUE_FLOOR}")
+    _unit_deviation(eigenvalues.sum(axis=-1), "trace")
+
+
+def token_reductions(amplitudes: np.ndarray) -> np.ndarray:
+    """Token reductions (A^T A^* + h.c.)/2 of a stack of (..., dim_proof, dim_token) matrices A."""
+    reduced = np.swapaxes(amplitudes, -2, -1) @ amplitudes.conj()
+    return (reduced + np.swapaxes(reduced, -2, -1).conj()) / 2.0
 
 
 @dataclass(frozen=True)
 class PureState:
     """Normalized complex amplitude vector.
 
-    Construction rejects vectors whose norm is not finite (a NaN or
-    infinite amplitude) or deviates from 1 by more than ``NORM_TOL``, and
-    then renormalizes exactly, so downstream traces are clean to machine
-    precision.
+    Construction applies the norm rule of :func:`normalize_states`, so
+    downstream traces are clean to machine precision.
     """
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
-        norm = float(np.linalg.norm(arr))
-        if not math.isfinite(norm) or abs(norm - 1.0) > NORM_TOL:
-            raise NotNormalized(f"state norm {norm} not within {NORM_TOL} of 1")
-        if abs(norm - 1.0) > 1e-12:  # idempotent: re-wrapping never shifts bits
-            arr = arr / norm
+        arr = normalize_states(np.array(self.amplitudes, dtype=np.complex128).reshape(1, -1))[0]
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
@@ -88,14 +124,7 @@ class DensityOperator:
         herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
         if herm_dev > HERMITIAN_TOL:
             raise NotHermitian(f"Hermiticity deviation {herm_dev} exceeds {HERMITIAN_TOL}")
-        eigenvalues = np.linalg.eigvalsh(arr)
-        if eigenvalues.min() < EIGENVALUE_FLOOR:
-            raise NotPositiveSemidefinite(
-                f"eigenvalue {eigenvalues.min()} below floor {EIGENVALUE_FLOOR}"
-            )
-        trace = complex(np.trace(arr))
-        if abs(trace - 1.0) > NORM_TOL:
-            raise NotNormalized(f"trace {trace} not within {NORM_TOL} of 1")
+        check_spectra(np.linalg.eigvalsh(arr))
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -159,13 +188,10 @@ def partial_trace(state: BipartiteState, keep: Factor) -> DensityOperator:
     """Reduced density operator of one factor of a bipartite pure state."""
     a = state.as_matrix()
     if keep == "proof":
-        reduced = a @ a.conj().T
-    elif keep == "token":
-        reduced = a.T @ a.conj()
-    else:
+        a = a.T  # the proof reduction is the token reduction of A^T
+    elif keep != "token":
         raise ValueError(f"keep must be 'proof' or 'token', got {keep!r}")
-    reduced = (reduced + reduced.conj().T) / 2.0
-    return DensityOperator(reduced)
+    return DensityOperator(token_reductions(a))
 
 
 def apply_to_proof(u: np.ndarray, state: BipartiteState) -> BipartiteState:
@@ -187,15 +213,12 @@ def apply_to_token(u: np.ndarray, state: BipartiteState) -> BipartiteState:
 def sqrt_psd(rho: DensityOperator) -> np.ndarray:
     """Positive square root of a density operator.
 
-    Eigenvalues in [EIGENVALUE_FLOOR, 0) are clipped to 0 before the square
-    root; anything more negative is rejected (the operator was not PSD in
-    the first place).
+    The spectrum must pass :func:`check_spectra`; eigenvalues below
+    ``SQRT_NOISE_FLOOR`` are then zeroed before the square root.  This is
+    the one place that floor is applied.
     """
     eigenvalues, v = np.linalg.eigh(rho.matrix)
-    if eigenvalues.min() < EIGENVALUE_FLOOR:
-        raise NotPositiveSemidefinite(
-            f"eigenvalue {eigenvalues.min()} below floor {EIGENVALUE_FLOOR}"
-        )
+    check_spectra(eigenvalues)
     clipped = np.where(eigenvalues < SQRT_NOISE_FLOOR, 0.0, eigenvalues)
     return (v * np.sqrt(clipped)) @ v.conj().T
 

@@ -39,24 +39,18 @@ from typing import Sequence, Union
 import numpy as np
 
 from .distinguish import helstrom, max_parallel_overlap, phase_aligned_sum, polar_unitary
-from .errors import (
-    DimMismatch,
-    NotAMeasurement,
-    NotNormalized,
-    NotOrthogonal,
-    NotPositiveSemidefinite,
-    QbcError,
-)
+from .errors import DimMismatch, NotAMeasurement, NotOrthogonal, QbcError
 from .linalg import (
-    EIGENVALUE_FLOOR,
-    NORM_TOL,
     BipartiteState,
     DensityOperator,
     PureState,
     apply_to_proof,
     bipartite,
+    check_spectra,
+    normalize_states,
     partial_trace,
     random_pure_state,
+    token_reductions,
 )
 
 ORTHOGONALITY_TOL = 1e-9
@@ -106,19 +100,13 @@ def checked_stacks(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Validate a stack of protocols given as (n, dim_proof, dim_token) amplitudes.
 
     Applies, to every protocol at once, the checks :class:`PureState` and
-    :class:`PurificationProtocol` apply to one: each state's norm must be
-    finite and within ``NORM_TOL`` of 1 (a state off by more than 1e-12 is
-    renormalized), and each pair orthogonal within ``ORTHOGONALITY_TOL``.
-    Returns the (renormalized) stacks.
+    :class:`PurificationProtocol` apply to one: each state passes the norm
+    rule of :func:`~qbc.linalg.normalize_states` (and may be renormalized),
+    and each pair is orthogonal within ``ORTHOGONALITY_TOL``.  Returns the
+    (renormalized) stacks.
     """
     stacks = np.stack([a0, a1]).astype(np.complex128, copy=False)
-    norms = np.linalg.norm(stacks, axis=(-2, -1))
-    bad = ~np.isfinite(norms) | (np.abs(norms - 1.0) > NORM_TOL)
-    if bad.any():
-        raise NotNormalized(f"state norm {norms[bad][0]} not within {NORM_TOL} of 1")
-    off = np.abs(norms - 1.0) > 1e-12
-    if off.any():
-        stacks[off] /= norms[off][:, None, None]
+    normalize_states(stacks.reshape(-1, stacks.shape[-2] * stacks.shape[-1]))
     _check_orthogonal(stacks[0], stacks[1])
     return stacks[0], stacks[1]
 
@@ -258,8 +246,8 @@ def distance_fidelity(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.nd
 
     ``a0`` and ``a1`` hold chi0 and chi1 of n protocols as (n, dim_proof,
     dim_token) amplitude matrices A_b.  The reductions rho_b = A_b^T A_b^*
-    are checked as :class:`DensityOperator` checks one (no eigenvalue below
-    ``EIGENVALUE_FLOOR``, unit trace within ``NORM_TOL``); then
+    (:func:`~qbc.linalg.token_reductions`) pass the density rule of
+    :func:`~qbc.linalg.check_spectra`, as in :class:`DensityOperator`; then
 
         D = (1/2) sum |eigenvalues of rho0 - rho1|
         F = sum of singular values of A1 A0^dag      (Uhlmann's theorem)
@@ -269,17 +257,9 @@ def distance_fidelity(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.nd
     where a reduction has eigenvalues far below rounding noise (F = 1e-7 at
     an eigenvalue of 1e-14).
     """
-    pair = np.stack([a0, a1])
-    reduced = np.swapaxes(pair, -2, -1) @ pair.conj()
-    rho = (reduced + np.swapaxes(reduced, -2, -1).conj()) / 2.0
+    rho = token_reductions(np.stack([a0, a1]))
     eigenvalues = np.linalg.eigvalsh(np.concatenate([rho, (rho[0] - rho[1])[None]]))
-    lowest = eigenvalues[:2, :, 0].min()
-    if lowest < EIGENVALUE_FLOOR:
-        raise NotPositiveSemidefinite(f"eigenvalue {lowest} below floor {EIGENVALUE_FLOOR}")
-    traces = np.trace(rho, axis1=-2, axis2=-1).real
-    off = np.abs(traces - 1.0) > NORM_TOL
-    if off.any():
-        raise NotNormalized(f"trace {traces[off][0]} not within {NORM_TOL} of 1")
+    check_spectra(eigenvalues[:2])
     d = np.clip(0.5 * np.abs(eigenvalues[2]).sum(axis=-1), 0.0, 1.0)
     singular_values = np.linalg.svd(a1 @ np.swapaxes(a0, -2, -1).conj(), compute_uv=False)
     return d, np.clip(singular_values.sum(axis=-1), 0.0, 1.0)

@@ -108,6 +108,40 @@ class TestAnalyze:
         assert run_cli(["analyze", str(tmp_path / "missing.json")]) == 2
         assert "SpecFileError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mistype",
+        [
+            "dim_bool",
+            "amplitude_bools",
+            "amplitude_strings",
+            "amplitude_huge_int",
+            "version_bool",
+            "version_float",
+        ],
+    )
+    def test_mistyped_spec_exits_2(self, tmp_path, capsys, mistype):
+        doc = protocol_to_spec(qbc.family_protocol(qbc.Commuting3D(0.3)))
+        if mistype == "dim_bool":
+            doc["dimProof"], doc["dimToken"] = True, doc["dimProof"] * doc["dimToken"]
+        elif mistype == "amplitude_bools":  # every imaginary part is 0, so False keeps the value
+            doc["chi0"] = [[re, False] for re, _ in doc["chi0"]]
+        elif mistype == "amplitude_strings":
+            doc["chi0"] = [[format_float(re), im] for re, im in doc["chi0"]]
+        elif mistype == "amplitude_huge_int":  # an integer literal no float can hold
+            doc["chi0"][0] = [10**400, 0]
+        else:
+            doc["schemaVersion"] = True if mistype == "version_bool" else 1.0
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["analyze", str(path)]) == 2
+        assert "SpecFileError" in capsys.readouterr().err
+
+    def test_non_utf8_spec_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"schemaVersion": 1, "note": "\xe9"}')
+        assert run_cli(["analyze", str(path)]) == 2
+        assert "SpecFileError" in capsys.readouterr().err
+
     def test_nan_amplitude_exits_2(self, tmp_path, capsys):
         doc = protocol_to_spec(qbc.family_protocol(qbc.Commuting3D(0.3)))
         doc["chi0"][0] = [float("nan"), 0.0]
@@ -279,6 +313,16 @@ class TestUsage:
         monkeypatch.setattr(cli_module, "security_report", boom)
         assert run_cli(["analyze", str(spec)]) == 3
         assert "LinAlgError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "sweep"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, command):
+        out = str(tmp_path / "missing-dir" / "out.txt")
+        if command == "analyze":
+            args = ["analyze", str(make_spec_file(tmp_path, "commuting3d", 0.3)), "--out", out]
+        else:
+            args = ["sweep", "--family", "pure-pair", "--points", "3", "--out", out]
+        assert run_cli(args) == 2
+        assert "FileNotFoundError" in capsys.readouterr().err
 
     def test_oversized_spec_rejected(self, tmp_path, capsys):
         doc = {

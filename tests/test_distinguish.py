@@ -14,7 +14,6 @@ from qbc.distinguish import (
     bloch_trace_distance,
     check_inequalities,
     combined_support_rank,
-    distinguishability_report,
     fidelity,
     helstrom,
     is_pure,
@@ -334,9 +333,3 @@ class TestInequalities:
         sigma = DensityOperator(np.diag([0.5, 0.5, 0.0, 0.0]))
         assert combined_support_rank(rho, sigma) == 2
         assert is_pure(rho) and not is_pure(sigma)
-
-    def test_report_type_validates(self):
-        report = distinguishability_report(*family_reductions(qbc.Commuting3D(0.3)))
-        assert (report.trace_distance, report.fidelity) == pytest.approx((0.3, 0.7), abs=1e-12)
-        with pytest.raises(ValueError):
-            qbc.DistinguishabilityReport(trace_distance=0.1, fidelity=0.1)

@@ -137,7 +137,7 @@ class TestValidation:
         with pytest.raises(NotNormalized):
             PureState(np.array([1.0, 1.0]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_pure_state_non_finite(self, bad):
         with pytest.raises(NotNormalized):
             PureState(np.array([1.0, bad]))

@@ -8,7 +8,7 @@ import pytest
 import qbc
 from conftest import random_protocols
 from qbc.errors import DimMismatch, NotAMeasurement, NotNormalized, NotOrthogonal
-from qbc.linalg import apply_to_proof, basis_state, bipartite
+from qbc.linalg import DensityOperator, PureState, apply_to_proof, basis_state, bipartite
 from qbc.protocol import (
     CheatingAlice,
     HelstromBob,
@@ -141,6 +141,26 @@ class TestStackedCore:
         with pytest.raises(NotNormalized):
             checked_stacks(a0, a1)
 
+    @pytest.mark.parametrize(
+        "offset", [5e-13, -5e-13, 2e-12, -2e-12, 9e-10, -9e-10, 1.1e-9, -1.1e-9, "nan", "inf", "-inf"]
+    )
+    def test_norm_rule_shared_with_pure_state(self, offset):
+        """One norm rule: both raise NotNormalized, or both keep or renormalize to the same bits."""
+        _, a0, a1 = self.stacks()
+        if isinstance(offset, str):
+            a1[4, 0, 0] = float(offset)  # one NaN or infinite amplitude
+        else:
+            a1[4] *= 1.0 + offset  # the norm is off 1 by offset
+        state = a1[4].reshape(-1)
+        if isinstance(offset, str) or abs(offset) > 1e-9:
+            for check in (lambda: PureState(state), lambda: checked_stacks(a0, a1)):
+                with pytest.raises(NotNormalized):
+                    check()
+        else:
+            expected = PureState(state).amplitudes
+            assert checked_stacks(a0, a1)[1][4].reshape(-1).tobytes() == expected.tobytes()
+            assert (expected.tobytes() == state.tobytes()) == (abs(offset) <= 1e-12)
+
     def test_checked_stacks_rejects_overlap(self):
         _, a0, a1 = self.stacks()
         a1[1] = a0[1]
@@ -148,9 +168,13 @@ class TestStackedCore:
             checked_stacks(a0, a1)
 
     def test_core_rejects_reduction_off_unit_trace(self):
+        """One density rule: a trace off 1 by 2e-9 fails the core and DensityOperator alike."""
         _, a0, a1 = self.stacks()
+        a0 *= np.sqrt(1 + 2e-9)
         with pytest.raises(NotNormalized):
-            distance_fidelity(a0 * 1.1, a1)
+            distance_fidelity(a0, a1)
+        with pytest.raises(NotNormalized):
+            DensityOperator(a0[0].T @ a0[0].conj())
 
 
 class TestOptimalCheatKit:
