@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
+import numpy as np
+
 from .errors import BothCheat
 from .protocol import (
     CheatingAlice,
@@ -131,8 +133,8 @@ def toss_statistics(
 ) -> TossStatistics:
     """Vectorized Monte Carlo over many tosses.
 
-    The tosses are commitment runs sampled by
-    :meth:`~qbc.protocol.StrategyTables.sample_counts`: toss i consumes the
+    The tosses are commitment runs counted per cell by
+    :meth:`~qbc.protocol.StrategyTables.sample_cells`: toss i consumes the
     block of four uniforms at offset 4*i of a Philox stream keyed by
     ``seed`` (columns: commit bit, guess bit, estimate, unveiling outcome),
     so results are seed-reproducible and independent of execution order.
@@ -142,26 +144,24 @@ def toss_statistics(
     if cheater not in ("none", "alice", "bob"):
         raise ValueError(f"cheater must be 'none', 'alice' or 'bob', got {cheater!r}")
     if cheater == "alice":
-        tables = strategy_tables(ct.base, CheatingAlice(), HonestBob())
-        wins, caught = tables.sample_counts(
-            n_tosses,
-            seed,
-            lambda runs: (runs.outcome == runs.target, runs.outcome == Outcome.FAIL),
-            against_guess=True,
+        counts = strategy_tables(ct.base, CheatingAlice(), HonestBob()).sample_cells(
+            n_tosses, seed, against_guess=True
         )
+        _, _, target, outcome = np.indices(counts.shape, sparse=True)
+        wins = counts.sum(where=outcome == target)
+        caught = counts[..., Outcome.FAIL].sum()
     else:  # honest Alice wins when Bob's guess misses her bit and is never caught
-        bob_cheats = cheater == "bob"
-        tables = strategy_tables(ct.base, HonestAlice(), HelstromBob() if bob_cheats else HonestBob())
-        (wins,) = tables.sample_counts(
-            n_tosses, seed, lambda runs: ((runs.estimate if bob_cheats else runs.coin) != runs.commit,)
-        )
+        bob = HelstromBob() if cheater == "bob" else HonestBob()
+        counts = strategy_tables(ct.base, HonestAlice(), bob).sample_cells(n_tosses, seed)
+        commit, estimate, coin, _ = np.indices(counts.shape, sparse=True)
+        wins = counts.sum(where=(estimate if cheater == "bob" else coin) != commit)
         caught = 0
 
-    rate = wins / n_tosses
+    rate = float(wins / n_tosses)
     return TossStatistics(
         alice_win_rate=rate,
         bob_win_rate=1.0 - rate,
-        alice_caught_rate=caught / n_tosses,
+        alice_caught_rate=float(caught / n_tosses),
         alice_win_stderr=binomial_stderr(rate, n_tosses),
         n_tosses=n_tosses,
     )

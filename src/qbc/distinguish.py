@@ -242,9 +242,9 @@ def bloch_fidelity_sq(r: BlochVector, s: BlochVector) -> float:
     return 0.5 * (1.0 + dot + float(np.sqrt(gap(r) * gap(s))))
 
 
-def is_pure(rho: DensityOperator, tol: float = INEQUALITY_TOL) -> bool:
-    """True when Tr(rho^2) is within tol of 1."""
-    return float(np.trace(rho.matrix @ rho.matrix).real) >= 1.0 - tol
+def is_pure(rho: DensityOperator) -> bool:
+    """True when Tr(rho^2) is within ``INEQUALITY_TOL`` of 1."""
+    return float(np.trace(rho.matrix @ rho.matrix).real) >= 1.0 - INEQUALITY_TOL
 
 
 def combined_support_rank(rho: DensityOperator, sigma: DensityOperator) -> int:
@@ -296,8 +296,8 @@ def inequalities_at(
     ``INEQUALITY_TOL`` of slack.  ``rho`` and ``sigma`` decide only which
     checks apply.
     """
-    both_pure = is_pure(rho) and is_pure(sigma)
-    strong_applicable = is_pure(rho) or is_pure(sigma) or combined_support_rank(rho, sigma) <= 2
+    pure = (is_pure(rho), is_pure(sigma))
+    strong_applicable = any(pure) or combined_support_rank(rho, sigma) <= 2
     upper = float(np.sqrt(max(0.0, 1.0 - f * f)))
 
     checks = (
@@ -315,7 +315,7 @@ def inequalities_at(
         ),
         InequalityCheck(
             "pure_pair_equality",  # D = sqrt(1 - F^2) for two pure states
-            applicable=both_pure,
+            applicable=all(pure),
             satisfied=abs(upper - d) <= INEQUALITY_TOL,
             slack=-abs(upper - d),
         ),

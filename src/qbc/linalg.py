@@ -60,11 +60,14 @@ def normalize_states(states: np.ndarray) -> np.ndarray:
 
     Every row's norm must be finite and within ``NORM_TOL`` of 1.  A row off
     by more than 1e-12 is rescaled in place to unit norm; any other keeps
-    its bits, so re-checking a state never moves it.  A NaN or infinite
-    amplitude raises NotNormalized without a floating-point warning.
-    Returns ``states``.
+    its bits, so re-checking a state never moves it.  A NaN, infinite or
+    overflowing amplitude raises NotNormalized without a floating-point
+    warning.  Returns ``states``.
     """
     parts = states.view(np.float64)  # real squares: inf * conj(inf) would warn
+    largest = np.maximum.reduce(np.abs(parts), axis=None, initial=0.0)
+    if largest > 2.0:  # no part of a unit vector exceeds 1; squaring 1e200 would overflow
+        raise NotNormalized(f"state amplitude part {largest} cannot belong to a unit vector")
     norms = np.sqrt(np.add.reduce(parts * parts, axis=-1))
     if _unit_deviation(norms, "state norm") > 1e-12:
         off = np.abs(norms - 1.0) > 1e-12

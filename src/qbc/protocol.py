@@ -334,52 +334,6 @@ def born_sample(state: PureState, projectors: Sequence[np.ndarray], rng) -> int:
 MC_CHUNK_RUNS = 1 << 16
 
 
-class SampledRuns:
-    """One chunk of bulk-sampled runs from a strategy table, one entry per run.
-
-    ``commit`` is the commitment context (the committed bit, 0 for the
-    cheat state); ``coin`` the fair bit of uniform column 1 (the target in
-    the commitment game, Bob's guess in the coin toss); ``target`` the bit
-    Alice stands behind; ``estimate`` Bob's holding-phase estimate (0 when
-    he abstains); ``outcome`` the final verification outcome.  A column is
-    computed on first use, so a score pays only for the columns it reads.
-    """
-
-    def __init__(self, tables: StrategyTables, u: np.ndarray, against_guess: bool):
-        self._tables = tables
-        self._u = u
-        self._against_guess = against_guess
-
-    @cached_property
-    def commit(self) -> np.ndarray:
-        tables = self._tables
-        if tables.alice_honest and tables.fixed_bit is None:
-            return (self._u[:, 0] >= 0.5).astype(np.intp)
-        return np.full(self._u.shape[0], tables.fixed_bit or 0, dtype=np.intp)
-
-    @cached_property
-    def coin(self) -> np.ndarray:
-        return (self._u[:, 1] >= 0.5).astype(np.intp)
-
-    @cached_property
-    def target(self) -> np.ndarray:
-        return 1 - self.coin if self._against_guess else self.coin
-
-    @cached_property
-    def estimate(self) -> np.ndarray:
-        if not self._tables.bob_cheats:
-            return np.zeros(self._u.shape[0], dtype=np.intp)
-        return (self._u[:, 2] >= self._tables.est_prob0[self.commit]).astype(np.intp)
-
-    @cached_property
-    def outcome(self) -> np.ndarray:
-        out_cum = self._tables.out_cum
-        row = (self.commit * out_cum.shape[1] + self.estimate) * 2 + self.target
-        edges = out_cum.reshape(-1, 2)
-        draw = self._u[:, 3]
-        return (draw >= edges[:, 0].take(row)).astype(np.intp) + (draw >= edges[:, 1].take(row))
-
-
 @dataclass(frozen=True)
 class StrategyTables:
     """Exact per-configuration probabilities for one strategy pairing.
@@ -391,10 +345,14 @@ class StrategyTables:
     cumulative final-outcome probabilities (P(0), P(0 or 1)) when Alice
     stands behind bit t.
 
-    Single runs (the ``draw_*`` methods) take one uniform per step played,
-    bulk runs (:meth:`sample_counts`) a block of four; both apply the same
-    rules: a bit is ``u >= 1/2``, an estimate ``u >= est_prob0[c]``, and
-    an outcome counts the cumulative edges at or below ``u``.
+    A run lands in one cell (commitment context, estimate, target,
+    outcome) of shape ``out_cum.shape[:3] + (3,)``; an abstaining Bob's
+    estimate is 0.  Single runs (the ``draw_*`` methods) take one uniform
+    per step played, bulk runs (:meth:`sample_cells`) a block of four;
+    both apply the same rules: a bit is ``u >= 1/2``, an estimate
+    ``u >= est_prob0[c]``, and an outcome counts the cumulative edges at or
+    below ``u``.  :meth:`cell_probabilities` gives the exact mass of each
+    cell, so a sampled rate and its prediction are the same sum of cells.
     """
 
     alice_honest: bool
@@ -420,8 +378,8 @@ class StrategyTables:
         draw = rng.random()
         return Outcome(int(draw >= edges[0]) + int(draw >= edges[1]))
 
-    def sample_counts(self, n_runs: int, seed: int, score, against_guess=False) -> list[int]:
-        """Hit counts of the boolean arrays ``score(SampledRuns)`` returns, over ``n_runs`` runs.
+    def sample_cells(self, n_runs: int, seed: int, against_guess: bool = False) -> np.ndarray:
+        """Run counts per cell over ``n_runs`` bulk-sampled runs.
 
         Run i consumes the four uniforms at offset 4*i of a Philox counter
         stream keyed by ``seed`` (columns: committed bit, coin, holding-phase
@@ -433,13 +391,43 @@ class StrategyTables:
         """
         if n_runs < 1:
             raise ValueError(f"the run count must be >= 1, got {n_runs}")
+        shape = self.out_cum.shape[:3] + (3,)
+        edges = self.out_cum.reshape(-1, 2)
         rng = np.random.Generator(np.random.Philox(seed))
-        counts = None
+        counts = np.zeros(np.prod(shape), dtype=np.int64)
         for start in range(0, n_runs, MC_CHUNK_RUNS):
             u = rng.random((min(MC_CHUNK_RUNS, n_runs - start), 4))
-            hits = [int(np.count_nonzero(h)) for h in score(SampledRuns(self, u, against_guess))]
-            counts = hits if counts is None else [c + h for c, h in zip(counts, hits)]
-        return counts
+            # Each run's flat cell index ((c * n_e + e) * 2 + t) * 3 + o grows
+            # in place; before the outcome it is the run's row of ``edges``.
+            if self.alice_honest and self.fixed_bit is None:
+                cell = (u[:, 0] >= 0.5).astype(np.intp)
+            else:
+                cell = np.full(len(u), self.fixed_bit or 0, dtype=np.intp)
+            if self.bob_cheats:
+                estimate = u[:, 2] >= self.est_prob0.take(cell)
+                cell *= 2
+                cell += estimate
+            cell *= 2
+            cell += (u[:, 1] >= 0.5) != against_guess
+            draw = u[:, 3]
+            outcome = (draw >= edges[:, 0].take(cell)).astype(np.intp)
+            outcome += draw >= edges[:, 1].take(cell)
+            cell *= 3
+            cell += outcome
+            counts += np.bincount(cell, minlength=counts.size)
+        return counts.reshape(shape)
+
+    def cell_probabilities(self) -> np.ndarray:
+        """Exact probability of each cell of :meth:`sample_cells` (the target is a fair bit)."""
+        if self.bob_cheats:
+            est_w = np.column_stack([self.est_prob0, 1.0 - self.est_prob0])
+        else:
+            est_w = np.ones((len(self.commit_weights), 1))
+        context = self.commit_weights[:, None] * est_w * 0.5
+        # P(0), P(1), P(fail): the steps between the edges 0, P(0), P(0 or 1), 1.
+        outcome = np.concatenate([self.out_cum, np.ones_like(self.out_cum[..., :1])], axis=-1)
+        outcome[..., 1:] -= self.out_cum
+        return context[:, :, None, None] * outcome
 
 
 def strategy_tables(
@@ -566,38 +554,34 @@ def binomial_stderr(p_hat: float, n: int) -> float:
     return float(np.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / n))
 
 
+def _game_rates(tables: StrategyTables, mass: np.ndarray, total: float) -> tuple[float, float]:
+    """(p_estimate, p_unveil) of the commitment game, summed over the cells of ``tables``.
+
+    ``mass`` holds run counts (``total`` = the run count) or exact
+    probabilities (``total`` = 1).  A run is unveiled when its outcome is
+    its target; it is estimated when Bob's estimate is the committed bit
+    (honest Alice) or the target (cheating Alice).  An abstaining Bob
+    scores 0.5 by definition.
+    """
+    commit, estimate, target, outcome = np.indices(mass.shape, sparse=True)
+    p_unveil = float(mass.sum(where=outcome == target) / total)
+    if not tables.bob_cheats:
+        return 0.5, p_unveil
+    reference = commit if tables.alice_honest else target
+    return float(mass.sum(where=estimate == reference) / total), p_unveil
+
+
 def exact_statistics(
     p: PurificationProtocol, alice: AliceStrategy, bob: BobStrategy
 ) -> tuple[float, float]:
     """Exact (p_estimate, p_unveil) expectations for a strategy pairing.
 
     These are the numbers the Monte Carlo of :func:`estimate_statistics`
-    converges to: the probability Bob's estimate matches the bit Alice
-    stands behind, and the probability the final outcome equals her
-    uniformly drawn target.  An abstaining Bob scores 0.5 by definition.
+    converges to: the same rule, read from the cell probabilities of the
+    strategy tables instead of sampled counts.
     """
     tables = strategy_tables(p, alice, bob)
-    commit_w = tables.commit_weights
-
-    if tables.bob_cheats:
-        est_w = np.stack([tables.est_prob0, 1.0 - tables.est_prob0], axis=1)  # (n_c, 2)
-        if tables.alice_honest:
-            # P(estimate = committed bit), commitment weighted by its prior.
-            p_estimate = float(sum(commit_w[c] * est_w[c, c] for c in range(len(commit_w))))
-        else:
-            p_estimate = 0.5  # estimate is independent of the later target draw
-    else:
-        est_w = np.ones((len(commit_w), 1))
-        p_estimate = 0.5
-
-    p_unveil = 0.0
-    for c in range(len(commit_w)):
-        for e in range(est_w.shape[1]):
-            for t in (0, 1):
-                cum = tables.out_cum[c, e, t]
-                prob_t = cum[0] if t == 0 else cum[1] - cum[0]
-                p_unveil += commit_w[c] * est_w[c, e] * 0.5 * prob_t
-    return p_estimate, float(p_unveil)
+    return _game_rates(tables, tables.cell_probabilities(), 1.0)
 
 
 def estimate_statistics(
@@ -610,36 +594,22 @@ def estimate_statistics(
     """Monte Carlo estimate of Bob's guess rate and Alice's unveil rate.
 
     Per-run probabilities are computed exactly once per configuration; the
-    sampling itself is vectorized and streamed in bounded memory.  Run i
-    consumes the fixed-width block of four uniforms at offset 4*i of a
-    Philox counter stream keyed by ``seed`` (columns: committed bit, target
-    bit, holding-phase estimate, final outcome), so results are
-    reproducible and independent of any execution order.  Target bits are
-    drawn uniformly; honest Alice with ``bit=None`` also draws her
-    committed bit uniformly per run (equal priors), which is the setting in
-    which the closed forms p_estimate = (1 + D)/2 and p_unveil = (1 + F)/2
-    apply.
+    runs are counted per table cell by
+    :meth:`StrategyTables.sample_cells`, vectorized and streamed in bounded
+    memory.  Run i consumes the fixed-width block of four uniforms at
+    offset 4*i of a Philox counter stream keyed by ``seed`` (columns:
+    committed bit, target bit, holding-phase estimate, final outcome), so
+    results are reproducible and independent of any execution order.
+    Target bits are drawn uniformly; honest Alice with ``bit=None`` also
+    draws her committed bit uniformly per run (equal priors), which is the
+    setting in which the closed forms p_estimate = (1 + D)/2 and
+    p_unveil = (1 + F)/2 apply.
     """
     tables = strategy_tables(p, alice, bob)
-
-    def score(runs: SampledRuns) -> list[np.ndarray]:
-        hits = [runs.outcome == runs.target]
-        if tables.bob_cheats:
-            reference = runs.commit if tables.alice_honest else runs.target
-            hits.append(runs.estimate == reference)
-        return hits
-
-    counts = tables.sample_counts(n_runs, seed, score)
-    p_unveil = counts[0] / n_runs
-    if tables.bob_cheats:
-        p_estimate = counts[1] / n_runs
-        p_estimate_stderr = binomial_stderr(p_estimate, n_runs)
-    else:
-        p_estimate, p_estimate_stderr = 0.5, 0.0
-
+    p_estimate, p_unveil = _game_rates(tables, tables.sample_cells(n_runs, seed), n_runs)
     return StatisticsReport(
         p_estimate=p_estimate,
-        p_estimate_stderr=p_estimate_stderr,
+        p_estimate_stderr=binomial_stderr(p_estimate, n_runs) if tables.bob_cheats else 0.0,
         p_unveil=p_unveil,
         p_unveil_stderr=binomial_stderr(p_unveil, n_runs),
         n_runs=n_runs,

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +153,23 @@ class TestAnalyze:
         path.write_text(json.dumps(doc))  # json writes the literal NaN
         assert run_cli(["analyze", str(path)]) == 2
         assert "NotNormalized" in capsys.readouterr().err
+
+    def test_overflowing_amplitude_prints_one_error_line(self, tmp_path):
+        """An amplitude whose square overflows is refused by the norm rule
+        alone: stderr carries the NotNormalized line and no warning."""
+        doc = protocol_to_spec(qbc.family_protocol(qbc.Commuting3D(0.3)))
+        doc["chi0"][0] = [1e200, 0.0]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=str(Path(qbc.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "qbc.cli", "analyze", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("NotNormalized: ")
 
 
 class TestSweep:

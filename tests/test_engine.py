@@ -6,6 +6,8 @@
   must agree with, draw for draw.
 * Bulk statistics: values pinned from the single-block sampler, at sizes
   below, across and well past one chunk of the streamed Philox draws.
+* Cells: the joint counts of the bulk sampler over (commitment context,
+  estimate, target, outcome) agree with the exact cell probabilities.
 * Memory: at a million runs the bulk samplers' peak allocation stays
   within 16 bytes per run; one block of all the uniforms would take 32.
 * Table store: each protocol builds the table of a pairing once, keeps it
@@ -223,6 +225,26 @@ def test_toss_statistics_pins(key):
     else:
         ct = CoinTossProtocol(qbc.family_protocol(qbc.PurePair(0.4)))
     assert dataclasses.astuple(toss_statistics(ct, cheater, n, 11)) == TOSS_PINS[key]
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_sampled_cells_follow_cell_probabilities(name):
+    """Every pairing, and the coin toss's cells against Bob's guess: the
+    counts of each joint cell are within 6 sigma of its exact probability."""
+    n = 200_003
+    p = PROTOCOLS[name]()
+    cases = [(alice, bob, False) for alice, bob in itertools.product(ALICES, BOBS)]
+    cases.append((CheatingAlice(), HonestBob(), True))
+    for alice, bob, against_guess in cases:
+        tables = strategy_tables(p, alice, bob)
+        probs = tables.cell_probabilities()
+        counts = tables.sample_cells(n, 5, against_guess)
+        assert counts.shape == probs.shape == tables.out_cum.shape[:3] + (3,)
+        assert counts.sum() == n
+        assert abs(probs.sum() - 1.0) <= 1e-12
+        assert not counts[probs <= 0.0].any()
+        sigma = np.sqrt(np.clip(probs, 0.0, 1.0) * (1.0 - np.clip(probs, 0.0, 1.0)) / n)
+        assert np.all(np.abs(counts / n - probs) <= 6.0 * sigma + 1e-15), (alice, bob, against_guess)
 
 
 def test_bulk_peak_bytes_per_run():

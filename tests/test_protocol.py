@@ -142,13 +142,14 @@ class TestStackedCore:
             checked_stacks(a0, a1)
 
     @pytest.mark.parametrize(
-        "offset", [5e-13, -5e-13, 2e-12, -2e-12, 9e-10, -9e-10, 1.1e-9, -1.1e-9, "nan", "inf", "-inf"]
+        "offset",
+        [5e-13, -5e-13, 2e-12, -2e-12, 9e-10, -9e-10, 1.1e-9, -1.1e-9, "nan", "inf", "-inf", "1e200", "-1e200"],
     )
     def test_norm_rule_shared_with_pure_state(self, offset):
         """One norm rule: both raise NotNormalized, or both keep or renormalize to the same bits."""
         _, a0, a1 = self.stacks()
         if isinstance(offset, str):
-            a1[4, 0, 0] = float(offset)  # one NaN or infinite amplitude
+            a1[4, 0, 0] = float(offset)  # one NaN, infinite or overflowing amplitude
         else:
             a1[4] *= 1.0 + offset  # the norm is off 1 by offset
         state = a1[4].reshape(-1)
