@@ -13,7 +13,6 @@ violated invariant or the I/O error is named on stderr); 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -54,6 +53,7 @@ from .tradeoff import (
     Curve,
     TradeoffPoint,
     check_bounds,
+    curve_i_slack,
     curve_value,
     family_protocol,
     sweep,
@@ -140,7 +140,6 @@ def _cmd_analyze(args) -> int:
     p = parse_protocol_spec(args.spec)
     report = security_report(p)
     kit = optimal_cheat_kit(p)
-    slack = 2.0 * report.g_max + math.sqrt(max(0.0, 2.0 * report.c_max)) - 1.0
     doc = {
         "dimProof": p.dim_proof,
         "dimToken": p.dim_token,
@@ -149,7 +148,7 @@ def _cmd_analyze(args) -> int:
         "gMax": report.g_max,
         "cMax": report.c_max,
         "perBitSuccess": kit.per_bit_success,
-        "curveISlack": slack,
+        "curveISlack": curve_i_slack(report.g_max, report.c_max),
     }
     _emit_doc(doc, args.format, args.out)
     return EXIT_OK

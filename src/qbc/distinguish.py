@@ -2,11 +2,11 @@
 
 Implements the trace distance D(rho, sigma) = (1/2) Tr|rho - sigma|, the
 fidelity F(rho, sigma) = Tr|sqrt(rho) sqrt(sigma)|, the Helstrom measurement
-that discriminates two equiprobable states with success (1 + D)/2, the
-Uhlmann unitary aligning two purifications so their overlap reaches F, the
-phase-aligned superposition of two aligned states, and the exact maximum
-of F(rho, sigma)^2 + F(rho, omega)^2 over rho together with a state
-achieving it.
+that discriminates two equiprobable states with success (1 + D)/2, and
+Uhlmann's construction (:func:`aligned_superposition`): align two
+purifications so their overlap reaches F, then superpose them.  It builds
+Alice's optimal cheat and a state achieving the exact maximum of
+F(rho, sigma)^2 + F(rho, omega)^2 over rho.
 
 For qubits, the Bloch-vector forms are provided:
     D = |r - s| / 2
@@ -23,11 +23,9 @@ from .errors import DimMismatch, NotQubit
 from .linalg import (
     BipartiteState,
     DensityOperator,
-    Factor,
-    apply_to_proof,
-    bipartite,
-    partial_trace,
+    normalize_states,
     sqrt_psd,
+    token_reductions,
 )
 
 # Eigenvectors of rho0 - rho1 whose eigenvalue is within this of zero are
@@ -103,23 +101,21 @@ def helstrom(rho0: DensityOperator, rho1: DensityOperator) -> HelstromMeasuremen
 class ParallelPurificationResult:
     """Outcome of aligning one purification with another.
 
-    ``maximizing_unitary`` U acts on the chosen factor; applying it to the
+    ``maximizing_unitary`` U acts on the proof factor; applying it to the
     second state makes the overlap with the first real, nonnegative and
     equal to ``overlap``, which in turn equals the fidelity of the two
-    reduced states on the factor left untouched.
+    token reductions.
     """
 
     overlap: float
     maximizing_unitary: np.ndarray
 
 
-def max_parallel_overlap(
-    psi: BipartiteState, chi: BipartiteState, act_on: Factor
-) -> ParallelPurificationResult:
-    """Maximize |<psi| (U on act_on factor) |chi>| over unitaries U.
+def max_parallel_overlap(psi: BipartiteState, chi: BipartiteState) -> ParallelPurificationResult:
+    """Maximize |<psi| (U ⊗ I) |chi>| over proof-side unitaries U.
 
-    With amplitudes reshaped so the acted factor indexes rows, the overlap
-    is |Tr(U A_chi A_psi^dagger)|; its maximum over unitary U is the sum of
+    With amplitudes as proof x token matrices, the overlap is
+    |Tr(U A_chi A_psi^dagger)|; its maximum over unitary U is the sum of
     singular values of M = A_chi A_psi^dagger, attained at the
     :func:`polar_unitary` of M, whose phase makes the achieved overlap real
     and nonnegative.
@@ -129,13 +125,7 @@ def max_parallel_overlap(
             f"bipartite dims differ: {psi.dim_proof}x{psi.dim_token}"
             f" vs {chi.dim_proof}x{chi.dim_token}"
         )
-    if act_on == "proof":
-        a_psi, a_chi = psi.as_matrix(), chi.as_matrix()
-    elif act_on == "token":
-        a_psi, a_chi = psi.as_matrix().T, chi.as_matrix().T
-    else:
-        raise ValueError(f"act_on must be 'proof' or 'token', got {act_on!r}")
-    unitary, overlap = polar_unitary(a_chi @ a_psi.conj().T)
+    unitary, overlap = polar_unitary(chi.as_matrix() @ psi.as_matrix().conj().T)
     return ParallelPurificationResult(float(np.clip(overlap, 0.0, 1.0)), unitary)
 
 
@@ -162,13 +152,17 @@ def phase_aligned_sum(phi0: np.ndarray, phi1: np.ndarray) -> tuple[np.ndarray, f
     return vec / np.linalg.norm(vec), abs(c)
 
 
-def _standard_purification(rho: DensityOperator) -> BipartiteState:
-    """Purify rho on a d ⊗ d space with rho living on the token factor.
+def aligned_superposition(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Align unit-norm amplitude matrices a1 with a0 on the row factor, then superpose.
 
-    The amplitude matrix is A = sqrt(rho)^T, so A^T A^* = rho; it shares
-    :func:`~qbc.linalg.sqrt_psd`, and its noise floor, with :func:`fidelity`.
+    Returns (u, vec, overlap): u is the :func:`polar_unitary` of
+    a0 a1^dagger, vec the :func:`phase_aligned_sum` of a0 and u^dagger a1,
+    flattened, and overlap = <a0|u^dagger a1>, real and nonnegative: the
+    nuclear norm of a0 a1^dagger, i.e. the fidelity of the column reductions.
     """
-    return bipartite(rho.dim, rho.dim, sqrt_psd(rho).T.reshape(-1))
+    u, _ = polar_unitary(a0 @ a1.conj().T)
+    vec, overlap = phase_aligned_sum(a0.reshape(-1), (u.conj().T @ a1).reshape(-1))
+    return u, vec, overlap
 
 
 def max_fidelity_sq_sum(
@@ -176,19 +170,17 @@ def max_fidelity_sq_sum(
 ) -> tuple[float, DensityOperator]:
     """Maximum of F(rho, sigma)^2 + F(rho, omega)^2 over density operators rho.
 
-    The maximum equals 1 + F(sigma, omega), F being the overlap of two
-    maximally parallel purifications of sigma and omega; it is returned
-    with a state achieving it, the reduction of their equal-weight
-    superposition back onto the original space.
+    The maximum equals 1 + F(sigma, omega); it is returned with a state
+    achieving it, the token reduction of the :func:`aligned_superposition`
+    of the purifications A = sqrt(rho)^T (A^T A^* = rho), which share
+    :func:`~qbc.linalg.sqrt_psd`, and its noise floor, with :func:`fidelity`.
     """
     _check_same_dim(sigma, omega)
-    pur_sigma = _standard_purification(sigma)
-    pur_omega = _standard_purification(omega)
-    aligned = max_parallel_overlap(pur_sigma, pur_omega, act_on="proof")
-    phi1 = apply_to_proof(aligned.maximizing_unitary, pur_omega).amplitudes
-    superposed, _ = phase_aligned_sum(pur_sigma.amplitudes, phi1)
-    achiever = partial_trace(bipartite(sigma.dim, sigma.dim, superposed), keep="token")
-    return 1.0 + aligned.overlap, achiever
+    a = np.stack([sqrt_psd(sigma).T, sqrt_psd(omega).T])
+    normalize_states(a.reshape(2, -1))  # the norm rule, as a PureState applies it
+    _, superposed, overlap = aligned_superposition(a[0], a[1])
+    achiever = DensityOperator(token_reductions(superposed.reshape(sigma.dim, sigma.dim)))
+    return 1.0 + min(float(overlap), 1.0), achiever
 
 
 @dataclass(frozen=True)

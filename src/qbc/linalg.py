@@ -16,7 +16,7 @@ token reduction (:func:`token_reductions`) and the square-root floor
 Index convention, fixed globally: the amplitude of a bipartite state at
 (proof index p, token index t) sits at flat index ``p * dim_token + t``.
 Equivalently, ``amplitudes.reshape(dim_proof, dim_token)[p, t]``.  Tensor
-products, partial traces and one-sided unitaries below all assume this.
+products, partial traces and proof-side unitaries below all assume this.
 """
 
 from __future__ import annotations
@@ -203,14 +203,6 @@ def apply_to_proof(u: np.ndarray, state: BipartiteState) -> BipartiteState:
     if u.shape != (state.dim_proof, state.dim_proof):
         raise DimMismatch(f"unitary shape {u.shape} does not act on proof dim {state.dim_proof}")
     return bipartite(state.dim_proof, state.dim_token, (u @ a).reshape(-1))
-
-
-def apply_to_token(u: np.ndarray, state: BipartiteState) -> BipartiteState:
-    """Apply (I ⊗ u) to the token factor."""
-    a = state.as_matrix()
-    if u.shape != (state.dim_token, state.dim_token):
-        raise DimMismatch(f"unitary shape {u.shape} does not act on token dim {state.dim_token}")
-    return bipartite(state.dim_proof, state.dim_token, (a @ u.T).reshape(-1))
 
 
 def sqrt_psd(rho: DensityOperator) -> np.ndarray:

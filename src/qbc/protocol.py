@@ -38,13 +38,12 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .distinguish import helstrom, max_parallel_overlap, phase_aligned_sum, polar_unitary
+from .distinguish import aligned_superposition, helstrom, phase_aligned_sum, polar_unitary
 from .errors import DimMismatch, NotAMeasurement, NotOrthogonal, QbcError
 from .linalg import (
     BipartiteState,
     DensityOperator,
     PureState,
-    apply_to_proof,
     bipartite,
     check_spectra,
     normalize_states,
@@ -274,22 +273,18 @@ def security_report(p: PurificationProtocol) -> SecurityReport:
 def optimal_cheat_kit(p: PurificationProtocol) -> CheatKit:
     """Construct Alice's optimal cheating strategy.
 
-    The unitary aligning chi0 with chi1 on the proof factor is obtained
-    from the purification-overlap maximizer; with the split u0 = I,
-    u1 = that unitary, the committed state is the normalized superposition
+    :func:`~qbc.distinguish.aligned_superposition` of the chi pair gives
+    the proof-side unitary u1 aligning chi1 with chi0; with u0 = I, Alice
+    commits the normalized superposition
 
         psi_max ∝ (u0^dag ⊗ I)|chi0> + e^{-i arg c} (u1^dag ⊗ I)|chi1>,
 
-    where c is the overlap of the two terms (real and nonnegative here by
-    the phase convention of the maximizer; the phase factor degrades
-    gracefully to 1 when c vanishes).  Both |<chi_b|(u_b ⊗ I)|psi_max>|^2
-    then equal (1 + F)/2.
+    c being the overlap of the two terms (real and nonnegative by the
+    alignment; the phase is 1 when c vanishes).  Both
+    |<chi_b|(u_b ⊗ I)|psi_max>|^2 then equal (1 + F)/2.
     """
-    aligned = max_parallel_overlap(p.chi1, p.chi0, act_on="proof")
+    u1, vec, overlap = aligned_superposition(p.chi0.as_matrix(), p.chi1.as_matrix())
     u0 = np.eye(p.dim_proof, dtype=np.complex128)
-    u1 = aligned.maximizing_unitary
-    phi1 = apply_to_proof(u1.conj().T, p.chi1).amplitudes
-    vec, overlap = phase_aligned_sum(p.chi0.amplitudes, phi1)
     psi_max = bipartite(p.dim_proof, p.dim_token, vec)
     return CheatKit(psi_max, u0, u1, (1.0 + overlap) / 2.0)
 
@@ -626,23 +621,26 @@ class CheatSearchResult:
     candidates_evaluated: int
 
 
-def random_cheat_search(
-    p: PurificationProtocol,
-    n_candidates: int,
-    seed: int,
-    refine_fraction: float = 0.2,
-) -> CheatSearchResult:
+# Share of a cheat-search budget spent on ascent, and the iterates of one ascent.
+REFINE_FRACTION = 0.2
+ASCENT_ITERATES = 20
+
+
+def random_cheat_search(p: PurificationProtocol, n_candidates: int, seed: int) -> CheatSearchResult:
     """Search over cheating strategies (state, unitary pair) for Alice.
 
     Each candidate is a committed state |psi> with proof-side unveiling
     unitaries (v0, v1); its value is the average acceptance probability
-    (|<chi0|(v0 ⊗ I)|psi>|^2 + |<chi1|(v1 ⊗ I)|psi>|^2) / 2.  Most of the
-    budget goes to independent uniform draws; the remainder is spent on
-    alternating best-response ascent from random starts (optimal unitaries
+    (|<chi0|(v0 ⊗ I)|psi>|^2 + |<chi1|(v1 ⊗ I)|psi>|^2) / 2.  Once the
+    share ``REFINE_FRACTION`` of the budget is a candidate or more, it buys
+    alternating best-response ascents from random starts (optimal unitaries
     for the current state via the orthogonal-Procrustes solution, then the
-    optimal state for the current unitaries), each iterate counted as one
-    candidate.  Independent of the closed-form construction in
-    :func:`optimal_cheat_kit`, which it is used to cross-check.
+    optimal state for the current unitaries), at least one, each of
+    ``ASCENT_ITERATES`` iterates or the whole budget if smaller; the rest
+    goes to independent uniform draws.  Each draw or iterate is one
+    candidate, at most ``n_candidates`` in all.  Independent of the
+    closed-form construction in :func:`optimal_cheat_kit`, which it is used
+    to cross-check.
     """
     if n_candidates < 1:
         raise ValueError("n_candidates must be >= 1")
@@ -652,8 +650,10 @@ def random_cheat_search(
     a0 = p.chi0.as_matrix()
     a1 = p.chi1.as_matrix()
 
-    refine_budget = int(n_candidates * refine_fraction)
-    n_raw = n_candidates - refine_budget
+    refine_budget = int(n_candidates * REFINE_FRACTION)
+    iterates = min(ASCENT_ITERATES, n_candidates)
+    n_starts = max(1, refine_budget // iterates) if refine_budget > 0 else 0
+    n_raw = n_candidates - max(refine_budget, n_starts * iterates)
 
     best = 0.0
 
@@ -671,12 +671,10 @@ def random_cheat_search(
             values += 0.5 * np.abs(amp) ** 2
         best = float(values.max())
 
-    iters_per_start = 20
-    n_starts = max(1, refine_budget // iters_per_start) if refine_budget > 0 else 0
     for _ in range(n_starts):
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         a_psi = (vec / np.linalg.norm(vec)).reshape(dp, dt)
-        for _ in range(iters_per_start):
+        for _ in range(iterates):
             v0, v1 = (polar_unitary(a_psi @ a_chi.conj().T)[0] for a_chi in (a0, a1))
             merged, overlap = phase_aligned_sum(
                 (v0.conj().T @ a0).reshape(-1), (v1.conj().T @ a1).reshape(-1)
@@ -684,4 +682,4 @@ def random_cheat_search(
             best = max(best, float((1.0 + overlap) / 2.0))
             a_psi = merged.reshape(dp, dt)
 
-    return CheatSearchResult(best, n_raw + n_starts * iters_per_start)
+    return CheatSearchResult(best, n_raw + n_starts * iterates)

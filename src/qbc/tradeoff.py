@@ -217,16 +217,18 @@ def fair_point(curve: Curve) -> float:
     raise TypeError(f"unknown curve {curve!r}")
 
 
+def curve_i_slack(g_max: float, c_max: float) -> float:
+    """2 g + sqrt(2 c) - 1: how far (g, c) lies above curve I; every protocol has it >= 0."""
+    return 2.0 * g_max + math.sqrt(max(0.0, 2.0 * c_max)) - 1.0
+
+
 def check_bounds(point: TradeoffPoint) -> list[str]:
     """Flag points in the impossible region below curve I.
 
     Every realizable protocol satisfies 2 g + sqrt(2 c) >= 1; a returned
     entry names the violated bound and its shortfall.
     """
-    violations = []
-    slack = 2.0 * point.g_max + math.sqrt(max(0.0, 2.0 * point.c_max)) - 1.0
+    slack = curve_i_slack(point.g_max, point.c_max)
     if slack < -BOUND_TOL:
-        violations.append(
-            f"below_curve_I: 2*gMax + sqrt(2*cMax) - 1 = {slack:.6g} < 0"
-        )
-    return violations
+        return [f"below_curve_I: 2*gMax + sqrt(2*cMax) - 1 = {slack:.6g} < 0"]
+    return []

@@ -204,7 +204,7 @@ def test_criterion_7_purification_oracles():
         dp, dt = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         psi = BipartiteState(dp, dt, random_pure_state(dp * dt, rng))
         chi = BipartiteState(dp, dt, random_pure_state(dp * dt, rng))
-        res = max_parallel_overlap(psi, chi, act_on="proof")
+        res = max_parallel_overlap(psi, chi)
         f = fidelity(partial_trace(psi, "token"), partial_trace(chi, "token"))
         worst_overlap = max(worst_overlap, abs(res.overlap - f))
     assert worst_overlap <= 1e-8

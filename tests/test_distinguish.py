@@ -9,6 +9,7 @@ import qbc
 from conftest import random_density_pair
 from qbc.distinguish import (
     BlochVector,
+    aligned_superposition,
     bloch_fidelity_sq,
     bloch_to_density,
     bloch_trace_distance,
@@ -29,7 +30,6 @@ from qbc.linalg import (
     BipartiteState,
     DensityOperator,
     apply_to_proof,
-    apply_to_token,
     density_from_pure,
     partial_trace,
     random_density,
@@ -114,39 +114,37 @@ class TestHelstrom:
 class TestMaxParallelOverlap:
     def test_identical_purifications(self):
         psi = BipartiteState(3, 3, random_pure_state(9, 5))
-        res = max_parallel_overlap(psi, psi, act_on="proof")
+        res = max_parallel_overlap(psi, psi)
         assert res.overlap == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonal_reductions(self):
         p = qbc.family_protocol(qbc.PurePair(np.pi / 2))
-        res = max_parallel_overlap(p.chi0, p.chi1, act_on="proof")
+        res = max_parallel_overlap(p.chi0, p.chi1)
         assert res.overlap == pytest.approx(0.0, abs=1e-10)
 
-    @pytest.mark.parametrize("act_on,keep", [("proof", "token"), ("token", "proof")])
-    def test_equals_reduced_fidelity(self, act_on, keep):
+    def test_equals_reduced_fidelity(self):
         for seed in range(30):
             dp, dt = 2 + seed % 3, 2 + (seed // 3) % 3
             psi = BipartiteState(dp, dt, random_pure_state(dp * dt, 300 + seed))
             chi = BipartiteState(dp, dt, random_pure_state(dp * dt, 600 + seed))
-            res = max_parallel_overlap(psi, chi, act_on=act_on)
-            f = fidelity(partial_trace(psi, keep), partial_trace(chi, keep))
+            res = max_parallel_overlap(psi, chi)
+            f = fidelity(partial_trace(psi, "token"), partial_trace(chi, "token"))
             assert res.overlap == pytest.approx(f, abs=1e-8)
 
     def test_achieved_overlap_real_nonnegative(self):
         psi = BipartiteState(3, 2, random_pure_state(6, 7))
         chi = BipartiteState(3, 2, random_pure_state(6, 8))
-        for act_on, apply in (("proof", apply_to_proof), ("token", apply_to_token)):
-            res = max_parallel_overlap(psi, chi, act_on=act_on)
-            achieved = np.vdot(psi.amplitudes, apply(res.maximizing_unitary, chi).amplitudes)
-            assert abs(achieved.imag) <= 1e-9
-            assert achieved.real == pytest.approx(res.overlap, abs=1e-8)
+        res = max_parallel_overlap(psi, chi)
+        achieved = np.vdot(psi.amplitudes, apply_to_proof(res.maximizing_unitary, chi).amplitudes)
+        assert abs(achieved.imag) <= 1e-9
+        assert achieved.real == pytest.approx(res.overlap, abs=1e-8)
 
     def test_haar_search_never_beats_maximum(self):
         # Independent lower-bound oracle: no sampled unitary exceeds the
         # claimed maximum, and the best sample comes close for small dims.
         psi = BipartiteState(3, 3, random_pure_state(9, 21))
         chi = BipartiteState(3, 3, random_pure_state(9, 22))
-        res = max_parallel_overlap(psi, chi, act_on="proof")
+        res = max_parallel_overlap(psi, chi)
         rng = np.random.default_rng(23)
         z = rng.standard_normal((10_000, 3, 3)) + 1j * rng.standard_normal((10_000, 3, 3))
         q, r = np.linalg.qr(z)
@@ -161,7 +159,7 @@ class TestMaxParallelOverlap:
         psi = BipartiteState(2, 2, random_pure_state(4, 0))
         chi = BipartiteState(2, 3, random_pure_state(6, 0))
         with pytest.raises(DimMismatch):
-            max_parallel_overlap(psi, chi, act_on="proof")
+            max_parallel_overlap(psi, chi)
 
 
 class TestAlignmentKernels:
@@ -184,6 +182,22 @@ class TestAlignmentKernels:
             assert nuclear == pytest.approx(expected, rel=1e-12)
             assert abs(achieved.imag) <= 1e-12 * nuclear
             assert achieved.real == pytest.approx(nuclear, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (4, 2), (2, 5)])
+    def test_aligned_superposition(self, shape):
+        rng = np.random.default_rng(100 + sum(shape))
+        for _ in range(20):
+            a0, a1 = rng.standard_normal((2, *shape)) + 1j * rng.standard_normal((2, *shape))
+            a0, a1 = a0 / np.linalg.norm(a0), a1 / np.linalg.norm(a1)
+            u, vec, overlap = aligned_superposition(a0, a1)
+            _, nuclear = polar_unitary(a0 @ a1.conj().T)
+            assert u.shape == (shape[0], shape[0])
+            assert overlap == pytest.approx(nuclear, abs=1e-12)
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+            aligned = np.vdot(a0, u.conj().T @ a1)
+            assert abs(aligned.imag) <= 1e-12
+            assert aligned.real >= 0.0
+            assert aligned.real == pytest.approx(overlap, abs=1e-12)
 
     def test_phase_aligned_sum_of_orthogonal_states_uses_phase_one(self):
         phi0 = random_pure_state(6, 1).amplitudes

@@ -191,7 +191,7 @@ class TestOptimalCheatKit:
         for p in random_protocols(20, seed=21):
             kit = optimal_cheat_kit(p)
             report = security_report(p)
-            aligned = qbc.max_parallel_overlap(p.chi1, p.chi0, act_on="proof")
+            aligned = qbc.max_parallel_overlap(p.chi1, p.chi0)
             assert np.max(np.abs(kit.u0 @ kit.u1 - aligned.maximizing_unitary)) <= 1e-8
             assert kit.per_bit_success == pytest.approx((1 + report.fidelity) / 2, abs=1e-8)
             assert np.linalg.norm(kit.psi_max.amplitudes) == pytest.approx(1.0, abs=1e-12)
@@ -203,7 +203,7 @@ class TestOptimalCheatKit:
     def test_c_max_consistent_with_overlap(self):
         for p in random_protocols(100, seed=31):
             report = security_report(p)
-            overlap = qbc.max_parallel_overlap(p.chi0, p.chi1, act_on="proof").overlap
+            overlap = qbc.max_parallel_overlap(p.chi0, p.chi1).overlap
             assert report.c_max == pytest.approx(overlap / 2, abs=1e-8)
 
     def test_search_confirms_optimality(self):
@@ -416,8 +416,7 @@ class TestCheatSearch:
             assert result.best_value <= kit.per_bit_success + 5e-3
             assert result.candidates_evaluated <= 2000
 
-    def test_pure_random_mode(self):
+    def test_budget_caps_candidates(self):
         p = random_protocol(2, 2, 3)
-        kit = optimal_cheat_kit(p)
-        result = random_cheat_search(p, 1000, seed=5, refine_fraction=0.0)
-        assert result.best_value <= kit.per_bit_success + 5e-3
+        for n in range(1, 121):
+            assert random_cheat_search(p, n, seed=n).candidates_evaluated <= n
