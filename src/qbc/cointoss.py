@@ -110,7 +110,8 @@ def simulate_toss(
 
     guess = int(rng.random() >= 0.5)
     target = 1 - guess
-    outcome = strategy_tables(p, CheatingAlice(), HonestBob()).draw_outcome(0, 0, target, rng)
+    tables = strategy_tables(p, CheatingAlice(), HonestBob())
+    outcome = tables.draw_outcome(tables.first, 0, target, rng)
     if outcome == target:
         return TossResult("alice", alice_caught=False)
     return TossResult("bob", alice_caught=(outcome == Outcome.FAIL))

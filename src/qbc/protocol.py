@@ -25,8 +25,9 @@ Both optimal strategies are constructed explicitly and can be run through
 a Born-rule Monte Carlo, either one transcript at a time
 (:func:`simulate_run`) or in bulk (:func:`estimate_statistics`).  Both
 read the exact per-configuration :class:`StrategyTables`, which the coin
-toss samples too.  The tables depend on the protocol alone, so each
-protocol builds the table of a strategy pairing once and keeps it.
+toss samples too.  One cheat kit and one Helstrom measurement give the
+tables of all eight strategy pairings, which a protocol builds together on
+first use and keeps.
 """
 
 from __future__ import annotations
@@ -80,12 +81,12 @@ class PurificationProtocol:
 
     @cached_property
     def _table_store(self) -> dict:
-        """Strategy tables built so far, keyed by (alice, bob); see :func:`strategy_tables`.
+        """The tables of the eight pairings, keyed by (alice, bob); see :func:`strategy_tables`.
 
         Not a field, so equality and repr ignore it; a frozen dataclass
         allows it because ``cached_property`` writes the instance ``__dict__``.
         """
-        return {}
+        return _build_strategy_tables(self)
 
 
 def _check_orthogonal(a0: np.ndarray, a1: np.ndarray) -> None:
@@ -143,6 +144,13 @@ def _checked_bit(value, name: str) -> int:
     return int(value)
 
 
+def _checked_count(value, name: str) -> int:
+    """``value`` as an int >= 1; a bool or a non-integral value is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class HonestAlice:
     """Commit a bit honestly.  bit=None draws the bit uniformly per run."""
@@ -171,6 +179,16 @@ class HelstromBob:
 
 AliceStrategy = Union[HonestAlice, CheatingAlice]
 BobStrategy = Union[HonestBob, HelstromBob]
+
+# Commitment contexts: 0 and 1 are chi0 and chi1, CHEAT_CONTEXT the kit's
+# psi_max.  Each Alice commits one of ``count`` contexts from ``first`` on.
+CHEAT_CONTEXT = 2
+_ALICE_CONTEXTS = {  # alice: (first, count)
+    HonestAlice(): (0, 2),
+    HonestAlice(0): (0, 1),
+    HonestAlice(1): (1, 1),
+    CheatingAlice(): (CHEAT_CONTEXT, 1),
+}
 
 
 class Outcome(IntEnum):
@@ -333,12 +351,13 @@ MC_CHUNK_RUNS = 1 << 16
 class StrategyTables:
     """Exact per-configuration probabilities for one strategy pairing.
 
-    ``commit_weights`` is the distribution of Alice's commitment context
-    (two entries for honest Alice, one for the cheat state).
-    ``est_prob0[c]`` is the chance a measuring Bob sees estimate 0 given
-    context c (absent when he abstains).  ``out_cum[c, e, t]`` holds the
-    cumulative final-outcome probabilities (P(0), P(0 or 1)) when Alice
-    stands behind bit t.
+    Alice commits one of the ``count`` contexts from ``first`` on, drawn
+    uniformly (see ``CHEAT_CONTEXT``).  ``est_prob0[c]`` is the chance a
+    measuring Bob sees estimate 0 given context c (absent when he
+    abstains).  ``out_cum[c, e, t]`` holds the cumulative final-outcome
+    probabilities (P(0), P(0 or 1)) when Alice stands behind bit t.  Both
+    arrays cover all three contexts and are shared by the four Alices
+    facing the same Bob.
 
     A run lands in one cell (commitment context, estimate, target,
     outcome) of shape ``out_cum.shape[:3] + (3,)``; an abstaining Bob's
@@ -350,18 +369,17 @@ class StrategyTables:
     cell, so a sampled rate and its prediction are the same sum of cells.
     """
 
-    alice_honest: bool
-    fixed_bit: int | None
+    first: int
+    count: int
     bob_cheats: bool
-    commit_weights: np.ndarray
     est_prob0: np.ndarray | None
     out_cum: np.ndarray
 
     def draw_commit(self, rng) -> int:
-        """Commitment context of one run; a uniform is drawn only for an unfixed honest bit."""
-        if self.alice_honest and self.fixed_bit is None:
-            return int(rng.random() >= 0.5)
-        return self.fixed_bit or 0
+        """Commitment context of one run; a uniform is drawn only between two contexts."""
+        if self.count == 2:
+            return self.first + int(rng.random() >= 0.5)
+        return self.first
 
     def draw_estimate(self, commit: int, rng) -> int:
         """Measuring Bob's holding-phase estimate given the commitment context."""
@@ -384,8 +402,7 @@ class StrategyTables:
         stands behind the coin, or with ``against_guess`` (the coin toss,
         where the coin is Bob's guess) behind its complement.
         """
-        if n_runs < 1:
-            raise ValueError(f"the run count must be >= 1, got {n_runs}")
+        _checked_count(n_runs, "the run count")
         shape = self.out_cum.shape[:3] + (3,)
         edges = self.out_cum.reshape(-1, 2)
         rng = np.random.Generator(np.random.Philox(seed))
@@ -394,10 +411,9 @@ class StrategyTables:
             u = rng.random((min(MC_CHUNK_RUNS, n_runs - start), 4))
             # Each run's flat cell index ((c * n_e + e) * 2 + t) * 3 + o grows
             # in place; before the outcome it is the run's row of ``edges``.
-            if self.alice_honest and self.fixed_bit is None:
-                cell = (u[:, 0] >= 0.5).astype(np.intp)
-            else:
-                cell = np.full(len(u), self.fixed_bit or 0, dtype=np.intp)
+            cell = np.full(len(u), self.first, dtype=np.intp)
+            if self.count == 2:
+                cell += u[:, 0] >= 0.5
             if self.bob_cheats:
                 estimate = u[:, 2] >= self.est_prob0.take(cell)
                 cell *= 2
@@ -414,11 +430,10 @@ class StrategyTables:
 
     def cell_probabilities(self) -> np.ndarray:
         """Exact probability of each cell of :meth:`sample_cells` (the target is a fair bit)."""
+        context = np.zeros((len(self.out_cum), 1))  # Alice's context and the fair target
+        context[self.first : self.first + self.count] = 0.5 / self.count
         if self.bob_cheats:
-            est_w = np.column_stack([self.est_prob0, 1.0 - self.est_prob0])
-        else:
-            est_w = np.ones((len(self.commit_weights), 1))
-        context = self.commit_weights[:, None] * est_w * 0.5
+            context = context * np.column_stack([self.est_prob0, 1.0 - self.est_prob0])
         # P(0), P(1), P(fail): the steps between the edges 0, P(0), P(0 or 1), 1.
         outcome = np.concatenate([self.out_cum, np.ones_like(self.out_cum[..., :1])], axis=-1)
         outcome[..., 1:] -= self.out_cum
@@ -430,73 +445,57 @@ def strategy_tables(
 ) -> StrategyTables:
     """Exact tables of a strategy pairing; shared by every sampler.
 
-    Both optimal cheats are fixed by the protocol, so the table of a
-    pairing is built on its first call and kept by ``p`` (at most eight per
-    protocol, freed with it); later calls return the same object.  Its
-    arrays are read-only, because every caller shares them.
+    Both optimal cheats are fixed by the protocol, so ``p`` builds the
+    tables of all eight pairings (four Alices, two Bobs) on first use and
+    keeps them, freed with it; later calls return the same objects.  Their
+    arrays are read-only, because every caller shares them.  Any other
+    pairing is refused with ``ValueError``.
     """
-    store, key = p._table_store, (alice, bob)
-    if key not in store:
-        store[key] = _build_strategy_tables(p, alice, bob)
-    return store[key]
+    store = p._table_store
+    try:
+        return store[alice, bob]
+    except (KeyError, TypeError):  # TypeError: an unhashable strategy
+        raise ValueError(f"unknown strategy pairing: alice={alice!r}, bob={bob!r}") from None
 
 
-def _build_strategy_tables(
-    p: PurificationProtocol, alice: AliceStrategy, bob: BobStrategy
-) -> StrategyTables:
-    """Build the exact tables of a strategy pairing.
+def _build_strategy_tables(p: PurificationProtocol) -> dict:
+    """Build the exact tables of all eight strategy pairings.
 
     Both cheats are one-sided, so every step is a product with the stack of
-    commitment matrices A (commitment context, proof, token): Bob's
-    Helstrom collapse onto estimate e is A P_e^T, Alice's steering toward
-    target t is u_t A, and verification reads |<chi_b|A>|^2.  No operator
-    on the whole proof ⊗ token space is formed.
+    commitment matrices A (context, proof, token) = (chi0, chi1, psi_max):
+    Bob's Helstrom collapse onto estimate e is A P_e^T, steering toward
+    target t is S_ct A (the kit's u_t in the cheat context, the identity in
+    the honest ones, where Alice unveils her commitment whatever the
+    target), and verification reads |<chi_b|A>|^2.  No operator on the
+    whole proof ⊗ token space is formed.  One cheat kit and one Helstrom
+    measurement serve every pairing.
     """
-    alice_honest = isinstance(alice, HonestAlice)
-    bob_cheats = isinstance(bob, HelstromBob)
+    kit = optimal_cheat_kit(p)
+    measurement = helstrom(*honest_reduced_states(p))
     chi = np.array([p.chi0.as_matrix(), p.chi1.as_matrix()])
+    committed = np.concatenate([chi, kit.psi_max.as_matrix()[None]])
+    eye = np.eye(p.dim_proof, dtype=np.complex128)
+    steer = np.array([[eye, eye], [eye, eye], [kit.u0, kit.u1]])  # (context, target, proof, proof)
 
-    if alice_honest:
-        committed = chi
-        if alice.bit is None:
-            commit_weights = np.array([0.5, 0.5])
-        else:
-            commit_weights = np.array([1.0 - alice.bit, float(alice.bit)])
-    else:
-        kit = optimal_cheat_kit(p)
-        committed = kit.psi_max.as_matrix()[None]
-        commit_weights = np.array([1.0])
+    token_projs = np.array([measurement.projector0, measurement.projector1])
+    prob0 = np.einsum("cpt,ts,cps->c", committed.conj(), token_projs[0], committed).real
+    est_prob0 = np.clip(prob0, 0.0, 1.0)
+    collapsed = committed[:, None] @ np.swapaxes(token_projs, -2, -1)
+    norms = np.linalg.norm(collapsed, axis=(-2, -1), keepdims=True)
+    # A branch of probability ~0 is never sampled; it stays zero.
+    collapsed = np.divide(collapsed, norms, out=np.zeros_like(collapsed), where=norms >= 1e-12)
 
-    est_prob0 = None
-    branches = committed[:, None]  # (commit, estimate, proof, token)
-    if bob_cheats:
-        measurement = helstrom(*honest_reduced_states(p))
-        token_projs = np.array([measurement.projector0, measurement.projector1])
-        prob0 = np.einsum("cpt,ts,cps->c", committed.conj(), token_projs[0], committed).real
-        est_prob0 = np.clip(prob0, 0.0, 1.0)
-        collapsed = branches @ np.swapaxes(token_projs, -2, -1)
-        norms = np.linalg.norm(collapsed, axis=(-2, -1), keepdims=True)
-        # A branch of probability ~0 is never sampled; it stays zero.
-        branches = np.divide(collapsed, norms, out=np.zeros_like(collapsed), where=norms >= 1e-12)
-
-    if not alice_honest:  # she steers toward target t with u_t on the proof
-        branches = np.array([kit.u0, kit.u1]) @ branches[:, :, None]
-    out_cum = np.abs(np.einsum("bpt,...pt->...b", chi.conj(), branches)) ** 2
-    out_cum[..., 1] = np.minimum(1.0, out_cum[..., 0] + out_cum[..., 1])  # P(0), P(0 or 1)
-    if alice_honest:  # she unveils her commitment whatever the target
-        out_cum = np.repeat(out_cum[:, :, None], 2, axis=2)
-
-    for array in (commit_weights, est_prob0, out_cum):
-        if array is not None:
-            array.flags.writeable = False
-    return StrategyTables(
-        alice_honest=alice_honest,
-        fixed_bit=alice.bit if alice_honest else None,
-        bob_cheats=bob_cheats,
-        commit_weights=commit_weights,
-        est_prob0=est_prob0,
-        out_cum=out_cum,
-    )
+    tables = {}
+    for bob, est, branches in (  # branches: (context, estimate, proof, token)
+        (HonestBob(), None, committed[:, None]), (HelstromBob(), est_prob0, collapsed)
+    ):
+        steered = steer[:, None] @ branches[:, :, None]  # one more axis: the target
+        out_cum = np.abs(np.einsum("bpt,...pt->...b", chi.conj(), steered)) ** 2
+        out_cum[..., 1] = np.minimum(1.0, out_cum[..., 0] + out_cum[..., 1])  # P(0), P(0 or 1)
+        out_cum.flags.writeable = est_prob0.flags.writeable = False
+        for alice, (first, count) in _ALICE_CONTEXTS.items():
+            tables[alice, bob] = StrategyTables(first, count, est is not None, est, out_cum)
+    return tables
 
 
 def simulate_run(
@@ -519,7 +518,7 @@ def simulate_run(
     commit = tables.draw_commit(rng)
     estimate = tables.draw_estimate(commit, rng) if tables.bob_cheats else None
     outcome = tables.draw_outcome(commit, estimate or 0, target_bit, rng)
-    committed = commit if tables.alice_honest else None
+    committed = None if commit == CHEAT_CONTEXT else commit
     return RunRecord(alice, bob, committed, target_bit, estimate, outcome)
 
 
@@ -555,14 +554,14 @@ def _game_rates(tables: StrategyTables, mass: np.ndarray, total: float) -> tuple
     ``mass`` holds run counts (``total`` = the run count) or exact
     probabilities (``total`` = 1).  A run is unveiled when its outcome is
     its target; it is estimated when Bob's estimate is the committed bit
-    (honest Alice) or the target (cheating Alice).  An abstaining Bob
-    scores 0.5 by definition.
+    (an honest context) or the target (the cheat context).  An abstaining
+    Bob scores 0.5 by definition.
     """
     commit, estimate, target, outcome = np.indices(mass.shape, sparse=True)
     p_unveil = float(mass.sum(where=outcome == target) / total)
     if not tables.bob_cheats:
         return 0.5, p_unveil
-    reference = commit if tables.alice_honest else target
+    reference = np.where(commit == CHEAT_CONTEXT, target, commit)
     return float(mass.sum(where=estimate == reference) / total), p_unveil
 
 
@@ -638,12 +637,11 @@ def random_cheat_search(p: PurificationProtocol, n_candidates: int, seed: int) -
     optimal state for the current unitaries), at least one, each of
     ``ASCENT_ITERATES`` iterates or the whole budget if smaller; the rest
     goes to independent uniform draws.  Each draw or iterate is one
-    candidate, at most ``n_candidates`` in all.  Independent of the
+    candidate, exactly ``n_candidates`` in all.  Independent of the
     closed-form construction in :func:`optimal_cheat_kit`, which it is used
     to cross-check.
     """
-    if n_candidates < 1:
-        raise ValueError("n_candidates must be >= 1")
+    n_candidates = _checked_count(n_candidates, "n_candidates")
     rng = np.random.default_rng(seed)
     dp, dt = p.dim_proof, p.dim_token
     dim = dp * dt
@@ -653,7 +651,7 @@ def random_cheat_search(p: PurificationProtocol, n_candidates: int, seed: int) -
     refine_budget = int(n_candidates * REFINE_FRACTION)
     iterates = min(ASCENT_ITERATES, n_candidates)
     n_starts = max(1, refine_budget // iterates) if refine_budget > 0 else 0
-    n_raw = n_candidates - max(refine_budget, n_starts * iterates)
+    n_raw = n_candidates - n_starts * iterates
 
     best = 0.0
 

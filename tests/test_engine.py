@@ -10,12 +10,15 @@
   estimate, target, outcome) agree with the exact cell probabilities.
 * Memory: at a million runs the bulk samplers' peak allocation stays
   within 16 bytes per run; one block of all the uniforms would take 32.
-* Table store: each protocol builds the table of a pairing once, keeps it
-  read-only and serves every sampler from it without a decomposition.
+* Table store: each protocol builds the tables of all eight pairings at
+  once, from one cheat kit and one Helstrom measurement, keeps them
+  read-only, serves every sampler from them without a decomposition and
+  refuses any other pairing.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import tracemalloc
@@ -47,7 +50,7 @@ from qbc import (
     tensor_product,
     toss_statistics,
 )
-from qbc.protocol import MC_CHUNK_RUNS, strategy_tables
+from qbc.protocol import CHEAT_CONTEXT, MC_CHUNK_RUNS, strategy_tables
 
 DRAWS = 2000
 ALICES = (HonestAlice(), HonestAlice(0), HonestAlice(1), CheatingAlice())
@@ -275,7 +278,8 @@ def test_tables_are_built_once_per_pairing():
     for bob in BOBS:
         drawn, fixed = strategy_tables(p, HonestAlice(), bob), strategy_tables(p, HonestAlice(0), bob)
         assert drawn is not fixed
-        assert (drawn.fixed_bit, fixed.fixed_bit) == (None, 0)
+        contexts = [(t.first, t.count) for t in (strategy_tables(p, a, bob) for a in ALICES)]
+        assert contexts == [(0, 2), (0, 1), (1, 1), (CHEAT_CONTEXT, 1)]
 
 
 def test_primed_protocol_samples_without_decompositions(monkeypatch):
@@ -310,10 +314,12 @@ def test_primed_protocol_samples_without_decompositions(monkeypatch):
 def test_stored_tables_are_read_only():
     p = PROTOCOLS["pure-pair"]()
     tables = strategy_tables(p, HonestAlice(), HelstromBob())
-    for array in (tables.out_cum, tables.est_prob0, tables.commit_weights):
+    for array in (tables.out_cum, tables.est_prob0):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.5
-    assert strategy_tables(p, HonestAlice(), HelstromBob()).commit_weights.tolist() == [0.5, 0.5]
+    for alice in ALICES:  # the four Alices facing one Bob share his arrays
+        shared = strategy_tables(p, alice, HelstromBob())
+        assert shared.out_cum is tables.out_cum and shared.est_prob0 is tables.est_prob0
 
 
 def test_table_store_is_not_a_field():
@@ -324,3 +330,53 @@ def test_table_store_is_not_a_field():
     for alice, bob in itertools.product(ALICES, BOBS):
         strategy_tables(p, alice, bob)
     assert repr(p) == before
+
+
+def test_one_kit_and_one_helstrom_serve_every_pairing(monkeypatch):
+    """Priming all eight pairings of a fresh protocol builds the cheat kit
+    once, the Helstrom measurement once and decomposes four matrices."""
+    calls = collections.Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(qbc.protocol, "optimal_cheat_kit")
+    counting(qbc.protocol, "helstrom")
+    for name in ("eigh", "eigvalsh", "svd"):
+        counting(np.linalg, name)
+    p = PROTOCOLS["random8x8"]()
+    for alice, bob in itertools.product(ALICES, BOBS):
+        strategy_tables(p, alice, bob)
+    assert calls["optimal_cheat_kit"] == calls["helstrom"] == 1
+    assert calls["eigh"] + calls["eigvalsh"] + calls["svd"] <= 4
+
+
+@pytest.mark.parametrize(
+    "alice, bob",
+    [
+        ("cheat", HonestBob()),
+        (None, HelstromBob()),
+        (HonestBob(), HonestBob()),
+        (HonestAlice(), "x"),
+        ([], HonestBob()),
+    ],
+    ids=["string-alice", "none-alice", "bob-as-alice", "string-bob", "unhashable-alice"],
+)
+def test_unknown_pairings_are_refused(alice, bob):
+    p = PROTOCOLS["commuting3d"]()
+    calls = (
+        lambda: strategy_tables(p, alice, bob),
+        lambda: exact_statistics(p, alice, bob),
+        lambda: estimate_statistics(p, alice, bob, 1000, 0),
+        lambda: simulate_run(p, alice, bob, 0, np.random.default_rng(0)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown strategy pairing"):
+            call()
+    assert set(p._table_store) == set(itertools.product(ALICES, BOBS))

@@ -420,3 +420,28 @@ class TestCheatSearch:
         p = random_protocol(2, 2, 3)
         for n in range(1, 121):
             assert random_cheat_search(p, n, seed=n).candidates_evaluated <= n
+
+    def test_budget_is_spent_exactly(self):
+        p = random_protocol(2, 2, 3)
+        for n in range(1, 251):
+            assert random_cheat_search(p, n, seed=n).candidates_evaluated == n
+
+
+@pytest.mark.parametrize("count", [True, 2.0, 0, -1])
+def test_counts_must_be_integers_at_least_1(count):
+    p = qbc.family_protocol(qbc.Commuting3D(0.3))
+    calls = (
+        lambda: estimate_statistics(p, HonestAlice(), HelstromBob(), count, 0),
+        lambda: qbc.toss_statistics(qbc.CoinTossProtocol(p), "none", count, 0),
+        lambda: random_cheat_search(p, count, 0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            call()
+
+
+def test_numpy_integer_counts_pass():
+    p = qbc.family_protocol(qbc.Commuting3D(0.3))
+    assert estimate_statistics(p, HonestAlice(), HelstromBob(), np.int64(5), 0).n_runs == 5
+    assert qbc.toss_statistics(qbc.CoinTossProtocol(p), "bob", np.int32(5), 0).n_tosses == 5
+    assert random_cheat_search(p, np.int64(30), 0).candidates_evaluated == 30
