@@ -138,7 +138,8 @@ def toss_statistics(
     :meth:`~qbc.protocol.StrategyTables.sample_cells`: toss i consumes the
     block of four uniforms at offset 4*i of a Philox stream keyed by
     ``seed`` (columns: commit bit, guess bit, estimate, unveiling outcome),
-    so results are seed-reproducible and independent of execution order.
+    so results are seed-reproducible and independent of execution order;
+    a bool, non-integral or negative ``seed`` is refused with ``ValueError``.
     Bob's guess is the guess bit, or his estimate when he cheats; cheating
     Alice targets 1 - guess.
     """

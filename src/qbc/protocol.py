@@ -32,6 +32,8 @@ first use and keeps.
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -144,10 +146,10 @@ def _checked_bit(value, name: str) -> int:
     return int(value)
 
 
-def _checked_count(value, name: str) -> int:
-    """``value`` as an int >= 1; a bool or a non-integral value is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _checked_integer(value, name: str, least: int) -> int:
+    """``value`` as an int >= ``least``; a bool or a non-integral value is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
@@ -343,8 +345,17 @@ def born_sample(state: PureState, projectors: Sequence[np.ndarray], rng) -> int:
 # --------------------------------------------------------------------------
 # the Monte Carlo engine: exact strategy tables, sampled per run or in bulk
 
-# Runs drawn per chunk by the bulk sampler; peak memory is O(chunk).
-MC_CHUNK_RUNS = 1 << 16
+# Runs drawn per chunk by the bulk sampler, and the most chunks it counts at
+# once: its peak memory, about 1.6 MiB per worker, is bounded on any host.
+MC_CHUNK_RUNS = 1 << 15
+MC_MAX_WORKERS = 8
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -396,37 +407,76 @@ class StrategyTables:
 
         Run i consumes the four uniforms at offset 4*i of a Philox counter
         stream keyed by ``seed`` (columns: committed bit, coin, holding-phase
-        estimate, final outcome).  The stream is drawn in order in chunks of
-        ``MC_CHUNK_RUNS`` runs, so memory does not grow with ``n_runs`` and
-        the counts equal those of a single ``(n_runs, 4)`` block.  Alice
-        stands behind the coin, or with ``against_guess`` (the coin toss,
-        where the coin is Bob's guess) behind its complement.
+        estimate, final outcome).  Alice stands behind the coin, or with
+        ``against_guess`` (the coin toss, where the coin is Bob's guess)
+        behind its complement.
+
+        The runs are cut into chunks of ``MC_CHUNK_RUNS``, each counted by
+        :meth:`_chunk_counts` from its own generator advanced to the chunk's
+        first run, and the integer counts are summed.  The chunks run on a
+        thread pool of one worker per available CPU, at most one per chunk
+        and ``MC_MAX_WORKERS`` in all, made and shut down within the call,
+        with at most two chunks per worker in flight; a single chunk or CPU
+        is counted inline.  Counts are therefore those of a single
+        ``(n_runs, 4)`` block whatever the core count or the order in which
+        chunks finish, and memory (about 1.6 MiB per worker) does not grow
+        with ``n_runs``.  A bool, non-integral or negative ``seed`` is
+        refused with ``ValueError``.
         """
-        _checked_count(n_runs, "the run count")
+        n_runs = _checked_integer(n_runs, "the run count", 1)
+        seed = _checked_integer(seed, "the seed", 0)
+        starts = range(0, n_runs, MC_CHUNK_RUNS)
+        chunks = (
+            (seed, start, min(MC_CHUNK_RUNS, n_runs - start), against_guess) for start in starts
+        )
+        workers = min(_available_cpus(), len(starts), MC_MAX_WORKERS)
         shape = self.out_cum.shape[:3] + (3,)
-        edges = self.out_cum.reshape(-1, 2)
-        rng = np.random.Generator(np.random.Philox(seed))
         counts = np.zeros(np.prod(shape), dtype=np.int64)
-        for start in range(0, n_runs, MC_CHUNK_RUNS):
-            u = rng.random((min(MC_CHUNK_RUNS, n_runs - start), 4))
-            # Each run's flat cell index ((c * n_e + e) * 2 + t) * 3 + o grows
-            # in place; before the outcome it is the run's row of ``edges``.
-            cell = np.full(len(u), self.first, dtype=np.intp)
-            if self.count == 2:
-                cell += u[:, 0] >= 0.5
-            if self.bob_cheats:
-                estimate = u[:, 2] >= self.est_prob0.take(cell)
-                cell *= 2
-                cell += estimate
-            cell *= 2
-            cell += (u[:, 1] >= 0.5) != against_guess
-            draw = u[:, 3]
-            outcome = (draw >= edges[:, 0].take(cell)).astype(np.intp)
-            outcome += draw >= edges[:, 1].take(cell)
-            cell *= 3
-            cell += outcome
-            counts += np.bincount(cell, minlength=counts.size)
+        if workers == 1:
+            for chunk in chunks:
+                counts += self._chunk_counts(*chunk)
+        else:
+            # Imported here, so that commands which never sample never import it.
+            from concurrent.futures import ThreadPoolExecutor
+
+            pending = deque()
+            with ThreadPoolExecutor(workers) as pool:
+                for chunk in chunks:
+                    if len(pending) == 2 * workers:
+                        counts += pending.popleft().result()
+                    pending.append(pool.submit(self._chunk_counts, *chunk))
+                while pending:
+                    counts += pending.popleft().result()
         return counts.reshape(shape)
+
+    def _chunk_counts(self, seed: int, start: int, count: int, against_guess: bool) -> np.ndarray:
+        """Flat cell counts of runs ``start`` to ``start + count`` of the stream keyed by ``seed``.
+
+        One Philox counter step is one block of four uniforms, one run, so
+        advancing a fresh generator by ``start`` reaches the chunk's first run.
+        """
+        bit_generator = np.random.Philox(seed)
+        bit_generator.advance(start)
+        u = np.random.Generator(bit_generator).random((count, 4))
+        edges = self.out_cum.reshape(-1, 2)
+        # Each run's flat cell index ((c * n_e + e) * 2 + t) * 3 + o grows
+        # in place; before the outcome it is the run's row of ``edges``.
+        cell = np.full(count, self.first, dtype=np.intp)
+        if self.count == 2:
+            cell += u[:, 0] >= 0.5
+        if self.bob_cheats:
+            estimate = u[:, 2] >= self.est_prob0.take(cell)
+            cell *= 2
+            cell += estimate
+        cell *= 2
+        cell += (u[:, 1] >= 0.5) != against_guess
+        draw = u[:, 3]
+        past_zero = draw >= edges[:, 0].take(cell)
+        past_one = draw >= edges[:, 1].take(cell)
+        cell *= 3
+        cell += past_zero
+        cell += past_one
+        return np.bincount(cell, minlength=3 * len(edges))
 
     def cell_probabilities(self) -> np.ndarray:
         """Exact probability of each cell of :meth:`sample_cells` (the target is a fair bit)."""
@@ -589,15 +639,16 @@ def estimate_statistics(
 
     Per-run probabilities are computed exactly once per configuration; the
     runs are counted per table cell by
-    :meth:`StrategyTables.sample_cells`, vectorized and streamed in bounded
-    memory.  Run i consumes the fixed-width block of four uniforms at
-    offset 4*i of a Philox counter stream keyed by ``seed`` (columns:
-    committed bit, target bit, holding-phase estimate, final outcome), so
-    results are reproducible and independent of any execution order.
-    Target bits are drawn uniformly; honest Alice with ``bit=None`` also
-    draws her committed bit uniformly per run (equal priors), which is the
-    setting in which the closed forms p_estimate = (1 + D)/2 and
-    p_unveil = (1 + F)/2 apply.
+    :meth:`StrategyTables.sample_cells`, vectorized, streamed in bounded
+    memory and spread over every available core.  Run i consumes the
+    fixed-width block of four uniforms at offset 4*i of a Philox counter
+    stream keyed by ``seed`` (columns: committed bit, target bit,
+    holding-phase estimate, final outcome), so results are reproducible and
+    independent of any execution order.  Target bits are drawn uniformly;
+    honest Alice with ``bit=None`` also draws her committed bit uniformly
+    per run (equal priors), which is the setting in which the closed forms
+    p_estimate = (1 + D)/2 and p_unveil = (1 + F)/2 apply.  A bool,
+    non-integral or negative ``seed`` is refused with ``ValueError``.
     """
     tables = strategy_tables(p, alice, bob)
     p_estimate, p_unveil = _game_rates(tables, tables.sample_cells(n_runs, seed), n_runs)
@@ -641,7 +692,7 @@ def random_cheat_search(p: PurificationProtocol, n_candidates: int, seed: int) -
     closed-form construction in :func:`optimal_cheat_kit`, which it is used
     to cross-check.
     """
-    n_candidates = _checked_count(n_candidates, "n_candidates")
+    n_candidates = _checked_integer(n_candidates, "n_candidates", 1)
     rng = np.random.default_rng(seed)
     dp, dt = p.dim_proof, p.dim_token
     dim = dp * dt

@@ -361,3 +361,23 @@ class TestUsage:
         assert run_cli(["make-spec", "--family", "qubit-pure-mixed", "--param", "0.4"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["dimProof"] == 3 and doc["dimToken"] == 2
+
+
+def test_light_commands_do_not_import_the_sampling_pool(tmp_path):
+    """``make-spec``, ``analyze`` and ``check`` never sample, so they leave
+    ``concurrent.futures`` (the bulk sampler's thread pool) unimported."""
+    spec = tmp_path / "p.json"
+    script = (
+        "import sys\n"
+        "from qbc.cli import main\n"
+        f"spec = {str(spec)!r}\n"
+        "make_spec = ['make-spec', '--family', 'commuting3d', '--param', '0.3', '--out', spec]\n"
+        "codes = [main(make_spec), main(['analyze', spec]), main(['check', spec])]\n"
+        "print(codes, 'concurrent.futures' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(qbc.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0] False"

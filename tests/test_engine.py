@@ -5,11 +5,14 @@
   Helstrom-extended and verification projectors) is the reference they
   must agree with, draw for draw.
 * Bulk statistics: values pinned from the single-block sampler, at sizes
-  below, across and well past one chunk of the streamed Philox draws.
+  below, across and well past one chunk of the streamed Philox draws; the
+  counts are the same on 1, 2 and 3 workers.
 * Cells: the joint counts of the bulk sampler over (commitment context,
   estimate, target, outcome) agree with the exact cell probabilities.
-* Memory: at a million runs the bulk samplers' peak allocation stays
-  within 16 bytes per run; one block of all the uniforms would take 32.
+* Memory and threads: at a million runs the bulk samplers' peak
+  allocation stays within 16 bytes per run (one block of all the uniforms
+  would take 32) and at most one chunk's per worker at 1e6 and 4e6 runs
+  alike; no pool thread outlives a call, even one whose chunk fails.
 * Table store: each protocol builds the tables of all eight pairings at
   once, from one cheat kit and one Helstrom measurement, keeps them
   read-only, serves every sampler from them without a decomposition and
@@ -21,6 +24,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import itertools
+import threading
 import tracemalloc
 
 import numpy as np
@@ -50,7 +54,7 @@ from qbc import (
     tensor_product,
     toss_statistics,
 )
-from qbc.protocol import CHEAT_CONTEXT, MC_CHUNK_RUNS, strategy_tables
+from qbc.protocol import CHEAT_CONTEXT, MC_CHUNK_RUNS, MC_MAX_WORKERS, strategy_tables
 
 DRAWS = 2000
 ALICES = (HonestAlice(), HonestAlice(0), HonestAlice(1), CheatingAlice())
@@ -209,7 +213,8 @@ TOSS_PINS = {
 
 
 def test_chunk_size_is_crossed_by_the_pinned_sizes():
-    assert 1 < MC_CHUNK_RUNS < 65_537 < 2 * MC_CHUNK_RUNS < 1_000_003
+    for n in (65_537, 1_000_003):  # each spans full chunks and ends in a partial one
+        assert 1 < MC_CHUNK_RUNS < n and n % MC_CHUNK_RUNS != 0
 
 
 @pytest.mark.parametrize("key", sorted(ESTIMATE_PINS))
@@ -269,6 +274,99 @@ def test_bulk_peak_bytes_per_run():
             assert peak / n <= 16.0
     finally:
         tracemalloc.stop()
+
+
+WORKER_SIZES = (1, MC_CHUNK_RUNS, MC_CHUNK_RUNS + 1, 65_537, 1_000_003)
+
+
+def test_counts_do_not_depend_on_the_worker_count(monkeypatch):
+    """Every pairing and the coin toss's cells against Bob's guess count the
+    same runs on 1, 2 and 3 workers, and as one block of the whole stream."""
+    p = PROTOCOLS["random8x8"]()
+    cases = [(alice, bob, False) for alice, bob in itertools.product(ALICES, BOBS)]
+    cases.append((CheatingAlice(), HonestBob(), True))
+    for alice, bob, against_guess in cases:
+        tables = strategy_tables(p, alice, bob)
+        for n in WORKER_SIZES:
+            counts = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(qbc.protocol, "_available_cpus", lambda: workers)
+                counts.append(tables.sample_cells(n, 21, against_guess))
+            assert (counts[0] == counts[1]).all() and (counts[0] == counts[2]).all()
+            if n < 100_000:
+                block = tables._chunk_counts(21, 0, n, against_guess)
+                assert (counts[0].ravel() == block).all(), (alice, bob, against_guess, n)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_bulk_peak_is_flat_in_runs(workers, monkeypatch):
+    """The peak allocation is at most one chunk's per worker, at 1e6 and 4e6
+    runs alike."""
+    monkeypatch.setattr(qbc.protocol, "_available_cpus", lambda: workers)
+    tables = strategy_tables(PROTOCOLS["random8x8"](), CheatingAlice(), HelstromBob())
+    tables.sample_cells(2 * MC_CHUNK_RUNS, 0)  # the pool's first use imports its module
+    tracemalloc.start()
+    try:
+        peaks = []
+        for n in (MC_CHUNK_RUNS, 1_000_000, 4_000_000):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            tables.sample_cells(n, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    one_chunk = peaks[0]
+    assert one_chunk <= 2 * 2**20
+    for peak in peaks[1:]:
+        assert peak <= workers * one_chunk + 64 * 2**10
+
+
+def test_no_thread_outlives_a_call(monkeypatch):
+    baseline = threading.active_count()
+    p = PROTOCOLS["commuting3d"]()
+    for workers in (None, 3):
+        if workers:
+            monkeypatch.setattr(qbc.protocol, "_available_cpus", lambda: workers)
+        estimate_statistics(p, CheatingAlice(), HelstromBob(), 200_003, 1)
+        toss_statistics(CoinTossProtocol(p), "alice", 200_003, 1)
+        assert threading.active_count() == baseline
+
+
+def test_workers_are_capped(monkeypatch):
+    """However many CPUs the process may use, at most ``MC_MAX_WORKERS``
+    threads count chunks, so the peak memory is bounded on any host."""
+    original = qbc.protocol.StrategyTables._chunk_counts
+    threads = set()
+
+    def record_thread(self, *chunk):
+        threads.add(threading.get_ident())
+        return original(self, *chunk)
+
+    monkeypatch.setattr(qbc.protocol.StrategyTables, "_chunk_counts", record_thread)
+    monkeypatch.setattr(qbc.protocol, "_available_cpus", lambda: 64)
+    p = PROTOCOLS["commuting3d"]()
+    estimate_statistics(p, CheatingAlice(), HelstromBob(), 100 * MC_CHUNK_RUNS, 4)
+    assert 1 < len(threads) <= MC_MAX_WORKERS
+
+
+def test_a_failing_chunk_fails_the_call(monkeypatch):
+    """An exception in one chunk reaches the caller, and the pool's threads
+    are gone when it does."""
+    original = qbc.protocol.StrategyTables._chunk_counts
+
+    def fail_in_chunk_5(self, seed, start, count, against_guess):
+        if start == 5 * MC_CHUNK_RUNS:
+            raise RuntimeError("chunk 5 failed")
+        return original(self, seed, start, count, against_guess)
+
+    monkeypatch.setattr(qbc.protocol.StrategyTables, "_chunk_counts", fail_in_chunk_5)
+    baseline = threading.active_count()
+    p = PROTOCOLS["commuting3d"]()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(qbc.protocol, "_available_cpus", lambda: workers)
+        with pytest.raises(RuntimeError, match="chunk 5 failed"):
+            estimate_statistics(p, HonestAlice(), HelstromBob(), 1_000_003, 2)
+        assert threading.active_count() == baseline
 
 
 def test_tables_are_built_once_per_pairing():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -445,3 +447,32 @@ def test_numpy_integer_counts_pass():
     assert estimate_statistics(p, HonestAlice(), HelstromBob(), np.int64(5), 0).n_runs == 5
     assert qbc.toss_statistics(qbc.CoinTossProtocol(p), "bob", np.int32(5), 0).n_tosses == 5
     assert random_cheat_search(p, np.int64(30), 0).candidates_evaluated == 30
+
+
+@pytest.mark.parametrize("seed", [True, 2.5, -1, np.int64(-1), "7"])
+def test_seeds_must_be_integers_at_least_0(seed, monkeypatch):
+    """Both bulk entry points refuse the seed before any chunk is counted."""
+
+    def refuse(*args):
+        raise AssertionError("counted a chunk with an unchecked seed")
+
+    monkeypatch.setattr(qbc.protocol.StrategyTables, "_chunk_counts", refuse)
+    p = qbc.family_protocol(qbc.Commuting3D(0.3))
+    calls = (
+        lambda: estimate_statistics(p, HonestAlice(), HelstromBob(), 100_000, seed),
+        lambda: qbc.toss_statistics(qbc.CoinTossProtocol(p), "alice", 100_000, seed),
+    )
+    message = "seed must be an integer >= 0, got " + re.escape(repr(seed))
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_numpy_integer_seeds_pass():
+    p = qbc.family_protocol(qbc.Commuting3D(0.3))
+    ct = qbc.CoinTossProtocol(p)
+    estimate = estimate_statistics(p, CheatingAlice(), HelstromBob(), 5000, 7)
+    toss = qbc.toss_statistics(ct, "bob", 5000, 7)
+    for seed in (np.int64(7), np.uint32(7)):
+        assert estimate_statistics(p, CheatingAlice(), HelstromBob(), 5000, seed) == estimate
+        assert qbc.toss_statistics(ct, "bob", 5000, seed) == toss
