@@ -129,27 +129,35 @@ def max_parallel_overlap(psi: BipartiteState, chi: BipartiteState) -> ParallelPu
     return ParallelPurificationResult(float(np.clip(overlap, 0.0, 1.0)), unitary)
 
 
-def polar_unitary(m: np.ndarray) -> tuple[np.ndarray, float]:
+def polar_unitary(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The U maximizing |Tr(U m)|, and that maximum (the nuclear norm of m).
 
     With m = W diag(s) V^dagger, U = V W^dagger makes Tr(U m) = sum(s),
     real and nonnegative.  U is unitary for a square m and an isometry
-    otherwise.
+    otherwise.  A stack (..., rows, cols) gives the stack of U and of
+    nuclear norms, each bit for bit what its matrix gives alone, from one
+    ``svd`` call.
     """
     w, s, vh = np.linalg.svd(m, full_matrices=False)
-    return vh.conj().T @ w.conj().T, float(s.sum())
+    return vh.mT.conj() @ w.mT.conj(), s.sum(axis=-1)
 
 
-def phase_aligned_sum(phi0: np.ndarray, phi1: np.ndarray) -> tuple[np.ndarray, float]:
+def phase_aligned_sum(phi0: np.ndarray, phi1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized phi0 + e^{-i arg c} phi1 with c = <phi0|phi1>, and |c|.
 
     The phase makes both terms add in step, so the sum has norm^2
     2 + 2|c| for unit vectors; it is 1 when c vanishes (|c| <= 1e-12).
+    Stacks (..., dim) are taken row by row, each row bit for bit as alone.
     """
-    c = np.vdot(phi0, phi1)
-    phase = 1.0 if abs(c) <= 1e-12 else np.exp(-1j * np.angle(c))
-    vec = phi0 + phase * phi1
-    return vec / np.linalg.norm(vec), abs(c)
+    c = np.vecdot(phi0, phi1)
+    re, im = c.real, c.imag
+    overlap = np.hypot(re, im)  # as abs() takes one complex number; np.abs may differ by an ulp
+    angle = np.arctan2(im, re) * (overlap > 1e-12)  # zero, so phase one, where c vanishes
+    phase = np.exp(angle * -1j)
+    vec = phi0 + phase[..., None] * phi1
+    # Each row's norm, summed as np.linalg.norm sums one vector's: real parts, then imaginary.
+    norm = np.sqrt(np.vecdot(vec.real, vec.real) + np.vecdot(vec.imag, vec.imag))
+    return vec / norm[..., None], overlap
 
 
 def aligned_superposition(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

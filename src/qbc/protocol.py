@@ -674,6 +674,11 @@ class CheatSearchResult:
 # Share of a cheat-search budget spent on ascent, and the iterates of one ascent.
 REFINE_FRACTION = 0.2
 ASCENT_ITERATES = 20
+# Raw candidates drawn per chunk, and ascent starts run per stack, so the
+# search's memory is bounded whatever its budget; a start holds more
+# arrays than a raw candidate.
+SEARCH_CHUNK = 1024
+ASCENT_STACK = 512
 
 
 def random_cheat_search(p: PurificationProtocol, n_candidates: int, seed: int) -> CheatSearchResult:
@@ -691,13 +696,30 @@ def random_cheat_search(p: PurificationProtocol, n_candidates: int, seed: int) -
     candidate, exactly ``n_candidates`` in all.  Independent of the
     closed-form construction in :func:`optimal_cheat_kit`, which it is used
     to cross-check.
+
+    The chi pair is factored once, A_b = Q_b R_b with R_b of shape
+    (k, dim_token), k = min(dim_proof, dim_token); v_b enters a value only
+    through the k x dim_proof block Q_b^dag v_b.  So a draw takes that
+    block as the conjugate transpose of a Haar isometry, which is how it
+    is distributed, and an ascent iterate takes the best response
+    v_b^dag A_b = W X^dag R_b, where A_psi R_b^dag = W S X^dag
+    (:func:`_best_responses`): one ``svd`` call per iterate for the whole
+    stack of starts and both bits, on k x dim_proof matrices.
+
+    Draw scheme: each raw candidate and each ascent start takes a
+    fixed-width block of uniforms at its own offset of a Philox stream
+    keyed by ``seed`` (:func:`_complex_normals`), raw candidates in counter
+    region 0 and ascent starts in region 1.  Raw candidates are evaluated
+    in chunks of ``SEARCH_CHUNK`` and ascents run in stacks of
+    ``ASCENT_STACK`` starts, each drawn by a generator advanced to its
+    first item.  So an item's draws are a pure function of ``(seed,
+    index)``, the result does not depend on the chunk or stack size, and
+    memory does not grow with ``n_candidates``.  A bool, non-integral or
+    negative ``seed`` is refused with ``ValueError``.
     """
     n_candidates = _checked_integer(n_candidates, "n_candidates", 1)
-    rng = np.random.default_rng(seed)
-    dp, dt = p.dim_proof, p.dim_token
-    dim = dp * dt
-    a0 = p.chi0.as_matrix()
-    a1 = p.chi1.as_matrix()
+    seed = _checked_integer(seed, "the seed", 0)
+    r = np.linalg.qr(np.stack([p.chi0.as_matrix(), p.chi1.as_matrix()]), mode="r")
 
     refine_budget = int(n_candidates * REFINE_FRACTION)
     iterates = min(ASCENT_ITERATES, n_candidates)
@@ -705,30 +727,78 @@ def random_cheat_search(p: PurificationProtocol, n_candidates: int, seed: int) -
     n_raw = n_candidates - n_starts * iterates
 
     best = 0.0
-
-    if n_raw > 0:
-        psi = rng.standard_normal((n_raw, dim)) + 1j * rng.standard_normal((n_raw, dim))
-        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        a_psi = psi.reshape(n_raw, dp, dt)
-        values = np.zeros(n_raw)
-        for a_chi in (a0, a1):
-            z = rng.standard_normal((n_raw, dp, dp)) + 1j * rng.standard_normal((n_raw, dp, dp))
-            q, r = np.linalg.qr(z)
-            diag = np.diagonal(r, axis1=1, axis2=2)
-            haar = q * (diag / np.abs(diag))[:, None, :]
-            amp = np.einsum("pt,npq,nqt->n", a_chi.conj(), haar, a_psi)
-            values += 0.5 * np.abs(amp) ** 2
-        best = float(values.max())
-
-    for _ in range(n_starts):
-        vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        a_psi = (vec / np.linalg.norm(vec)).reshape(dp, dt)
-        for _ in range(iterates):
-            v0, v1 = (polar_unitary(a_psi @ a_chi.conj().T)[0] for a_chi in (a0, a1))
-            merged, overlap = phase_aligned_sum(
-                (v0.conj().T @ a0).reshape(-1), (v1.conj().T @ a1).reshape(-1)
-            )
-            best = max(best, float((1.0 + overlap) / 2.0))
-            a_psi = merged.reshape(dp, dt)
-
+    for first in range(0, n_raw, SEARCH_CHUNK):
+        values = _raw_values(r, p.dim_proof, seed, first, min(SEARCH_CHUNK, n_raw - first))
+        best = max(best, float(values.max()))
+    for first in range(0, n_starts, ASCENT_STACK):
+        count = min(ASCENT_STACK, n_starts - first)
+        values = _ascent_values(r, p.dim_proof, seed, first, count, iterates)
+        best = max(best, float(values.max()))
     return CheatSearchResult(best, n_raw + n_starts * iterates)
+
+
+def _complex_normals(seed: int, region: int, first: int, count: int, width: int) -> np.ndarray:
+    """Standard complex normals, ``width`` for each item ``first`` to ``first + count``.
+
+    Item i takes the ceil(width / 2) Philox counter steps (four uniforms
+    each) from step ``region * 2**128 + i * ceil(width / 2)`` of the stream
+    keyed by ``seed``, and each pair of uniforms (u, v) gives the normal
+    sqrt(-ln(1 - u)) e^{2 pi i v}.  Every item takes the same number of
+    steps, so its normals do not depend on which items are drawn with it.
+    """
+    steps = -(-width // 2)
+    bit_generator = np.random.Philox(seed)
+    bit_generator.advance((region << 128) + first * steps)
+    u = np.random.Generator(bit_generator).random((count, 2 * steps, 2))[:, :width]
+    return np.sqrt(-np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
+
+
+def _unit_rows(z: np.ndarray) -> np.ndarray:
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+def _raw_values(r: np.ndarray, dp: int, seed: int, first: int, count: int) -> np.ndarray:
+    """Values of raw candidates ``first`` to ``first + count``.
+
+    A candidate's normals are its state, then the Gaussian (dim_proof, k)
+    matrices whose phase-fixed QR gives the Haar isometries y_b; its
+    amplitudes <chi_b|(v_b ⊗ I)|psi> are Tr(y_b^dag A_psi R_b^dag).
+    """
+    _, k, dt = r.shape
+    z = _complex_normals(seed, 0, first, count, dp * dt + 2 * dp * k)
+    a_psi = _unit_rows(z[:, : dp * dt]).reshape(count, dp, dt)
+    y, tri = np.linalg.qr(z[:, dp * dt :].reshape(count, 2, dp, k))
+    diag = np.diagonal(tri, axis1=-2, axis2=-1)
+    y = y * (diag / np.abs(diag))[..., None, :]
+    m = a_psi[:, None] @ r.mT.conj()
+    amp = np.vecdot(y.reshape(count, 2, -1), m.reshape(count, 2, -1))
+    return (amp.real**2 + amp.imag**2).sum(axis=-1) / 2.0
+
+
+def _best_responses(a_psi: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """v_b^dag A_b for the unitaries v_b best against each state of a stack, for both bits.
+
+    ``a_psi`` is a (..., dim_proof, dim_token) stack of states and ``r``
+    the (2, k, dim_token) R factors of the chi pair.  With A_psi R_b^dag =
+    W S X^dag, this is W X^dag R_b: the orthogonal-Procrustes step of the
+    full polar unitary of A_psi A_b^dag.  W X^dag is the
+    :func:`polar_unitary` of R_b A_psi^dag, from one ``svd`` of the
+    (..., 2, k, dim_proof) stack.  Returns (..., 2, dim_proof, dim_token).
+    """
+    u, _ = polar_unitary(r @ a_psi[..., None, :, :].mT.conj())
+    return u @ r
+
+
+def _ascent_values(
+    r: np.ndarray, dp: int, seed: int, first: int, count: int, iterates: int
+) -> np.ndarray:
+    """Best iterate value of each ascent from starts ``first`` to ``first + count``, stacked."""
+    _, _, dt = r.shape
+    a_psi = _unit_rows(_complex_normals(seed, 1, first, count, dp * dt)).reshape(count, dp, dt)
+    overlaps = []
+    for _ in range(iterates):
+        phi = _best_responses(a_psi, r).reshape(count, 2, -1)
+        merged, overlap = phase_aligned_sum(phi[:, 0], phi[:, 1])
+        overlaps.append(overlap)
+        a_psi = merged.reshape(count, dp, dt)
+    return (1.0 + np.max(overlaps, axis=0)) / 2.0

@@ -32,3 +32,12 @@ def random_protocols(count: int, seed: int, max_dim: int = 4):
         dt = int(rng.integers(2, max_dim + 1))
         protocols.append(qbc.random_protocol(dp, dt, rng))
     return protocols
+
+
+# The engine's reference protocols: one of each family and a random 8x8.
+ENGINE_PROTOCOLS = {
+    "commuting3d": lambda: qbc.family_protocol(qbc.Commuting3D(0.3)),
+    "qubit-pure-mixed": lambda: qbc.family_protocol(qbc.QubitPureMixed(0.4)),
+    "pure-pair": lambda: qbc.family_protocol(qbc.PurePair(0.7)),
+    "random8x8": lambda: qbc.random_protocol(8, 8, 88),
+}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import qbc
-from conftest import random_density_pair
+from conftest import ENGINE_PROTOCOLS, random_density_pair, random_protocols
 from qbc.distinguish import (
     BlochVector,
     aligned_superposition,
@@ -199,6 +199,29 @@ class TestAlignmentKernels:
             assert aligned.real >= 0.0
             assert aligned.real == pytest.approx(overlap, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (4, 2), (2, 5)])
+    def test_polar_unitary_stack_is_bit_for_bit_per_matrix(self, shape):
+        rng = np.random.default_rng(200 + sum(shape))
+        stack = rng.standard_normal((3, 4, *shape)) + 1j * rng.standard_normal((3, 4, *shape))
+        unitaries, nuclear = polar_unitary(stack)
+        assert unitaries.shape == (3, 4, shape[1], shape[0])
+        assert nuclear.shape == (3, 4)
+        for index in np.ndindex(3, 4):
+            u, norm = polar_unitary(stack[index])
+            assert np.array_equal(unitaries[index], u)
+            assert nuclear[index] == norm
+
+    def test_phase_aligned_sum_stack_is_bit_for_bit_per_row(self):
+        rng = np.random.default_rng(300)
+        phi0, phi1 = rng.standard_normal((2, 7, 6)) + 1j * rng.standard_normal((2, 7, 6))
+        phi1[3] -= np.vdot(phi0[3], phi1[3]) / np.vdot(phi0[3], phi0[3]) * phi0[3]
+        vecs, overlaps = phase_aligned_sum(phi0, phi1)
+        assert overlaps[3] <= 1e-12  # the row that takes phase one
+        for row in range(7):
+            vec, overlap = phase_aligned_sum(phi0[row], phi1[row])
+            assert np.array_equal(vecs[row], vec)
+            assert overlaps[row] == overlap
+
     def test_phase_aligned_sum_of_orthogonal_states_uses_phase_one(self):
         phi0 = random_pure_state(6, 1).amplitudes
         raw = random_pure_state(6, 2).amplitudes
@@ -218,6 +241,45 @@ class TestAlignmentKernels:
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-15)
             for phi in (phi0, phi1):
                 assert abs(np.vdot(phi, vec)) ** 2 == pytest.approx((1.0 + overlap) / 2.0, abs=1e-14)
+
+
+def single_polar_unitary(m):
+    """The one-matrix polar kernel the stacked one replaced: its bits are the reference."""
+    w, s, vh = np.linalg.svd(m, full_matrices=False)
+    return vh.conj().T @ w.conj().T, float(s.sum())
+
+
+def single_phase_aligned_sum(phi0, phi1):
+    """The one-vector phase-aligned sum the row-wise one replaced."""
+    c = np.vdot(phi0, phi1)
+    phase = 1.0 if abs(c) <= 1e-12 else np.exp(-1j * np.angle(c))
+    vec = phi0 + phase * phi1
+    return vec / np.linalg.norm(vec), abs(c)
+
+
+def test_stacked_kernels_keep_the_bits_of_their_callers(monkeypatch):
+    protocols = [make() for make in ENGINE_PROTOCOLS.values()] + random_protocols(20, seed=77)
+
+    def outputs(p):
+        kit = qbc.optimal_cheat_kit(p)
+        parallel = max_parallel_overlap(p.chi0, p.chi1)
+        value, achiever = max_fidelity_sq_sum(*qbc.honest_reduced_states(p))
+        return (
+            kit.psi_max.amplitudes,
+            kit.u1,
+            kit.per_bit_success,
+            parallel.overlap,
+            parallel.maximizing_unitary,
+            value,
+            achiever.matrix,
+        )
+
+    stacked = [outputs(p) for p in protocols]
+    monkeypatch.setattr(qbc.distinguish, "polar_unitary", single_polar_unitary)
+    monkeypatch.setattr(qbc.distinguish, "phase_aligned_sum", single_phase_aligned_sum)
+    for p, now in zip(protocols, stacked):
+        for got, reference in zip(now, outputs(p)):
+            assert np.array_equal(got, reference)
 
 
 class TestMaxFidelitySqSum:

@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 
 import qbc
+from conftest import ENGINE_PROTOCOLS as PROTOCOLS
 from qbc import (
     CheatingAlice,
     CoinTossProtocol,
@@ -60,12 +61,6 @@ DRAWS = 2000
 ALICES = (HonestAlice(), HonestAlice(0), HonestAlice(1), CheatingAlice())
 BOBS = (HonestBob(), HelstromBob())
 TOSS_KINDS = ((False, False), (True, False), (False, True))
-PROTOCOLS = {
-    "commuting3d": lambda: qbc.family_protocol(qbc.Commuting3D(0.3)),
-    "qubit-pure-mixed": lambda: qbc.family_protocol(qbc.QubitPureMixed(0.4)),
-    "pure-pair": lambda: qbc.family_protocol(qbc.PurePair(0.7)),
-    "random8x8": lambda: qbc.random_protocol(8, 8, 88),
-}
 
 
 class BornReplay:

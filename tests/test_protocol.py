@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qbc
 from conftest import random_protocols
+from qbc.distinguish import polar_unitary
 from qbc.errors import DimMismatch, NotAMeasurement, NotNormalized, NotOrthogonal
 from qbc.linalg import DensityOperator, PureState, apply_to_proof, basis_state, bipartite
 from qbc.protocol import (
+    ASCENT_ITERATES,
+    ASCENT_STACK,
+    SEARCH_CHUNK,
     CheatingAlice,
     HelstromBob,
     HonestAlice,
@@ -30,6 +35,7 @@ from qbc.protocol import (
     security_report,
     simulate_run,
 )
+from qbc.protocol import _ascent_values, _best_responses, _raw_values
 
 
 def product_protocol():
@@ -428,6 +434,76 @@ class TestCheatSearch:
         for n in range(1, 251):
             assert random_cheat_search(p, n, seed=n).candidates_evaluated == n
 
+    @pytest.mark.parametrize("dims", [(16, 4), (4, 16), (3, 3), (2, 5), (5, 2)])
+    @pytest.mark.parametrize("rank", [1, 2, "full"])
+    def test_reduced_step_is_the_full_polar_step(self, dims, rank):
+        dp, dt = dims
+        rank = min(dims) if rank == "full" else rank
+        rng = np.random.default_rng(100 * dp + 10 * dt + rank)
+
+        def gaussian(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        a = gaussian(2, dp, rank) @ gaussian(2, rank, dt)  # chi pair of rank ``rank``
+        a /= np.linalg.norm(a, axis=(-2, -1), keepdims=True)
+        a_psi = gaussian(6, dp, dt)
+        a_psi /= np.linalg.norm(a_psi, axis=(-2, -1), keepdims=True)
+        reduced = _best_responses(a_psi, np.linalg.qr(a, mode="r"))
+        for i, b in np.ndindex(6, 2):
+            v, _ = polar_unitary(a_psi[i] @ a[b].conj().T)
+            assert np.max(np.abs(reduced[i, b] - v.conj().T @ a[b])) <= 1e-12
+
+    @pytest.mark.parametrize("n", [20, 10_000])
+    def test_one_svd_per_ascent_iterate(self, n, monkeypatch):
+        calls = []
+        original = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        random_cheat_search(random_protocol(3, 2, 7), n, seed=1)
+        assert len(calls) == min(ASCENT_ITERATES, n)
+
+    def test_memory_does_not_grow_with_the_budget(self):
+        p = random_protocol(2, 2, 3)
+        peaks = []
+        for n in (2_000, 200_000):
+            tracemalloc.start()
+            try:
+                random_cheat_search(p, n, seed=5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]  # one block of raw draws: 0.97 MB, then 91 MB
+
+    @pytest.mark.parametrize("n", [1, SEARCH_CHUNK, SEARCH_CHUNK + 1])
+    def test_values_equal_a_one_chunk_reference(self, n):
+        p = random_protocol(3, 2, 9)
+        r = np.linalg.qr(np.stack([p.chi0.as_matrix(), p.chi1.as_matrix()]), mode="r")
+
+        def raw(first, count):
+            return _raw_values(r, 3, 11, first, count)
+
+        def ascent(first, count):
+            return _ascent_values(r, 3, 11, first, count, 4)
+
+        for values, size in ((raw, SEARCH_CHUNK), (ascent, ASCENT_STACK)):
+            chunks = [values(first, min(size, n - first)) for first in range(0, n, size)]
+            assert np.array_equal(np.concatenate(chunks), values(0, n))
+
+    def test_result_does_not_depend_on_chunking(self, monkeypatch):
+        p = random_protocol(3, 2, 9)
+        budgets = (1, 3, 4, 67, 400)  # raw chunks and ascent stacks of 3, split or whole
+        monkeypatch.setattr(qbc.protocol, "SEARCH_CHUNK", 3)
+        monkeypatch.setattr(qbc.protocol, "ASCENT_STACK", 3)
+        chunked = [random_cheat_search(p, n, seed=n) for n in budgets]
+        assert chunked == [random_cheat_search(p, n, seed=n) for n in budgets]  # repeatable
+        monkeypatch.setattr(qbc.protocol, "SEARCH_CHUNK", 10**9)
+        monkeypatch.setattr(qbc.protocol, "ASCENT_STACK", 10**9)
+        assert chunked == [random_cheat_search(p, n, seed=n) for n in budgets]
+
 
 @pytest.mark.parametrize("count", [True, 2.0, 0, -1])
 def test_counts_must_be_integers_at_least_1(count):
@@ -451,16 +527,18 @@ def test_numpy_integer_counts_pass():
 
 @pytest.mark.parametrize("seed", [True, 2.5, -1, np.int64(-1), "7"])
 def test_seeds_must_be_integers_at_least_0(seed, monkeypatch):
-    """Both bulk entry points refuse the seed before any chunk is counted."""
+    """The seeded entry points refuse the seed before any chunk is counted or drawn."""
 
     def refuse(*args):
-        raise AssertionError("counted a chunk with an unchecked seed")
+        raise AssertionError("drew or counted with an unchecked seed")
 
     monkeypatch.setattr(qbc.protocol.StrategyTables, "_chunk_counts", refuse)
+    monkeypatch.setattr(qbc.protocol, "_complex_normals", refuse)
     p = qbc.family_protocol(qbc.Commuting3D(0.3))
     calls = (
         lambda: estimate_statistics(p, HonestAlice(), HelstromBob(), 100_000, seed),
         lambda: qbc.toss_statistics(qbc.CoinTossProtocol(p), "alice", 100_000, seed),
+        lambda: random_cheat_search(p, 20, seed),
     )
     message = "seed must be an integer >= 0, got " + re.escape(repr(seed))
     for call in calls:
@@ -473,6 +551,8 @@ def test_numpy_integer_seeds_pass():
     ct = qbc.CoinTossProtocol(p)
     estimate = estimate_statistics(p, CheatingAlice(), HelstromBob(), 5000, 7)
     toss = qbc.toss_statistics(ct, "bob", 5000, 7)
+    search = random_cheat_search(p, 100, 7)
     for seed in (np.int64(7), np.uint32(7)):
         assert estimate_statistics(p, CheatingAlice(), HelstromBob(), 5000, seed) == estimate
         assert qbc.toss_statistics(ct, "bob", 5000, seed) == toss
+        assert random_cheat_search(p, 100, seed) == search
