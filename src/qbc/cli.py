@@ -6,8 +6,10 @@ significant digits, key/column order is fixed, and every command honors
 ``--seed``, so identical invocations produce byte-identical files.
 
 Exit codes: 0 success; 1 bound or inequality violation found by ``check``;
-2 usage or spec-file validation error, or an unwritable ``--out`` path (the
-violated invariant or the I/O error is named on stderr); 3 numeric failure.
+2 a usage error, any :class:`~qbc.errors.QbcError` (a violated input
+invariant) or an ``OSError`` (an unwritable ``--out``); 3 a numeric failure,
+a ``ValueError`` (``LinAlgError`` among them) or ``FloatingPointError``.
+Exits 2 and 3 print ``Name: message`` on stderr.
 """
 
 from __future__ import annotations
@@ -16,20 +18,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .cointoss import CoinTossProtocol, biases, fair_toss_protocol, toss_statistics
 from .distinguish import inequalities_at
-from .errors import (
-    BadRank,
-    DimMismatch,
-    NotHermitian,
-    NotNormalized,
-    NotOrthogonal,
-    NotPositiveSemidefinite,
-    ParamOutOfRange,
-    QbcError,
-)
+from .errors import ParamOutOfRange, QbcError
 from .protocol import (
     CheatingAlice,
     HelstromBob,
@@ -41,13 +32,7 @@ from .protocol import (
     optimal_cheat_kit,
     security_report,
 )
-from .specfile import (
-    SpecFileError,
-    dumps_deterministic,
-    format_float,
-    parse_protocol_spec,
-    protocol_to_spec,
-)
+from .specfile import dumps_deterministic, format_float, parse_protocol_spec, protocol_to_spec
 from .tradeoff import (
     FAMILY_KINDS,
     Curve,
@@ -64,18 +49,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-_USAGE_ERRORS = (
-    SpecFileError,
-    NotOrthogonal,
-    NotNormalized,
-    DimMismatch,
-    NotHermitian,
-    NotPositiveSemidefinite,
-    ParamOutOfRange,
-    BadRank,
-    OSError,  # writing --out failed
-)
 
 _ALICE_CHOICES = {
     "honest0": HonestAlice(0),
@@ -363,12 +336,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except _USAGE_ERRORS as exc:
+    except (QbcError, OSError, ValueError, FloatingPointError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (QbcError, ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_USAGE if isinstance(exc, (QbcError, OSError)) else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

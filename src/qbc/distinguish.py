@@ -68,7 +68,7 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     return float(np.clip(singular_values.sum(), 0.0, 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HelstromMeasurement:
     """Optimal two-outcome discrimination of two equiprobable states.
 
@@ -97,7 +97,7 @@ def helstrom(rho0: DensityOperator, rho1: DensityOperator) -> HelstromMeasuremen
     return HelstromMeasurement(projector0, projector1, float(success))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParallelPurificationResult:
     """Outcome of aligning one purification with another.
 

@@ -1,7 +1,9 @@
 """Exception types raised by validation and simulation code.
 
-Class names double as machine-readable diagnostics: the CLI reports the
-name of the violated invariant by printing ``type(exc).__name__``.
+The contract: every :class:`QbcError` names a violated input invariant,
+so the input, not the numerics, is at fault.  Class names double as
+machine-readable diagnostics: the CLI prints ``type(exc).__name__`` and
+exits 2 for any of them, subclasses defined elsewhere included.
 """
 
 

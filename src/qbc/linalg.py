@@ -5,7 +5,8 @@ dataclasses (:class:`PureState`, :class:`DensityOperator`,
 :class:`BipartiteState`) validate their physics invariants on construction
 and freeze the underlying buffers, so values are safe to share: a
 protocol keeps its states and its strategy tables and hands the same
-arrays to every caller.
+arrays to every caller.  A record holding arrays compares and hashes by
+identity (``eq=False``), as arrays give ``==`` no single truth value.
 
 Each state invariant is one function here, which the single objects and
 the stacked core of :mod:`qbc.protocol` both call: the norm rule
@@ -94,7 +95,7 @@ def token_reductions(amplitudes: np.ndarray) -> np.ndarray:
     return (reduced + np.swapaxes(reduced, -2, -1).conj()) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized complex amplitude vector.
 
@@ -114,7 +115,7 @@ class PureState:
         return self.amplitudes.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian, positive-semidefinite, unit-trace matrix."""
 
@@ -145,8 +146,11 @@ class BipartiteState:
     state: PureState = field()
 
     def __post_init__(self):
-        if self.dim_proof < 1 or self.dim_token < 1:
-            raise DimMismatch("factor dimensions must be positive")
+        for name in ("dim_proof", "dim_token"):
+            dim = getattr(self, name)
+            if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+                raise DimMismatch(f"{name} must be an integer >= 1, got {dim!r}")
+            object.__setattr__(self, name, int(dim))
         if self.state.dim != self.dim_proof * self.dim_token:
             raise DimMismatch(
                 f"state dim {self.state.dim} != {self.dim_proof} x {self.dim_token}"

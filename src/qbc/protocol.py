@@ -76,6 +76,8 @@ class PurificationProtocol:
                     f"commitment state dims {chi.dim_proof}x{chi.dim_token}"
                     f" != protocol dims {self.dim_proof}x{self.dim_token}"
                 )
+        object.__setattr__(self, "dim_proof", self.chi0.dim_proof)  # ints, as the states hold them
+        object.__setattr__(self, "dim_token", self.chi0.dim_token)
         _check_orthogonal(self.chi0.as_matrix()[None], self.chi1.as_matrix()[None])
 
     def chi(self, bit: int) -> BipartiteState:
@@ -229,7 +231,7 @@ class SecurityReport:
             raise ValueError("c_max must equal fidelity / 2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CheatKit:
     """Everything cheating Alice needs.
 
@@ -301,12 +303,14 @@ def optimal_cheat_kit(p: PurificationProtocol) -> CheatKit:
 
     c being the overlap of the two terms (real and nonnegative by the
     alignment; the phase is 1 when c vanishes).  Both
-    |<chi_b|(u_b ⊗ I)|psi_max>|^2 then equal (1 + F)/2.
+    |<chi_b|(u_b ⊗ I)|psi_max>|^2 then equal (1 + F)/2.  ``per_bit_success``
+    is that float with c capped at 1, as :func:`~qbc.distinguish.max_fidelity_sq_sum`
+    caps it, so rounding at F = 1 cannot give a probability above 1.
     """
     u1, vec, overlap = aligned_superposition(p.chi0.as_matrix(), p.chi1.as_matrix())
     u0 = np.eye(p.dim_proof, dtype=np.complex128)
     psi_max = bipartite(p.dim_proof, p.dim_token, vec)
-    return CheatKit(psi_max, u0, u1, (1.0 + overlap) / 2.0)
+    return CheatKit(psi_max, u0, u1, (1.0 + min(float(overlap), 1.0)) / 2.0)
 
 
 # --------------------------------------------------------------------------
@@ -358,7 +362,7 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrategyTables:
     """Exact per-configuration probabilities for one strategy pairing.
 

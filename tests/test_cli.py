@@ -24,6 +24,11 @@ from qbc.specfile import (
 )
 
 
+def _qbc_error_classes(cls=qbc.errors.QbcError):
+    """QbcError and every subclass of it, found recursively."""
+    return [cls] + [sub for child in cls.__subclasses__() for sub in _qbc_error_classes(child)]
+
+
 def run_cli(args):
     return main(list(args))
 
@@ -334,6 +339,30 @@ class TestUsage:
         monkeypatch.setattr(cli_module, "security_report", boom)
         assert run_cli(["analyze", str(spec)]) == 3
         assert "LinAlgError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [(cls, 2) for cls in _qbc_error_classes()]
+        + [(OSError, 2), (ValueError, 3), (FloatingPointError, 3), (np.linalg.LinAlgError, 3)],
+        ids=lambda value: value.__name__ if isinstance(value, type) else str(value),
+    )
+    def test_failure_contract(self, capsys, monkeypatch, error, code):
+        """Any QbcError or OSError a handler raises exits 2, a numeric failure 3;
+        both print one ``Name: message`` line on stderr."""
+        import qbc.cli as cli_module
+
+        def boom(_):
+            raise error("raised by the handler")
+
+        monkeypatch.setattr(cli_module, "_cmd_make_spec", boom)
+        assert run_cli(["make-spec", "--family", "commuting3d", "--param", "0.3"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{error.__name__}: raised by the handler\n"
+
+    def test_failure_contract_covers_every_error_class(self):
+        defined = {name for name, obj in vars(qbc.errors).items() if isinstance(obj, type)}
+        assert {cls.__name__ for cls in _qbc_error_classes()} == defined | {"SpecFileError"}
 
     @pytest.mark.parametrize("command", ["analyze", "sweep"])
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys, command):

@@ -158,6 +158,17 @@ class TestValidation:
         with pytest.raises(DimMismatch):
             BipartiteState(2, 3, random_pure_state(5, 0))
 
+    def test_bipartite_numpy_integer_dims_are_stored_as_int(self):
+        state = BipartiteState(np.int64(2), np.uint8(3), random_pure_state(6, 0))
+        assert (state.dim_proof, state.dim_token) == (2, 3)
+        assert type(state.dim_proof) is int and type(state.dim_token) is int
+
+    @pytest.mark.parametrize("bad", [2.0, True, "2", 0, np.int64(-1)])
+    def test_bipartite_dims_must_be_integers_at_least_1(self, bad):
+        """A float, a bool or a non-positive dim is refused before ``as_matrix`` can fail on it."""
+        with pytest.raises(DimMismatch, match="dim_proof must be an integer >= 1"):
+            BipartiteState(bad, 1, random_pure_state(1, 0))
+
     def test_arrays_frozen(self):
         rho = random_density(2, 2, 0)
         with pytest.raises(ValueError):

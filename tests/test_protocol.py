@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import re
 import tracemalloc
 
@@ -63,6 +64,26 @@ class TestMakeProtocol:
     def test_family_states_orthogonal(self):
         p = qbc.family_protocol(qbc.Commuting3D(0.5))
         assert abs(np.vdot(p.chi0.amplitudes, p.chi1.amplitudes)) <= 1e-12
+
+    def test_records_holding_arrays_compare_by_identity(self):
+        """Two protocols built alike are distinct records: ``==`` and ``hash`` do
+        not touch their arrays, and a record holding the same protocol is equal."""
+        p, q = random_protocol(3, 2, 1), random_protocol(3, 2, 1)
+        assert p != q and p == p
+        assert len({p, q}) == 2
+        assert qbc.CoinTossProtocol(p) == qbc.CoinTossProtocol(p)
+        assert qbc.CoinTossProtocol(p) != qbc.CoinTossProtocol(q)
+        kit = optimal_cheat_kit(p)
+        assert kit == kit and kit != optimal_cheat_kit(p)
+        assert len({kit, kit.psi_max.state, qbc.helstrom(*honest_reduced_states(p))}) == 3
+
+    def test_numpy_integer_dims_reach_the_cheat_search(self):
+        p = random_protocol(np.int64(2), np.int64(2), 1)
+        direct = qbc.PurificationProtocol(np.int64(2), np.uint8(2), p.chi0, p.chi1)
+        expected = random_cheat_search(random_protocol(2, 2, 1), 20, 0)
+        for q in (p, direct):
+            assert type(q.dim_proof) is int and type(q.dim_token) is int
+            assert random_cheat_search(q, 20, 0) == expected
 
     def test_random_protocol_valid_and_deterministic(self):
         a = random_protocol(3, 2, 1)
@@ -190,6 +211,19 @@ class TestOptimalCheatKit:
     def test_identical_reductions_full_control(self):
         kit = optimal_cheat_kit(qbc.family_protocol(qbc.PurePair(0.0)))
         assert kit.per_bit_success == pytest.approx(1.0, abs=1e-12)
+
+    def test_equal_reductions_succeed_with_probability_at_most_1(self):
+        """chi_b = u_b ⊗ phi with orthonormal u_b has F = 1; the overlap's last
+        bit must not lift per_bit_success, a float, above 1."""
+        rng = np.random.default_rng(13)
+        for dp, dt, _ in itertools.product((2, 3, 4), (1, 2, 3, 4, 5), range(4)):
+            z = rng.standard_normal(dp * 2 + dt) + 1j * rng.standard_normal(dp * 2 + dt)
+            u, _ = np.linalg.qr(z[: dp * 2].reshape(dp, 2))
+            phi = z[dp * 2 :] / np.linalg.norm(z[dp * 2 :])
+            chi0, chi1 = (bipartite(dp, dt, np.kron(u[:, b], phi)) for b in (0, 1))
+            success = optimal_cheat_kit(make_protocol(chi0, chi1)).per_bit_success
+            assert type(success) is float
+            assert 1.0 - 1e-12 <= success <= 1.0
 
     def test_orthogonal_reductions_no_advantage(self):
         kit = optimal_cheat_kit(qbc.family_protocol(qbc.PurePair(np.pi / 2)))
