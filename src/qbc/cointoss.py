@@ -24,7 +24,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import BothCheat
+from .errors import BothCheat, ParamOutOfRange
 from .protocol import (
     CheatingAlice,
     HelstromBob,
@@ -139,12 +139,12 @@ def toss_statistics(
     block of four uniforms at offset 4*i of a Philox stream keyed by
     ``seed`` (columns: commit bit, guess bit, estimate, unveiling outcome),
     so results are seed-reproducible and independent of execution order;
-    a bool, non-integral or negative ``seed`` is refused with ``ValueError``.
+    a bool, non-integral or negative ``seed`` is refused with ``ParamOutOfRange``.
     Bob's guess is the guess bit, or his estimate when he cheats; cheating
     Alice targets 1 - guess.
     """
     if cheater not in ("none", "alice", "bob"):
-        raise ValueError(f"cheater must be 'none', 'alice' or 'bob', got {cheater!r}")
+        raise ParamOutOfRange(f"cheater must be 'none', 'alice' or 'bob', got {cheater!r}")
     if cheater == "alice":
         counts = strategy_tables(ct.base, CheatingAlice(), HonestBob()).sample_cells(
             n_tosses, seed, against_guess=True

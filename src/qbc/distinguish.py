@@ -91,10 +91,8 @@ def helstrom(rho0: DensityOperator, rho1: DensityOperator) -> HelstromMeasuremen
     projector0 = positive @ positive.conj().T
     projector0 = (projector0 + projector0.conj().T) / 2.0
     projector1 = np.eye(rho0.dim, dtype=np.complex128) - projector0
-    success = 0.5 * (
-        np.trace(projector0 @ rho0.matrix).real + np.trace(projector1 @ rho1.matrix).real
-    )
-    return HelstromMeasurement(projector0, projector1, float(success))
+    distance = np.clip(0.5 * np.abs(eigenvalues).sum(), 0.0, 1.0)
+    return HelstromMeasurement(projector0, projector1, float((1.0 + distance) / 2.0))
 
 
 @dataclass(frozen=True, eq=False)

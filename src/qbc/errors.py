@@ -1,13 +1,18 @@
 """Exception types raised by validation and simulation code.
 
-The contract: every :class:`QbcError` names a violated input invariant,
-so the input, not the numerics, is at fault.  Class names double as
-machine-readable diagnostics: the CLI prints ``type(exc).__name__`` and
-exits 2 for any of them, subclasses defined elsewhere included.
+The contract runs both ways: every :class:`QbcError` names a violated
+input invariant, so the input, not the numerics, is at fault; and every
+input the package refuses raises one.  ``QbcError`` is a ``ValueError``,
+as a refused caller value is; a plain ``ValueError`` from the package's
+own checks is an internal consistency failure that only a numerical fault
+can trip.  (A ``TypeError`` still marks an object of the wrong kind, such
+as an unknown family or curve.)  Class names double as machine-readable
+diagnostics: the CLI prints ``type(exc).__name__`` and exits 2 for any of
+them, subclasses defined elsewhere included.
 """
 
 
-class QbcError(Exception):
+class QbcError(ValueError):
     """Base class for all errors raised by this package."""
 
 

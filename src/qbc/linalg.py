@@ -33,6 +33,7 @@ from .errors import (
     NotHermitian,
     NotNormalized,
     NotPositiveSemidefinite,
+    ParamOutOfRange,
 )
 
 # Closed-form identities are checked at 1e-9.
@@ -197,7 +198,7 @@ def partial_trace(state: BipartiteState, keep: Factor) -> DensityOperator:
     if keep == "proof":
         a = a.T  # the proof reduction is the token reduction of A^T
     elif keep != "token":
-        raise ValueError(f"keep must be 'proof' or 'token', got {keep!r}")
+        raise ParamOutOfRange(f"keep must be 'proof' or 'token', got {keep!r}")
     return DensityOperator(token_reductions(a))
 
 

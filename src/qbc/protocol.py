@@ -42,7 +42,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .distinguish import aligned_superposition, helstrom, phase_aligned_sum, polar_unitary
-from .errors import DimMismatch, NotAMeasurement, NotOrthogonal, QbcError
+from .errors import DimMismatch, NotAMeasurement, NotOrthogonal, ParamOutOfRange, QbcError
 from .linalg import (
     BipartiteState,
     DensityOperator,
@@ -144,14 +144,14 @@ def random_protocol(dim_proof: int, dim_token: int, seed) -> PurificationProtoco
 def _checked_bit(value, name: str) -> int:
     """``value`` as the int 0 or 1; a bool or a non-integral value is refused."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value not in (0, 1):
-        raise ValueError(f"{name} must be the integer 0 or 1, got {value!r}")
+        raise ParamOutOfRange(f"{name} must be the integer 0 or 1, got {value!r}")
     return int(value)
 
 
 def _checked_integer(value, name: str, least: int) -> int:
     """``value`` as an int >= ``least``; a bool or a non-integral value is refused."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ParamOutOfRange(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
@@ -425,15 +425,15 @@ class StrategyTables:
         ``(n_runs, 4)`` block whatever the core count or the order in which
         chunks finish, and memory (about 1.6 MiB per worker) does not grow
         with ``n_runs``.  A bool, non-integral or negative ``seed`` is
-        refused with ``ValueError``.
+        refused with ``ParamOutOfRange``.
         """
         n_runs = _checked_integer(n_runs, "the run count", 1)
         seed = _checked_integer(seed, "the seed", 0)
-        starts = range(0, n_runs, MC_CHUNK_RUNS)
         chunks = (
-            (seed, start, min(MC_CHUNK_RUNS, n_runs - start), against_guess) for start in starts
+            (seed, start, min(MC_CHUNK_RUNS, n_runs - start), against_guess)
+            for start in range(0, n_runs, MC_CHUNK_RUNS)
         )
-        workers = min(_available_cpus(), len(starts), MC_MAX_WORKERS)
+        workers = min(_available_cpus(), -(-n_runs // MC_CHUNK_RUNS), MC_MAX_WORKERS)
         shape = self.out_cum.shape[:3] + (3,)
         counts = np.zeros(np.prod(shape), dtype=np.int64)
         if workers == 1:
@@ -503,13 +503,13 @@ def strategy_tables(
     tables of all eight pairings (four Alices, two Bobs) on first use and
     keeps them, freed with it; later calls return the same objects.  Their
     arrays are read-only, because every caller shares them.  Any other
-    pairing is refused with ``ValueError``.
+    pairing is refused with ``ParamOutOfRange``.
     """
     store = p._table_store
     try:
         return store[alice, bob]
     except (KeyError, TypeError):  # TypeError: an unhashable strategy
-        raise ValueError(f"unknown strategy pairing: alice={alice!r}, bob={bob!r}") from None
+        raise ParamOutOfRange(f"unknown strategy pairing: alice={alice!r}, bob={bob!r}") from None
 
 
 def _build_strategy_tables(p: PurificationProtocol) -> dict:
@@ -652,7 +652,7 @@ def estimate_statistics(
     honest Alice with ``bit=None`` also draws her committed bit uniformly
     per run (equal priors), which is the setting in which the closed forms
     p_estimate = (1 + D)/2 and p_unveil = (1 + F)/2 apply.  A bool,
-    non-integral or negative ``seed`` is refused with ``ValueError``.
+    non-integral or negative ``seed`` is refused with ``ParamOutOfRange``.
     """
     tables = strategy_tables(p, alice, bob)
     p_estimate, p_unveil = _game_rates(tables, tables.sample_cells(n_runs, seed), n_runs)
@@ -719,7 +719,7 @@ def random_cheat_search(p: PurificationProtocol, n_candidates: int, seed: int) -
     first item.  So an item's draws are a pure function of ``(seed,
     index)``, the result does not depend on the chunk or stack size, and
     memory does not grow with ``n_candidates``.  A bool, non-integral or
-    negative ``seed`` is refused with ``ValueError``.
+    negative ``seed`` is refused with ``ParamOutOfRange``.
     """
     n_candidates = _checked_integer(n_candidates, "n_candidates", 1)
     seed = _checked_integer(seed, "the seed", 0)

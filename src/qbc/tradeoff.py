@@ -143,7 +143,7 @@ class TradeoffPoint:
     def __post_init__(self):
         for label, value in (("g_max", self.g_max), ("c_max", self.c_max)):
             if not -BOUND_TOL <= value <= 0.5 + BOUND_TOL:
-                raise ValueError(f"{label} = {value} outside [0, 1/2]")
+                raise ParamOutOfRange(f"{label} = {value} outside [0, 1/2]")
 
 
 def sweep(

@@ -33,6 +33,13 @@ def run_cli(args):
     return main(list(args))
 
 
+def assert_refused(capsys, message):
+    """The library refused an input: one ``ParamOutOfRange`` line, nothing on stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ParamOutOfRange: {message}\n"
+
+
 def make_spec_file(tmp_path, family, param, name="protocol.json"):
     path = tmp_path / name
     assert run_cli(["make-spec", "--family", family, "--param", str(param), "--out", str(path)]) == 0
@@ -229,12 +236,19 @@ class TestSimulate:
     def test_non_positive_runs_is_usage_error(self, tmp_path, capsys, runs):
         spec = make_spec_file(tmp_path, "commuting3d", 0.3)
         assert run_cli(["simulate", str(spec), "--runs", runs]) == 2
-        assert f"--runs: must be >= 1, got {int(runs)}" in capsys.readouterr().err
+        assert_refused(capsys, f"the run count must be an integer >= 1, got {runs}")
 
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         spec = make_spec_file(tmp_path, "commuting3d", 0.3)
         assert run_cli(["simulate", str(spec), "--seed", "-1"]) == 2
-        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert_refused(capsys, "the seed must be an integer >= 0, got -1")
+
+    def test_non_integer_runs_is_an_argparse_error(self, tmp_path, capsys):
+        spec = make_spec_file(tmp_path, "commuting3d", 0.3)
+        assert run_cli(["simulate", str(spec), "--runs", "1.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --runs: invalid int value: '1.5'" in captured.err
 
     def test_csv_shape(self, tmp_path, capsys):
         spec = make_spec_file(tmp_path, "pure-pair", 1.0)
@@ -274,11 +288,11 @@ class TestCointoss:
     @pytest.mark.parametrize("runs", ["0", "-5"])
     def test_non_positive_runs_is_usage_error(self, capsys, runs):
         assert run_cli(["cointoss", "--runs", runs]) == 2
-        assert f"--runs: must be >= 1, got {int(runs)}" in capsys.readouterr().err
+        assert_refused(capsys, f"the run count must be an integer >= 1, got {runs}")
 
     def test_negative_seed_is_usage_error(self, capsys):
         assert run_cli(["cointoss", "--seed", "-1"]) == 2
-        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert_refused(capsys, "the seed must be an integer >= 0, got -1")
 
     def test_param_requires_family(self, capsys):
         assert run_cli(["cointoss", "--param", "0.3"]) == 2
@@ -316,7 +330,13 @@ class TestCheck:
         assert run_cli(["check", "--point", "0.25", "0.25"]) == 0
 
     def test_out_of_range_point_is_usage_error(self, capsys):
-        assert run_cli(["check", "--point", "0.7", "0.1"]) == 2
+        assert run_cli(["check", "--point", "0.25", "0.25", "--point", "0.7", "0.1"]) == 2
+        assert_refused(capsys, "g_max = 0.7 outside [0, 1/2]")
+
+    def test_point_box_allows_the_bound_tolerance(self, capsys):
+        assert run_cli(["check", "--point", "0.5000000001", "0.2"]) == 0
+        line = f"OK point gMax={format_float(0.5000000001)} cMax={format_float(0.2)} above_curve_I\n"
+        assert capsys.readouterr().out == line
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert run_cli(["check"]) == 2

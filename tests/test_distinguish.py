@@ -110,6 +110,22 @@ class TestHelstrom:
             expected = 0.5 + trace_distance(rho0, rho1) / 2
             assert m.success_probability == pytest.approx(expected, abs=1e-9)
 
+    def test_orthogonal_reductions_succeed_with_probability_at_most_1(self):
+        """chi_b = phi_b ⊗ t_b with orthonormal t_b has D = 1; the success is
+        (1 + D)/2 with D clipped, so its last bit cannot pass 1."""
+        rng = np.random.default_rng(14)
+        for index in range(2000):
+            dp, dt = 1 + index % 3, 2 + (index // 3) % 4
+            z = rng.standard_normal(2 * dp + 2 * dt) + 1j * rng.standard_normal(2 * dp + 2 * dt)
+            t, _ = np.linalg.qr(z[: 2 * dt].reshape(dt, 2))
+            phi = z[2 * dt :].reshape(2, dp)
+            chi = [np.kron(phi[b] / np.linalg.norm(phi[b]), t[:, b]) for b in (0, 1)]
+            p = qbc.make_protocol(*(qbc.bipartite(dp, dt, amplitudes) for amplitudes in chi))
+            rho0, rho1 = qbc.honest_reduced_states(p)
+            success = helstrom(rho0, rho1).success_probability
+            assert success <= 1.0
+            assert abs(success - (1.0 + trace_distance(rho0, rho1)) / 2.0) <= 1e-12
+
 
 class TestMaxParallelOverlap:
     def test_identical_purifications(self):

@@ -344,6 +344,26 @@ def test_workers_are_capped(monkeypatch):
     assert 1 < len(threads) <= MC_MAX_WORKERS
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_huge_run_counts_reach_the_chunks(workers, monkeypatch):
+    """The chunks of 1e30 runs are counted arithmetically, not by ``len`` of
+    a range, which overflows a C ssize_t above about 3e23 runs."""
+
+    class Sentinel(Exception):
+        pass
+
+    def refuse(self, *chunk):
+        raise Sentinel
+
+    monkeypatch.setattr(qbc.protocol.StrategyTables, "_chunk_counts", refuse)
+    monkeypatch.setattr(qbc.protocol, "_available_cpus", lambda: workers)
+    p = PROTOCOLS["commuting3d"]()
+    with pytest.raises(Sentinel):
+        estimate_statistics(p, CheatingAlice(), HelstromBob(), 10**30, 0)
+    with pytest.raises(Sentinel):
+        toss_statistics(CoinTossProtocol(p), "alice", 10**30, 0)
+
+
 def test_a_failing_chunk_fails_the_call(monkeypatch):
     """An exception in one chunk reaches the caller, and the pool's threads
     are gone when it does."""

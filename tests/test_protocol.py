@@ -12,8 +12,8 @@ import pytest
 import qbc
 from conftest import random_protocols
 from qbc.distinguish import polar_unitary
-from qbc.errors import DimMismatch, NotAMeasurement, NotNormalized, NotOrthogonal
-from qbc.linalg import DensityOperator, PureState, apply_to_proof, basis_state, bipartite
+from qbc.errors import DimMismatch, NotAMeasurement, NotNormalized, NotOrthogonal, QbcError
+from qbc.linalg import DensityOperator, PureState, apply_to_proof, basis_state, bipartite, partial_trace
 from qbc.protocol import (
     ASCENT_ITERATES,
     ASCENT_STACK,
@@ -35,6 +35,7 @@ from qbc.protocol import (
     random_protocol,
     security_report,
     simulate_run,
+    strategy_tables,
 )
 from qbc.protocol import _ascent_values, _best_responses, _raw_values
 
@@ -590,3 +591,46 @@ def test_numpy_integer_seeds_pass():
         assert estimate_statistics(p, CheatingAlice(), HelstromBob(), 5000, seed) == estimate
         assert qbc.toss_statistics(ct, "bob", 5000, seed) == toss
         assert random_cheat_search(p, 100, seed) == search
+
+
+REFUSED_INPUTS = {
+    "bit": (lambda p: HonestAlice(2), "bit must be the integer 0 or 1, got 2"),
+    "target-bit": (
+        lambda p: simulate_run(p, CheatingAlice(), HonestBob(), 0.5, np.random.default_rng(0)),
+        "target_bit must be the integer 0 or 1, got 0.5",
+    ),
+    "run-count": (
+        lambda p: estimate_statistics(p, HonestAlice(), HonestBob(), 0, 0),
+        "the run count must be an integer >= 1, got 0",
+    ),
+    "candidate-count": (
+        lambda p: random_cheat_search(p, -3, 0),
+        "n_candidates must be an integer >= 1, got -3",
+    ),
+    "seed": (
+        lambda p: qbc.toss_statistics(qbc.CoinTossProtocol(p), "bob", 10, -1),
+        "the seed must be an integer >= 0, got -1",
+    ),
+    "pairing": (
+        lambda p: strategy_tables(p, HonestAlice(), "helstrom"),
+        "unknown strategy pairing: alice=HonestAlice(bit=None), bob='helstrom'",
+    ),
+    "cheater": (
+        lambda p: qbc.toss_statistics(qbc.CoinTossProtocol(p), "both", 10, 0),
+        "cheater must be 'none', 'alice' or 'bob', got 'both'",
+    ),
+    "keep": (lambda p: partial_trace(p.chi0, "both"), "keep must be 'proof' or 'token', got 'both'"),
+    "point": (lambda p: qbc.TradeoffPoint(0.25, 0.7, 0.0), "c_max = 0.7 outside [0, 1/2]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_INPUTS))
+def test_every_refused_input_is_a_qbc_error(name):
+    """The converse of the failure contract: a value the library refuses
+    raises a ``QbcError`` (here ``ParamOutOfRange``), which is still a
+    ``ValueError`` to callers that catch that."""
+    call, message = REFUSED_INPUTS[name]
+    p = qbc.family_protocol(qbc.Commuting3D(0.3))
+    with pytest.raises(QbcError, match=re.escape(message)) as caught:
+        call(p)
+    assert type(caught.value) is qbc.ParamOutOfRange and isinstance(caught.value, ValueError)
