@@ -16,6 +16,7 @@ Exits 2 and 3 print ``Name: message`` on stderr.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -249,8 +250,24 @@ def _cmd_make_spec(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads every negative float literal as a value.
+
+    Before Python 3.13 argparse takes a token for a negative number only in
+    the forms ``-5`` and ``-0.5``.  ``check --point -1e-10 0.5`` then read
+    ``-1e-10`` (or ``-inf``) as an unknown option, so the point never
+    reached its range check.  Subcommand parsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        )
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbc",
         description="Analyze and simulate purification bit-commitment protocols.",
     )

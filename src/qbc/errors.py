@@ -6,9 +6,10 @@ input the package refuses raises one.  ``QbcError`` is a ``ValueError``,
 as a refused caller value is; a plain ``ValueError`` from the package's
 own checks is an internal consistency failure that only a numerical fault
 can trip.  (A ``TypeError`` still marks an object of the wrong kind, such
-as an unknown family or curve.)  Class names double as machine-readable
-diagnostics: the CLI prints ``type(exc).__name__`` and exits 2 for any of
-them, subclasses defined elsewhere included.
+as an unknown curve; an unknown family is a refused input.)  Class names
+double as machine-readable diagnostics: the CLI prints
+``type(exc).__name__`` and exits 2 for any of them, subclasses defined
+elsewhere included.
 """
 
 

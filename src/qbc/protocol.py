@@ -267,7 +267,8 @@ def distance_fidelity(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.nd
 
     ``a0`` and ``a1`` hold chi0 and chi1 of n protocols as (n, dim_proof,
     dim_token) amplitude matrices A_b.  The reductions rho_b = A_b^T A_b^*
-    (:func:`~qbc.linalg.token_reductions`) pass the density rule of
+    (:func:`~qbc.linalg.token_reductions`), written with rho0 - rho1 into one
+    (3, n, dim_token, dim_token) buffer, pass the density rule of
     :func:`~qbc.linalg.check_spectra`, as in :class:`DensityOperator`; then
 
         D = (1/2) sum |eigenvalues of rho0 - rho1|
@@ -278,8 +279,12 @@ def distance_fidelity(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.nd
     where a reduction has eigenvalues far below rounding noise (F = 1e-7 at
     an eigenvalue of 1e-14).
     """
-    rho = token_reductions(np.stack([a0, a1]))
-    eigenvalues = np.linalg.eigvalsh(np.concatenate([rho, (rho[0] - rho[1])[None]]))
+    n, _, dim_token = a0.shape
+    rho = np.empty((3, n, dim_token, dim_token), dtype=np.complex128)
+    rho[0] = token_reductions(a0)
+    rho[1] = token_reductions(a1)
+    np.subtract(rho[0], rho[1], out=rho[2])
+    eigenvalues = np.linalg.eigvalsh(rho)
     check_spectra(eigenvalues[:2])
     d = np.clip(0.5 * np.abs(eigenvalues[2]).sum(axis=-1), 0.0, 1.0)
     singular_values = np.linalg.svd(a1 @ np.swapaxes(a0, -2, -1).conj(), compute_uv=False)

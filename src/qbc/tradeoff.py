@@ -16,9 +16,10 @@ drop below; ``check_bounds`` flags points that would.
 
 Each family purifies its target reductions with orthogonal proof-side
 supports, which makes <chi0|chi1> = 0 automatic for every parameter value
-and uses the smallest proof dimension that allows it.  One function lays
-out the amplitudes of a whole stack of family members; a single protocol
-is a stack of one.
+and uses the smallest proof dimension that allows it.  One table holds
+each family's parameter range, checked on a whole parameter array at once,
+and one function lays out the amplitudes of a whole stack of members
+straight from that array; a single protocol is a stack of one.
 """
 
 from __future__ import annotations
@@ -26,13 +27,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .errors import ParamOutOfRange
 from .linalg import bipartite
-from .protocol import PurificationProtocol, checked_stacks, distance_fidelity, make_protocol
+from .protocol import (
+    PurificationProtocol,
+    _checked_integer,
+    checked_stacks,
+    distance_fidelity,
+    make_protocol,
+)
 
 BOUND_TOL = 1e-9
 
@@ -47,8 +54,7 @@ class Commuting3D:
     lam: float
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ParamOutOfRange(f"lam must lie in [0, 1], got {self.lam}")
+        _checked_params(Commuting3D, [self.lam])
 
 
 @dataclass(frozen=True)
@@ -58,8 +64,7 @@ class QubitPureMixed:
     lam: float
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ParamOutOfRange(f"lam must lie in [0, 1], got {self.lam}")
+        _checked_params(QubitPureMixed, [self.lam])
 
 
 @dataclass(frozen=True)
@@ -69,8 +74,7 @@ class PurePair:
     phi: float
 
     def __post_init__(self):
-        if not 0.0 <= self.phi <= math.pi / 2.0 + 1e-12:
-            raise ParamOutOfRange(f"phi must lie in [0, pi/2], got {self.phi}")
+        _checked_params(PurePair, [self.phi])
 
 
 ProtocolFamily = Union[Commuting3D, QubitPureMixed, PurePair]
@@ -82,42 +86,85 @@ FAMILY_KINDS: dict[str, Callable[[float], ProtocolFamily]] = {
 }
 
 
-def _amplitude_stacks(members: Sequence[ProtocolFamily]) -> tuple[np.ndarray, np.ndarray]:
-    """(chi0, chi1) of members of one family as (n, dim_proof, dim_token) amplitudes."""
-    kind = type(members[0])
-    if any(type(m) is not kind for m in members):
-        raise TypeError("a stack holds members of one family")
-    n = len(members)
+class _ParamRange(NamedTuple):
+    name: str  # the family's parameter field
+    label: str  # the range as messages print it
+    upper: float  # top of the uniform grid
+    high: float  # largest value accepted
+
+
+_PARAM_RANGES: dict[type, _ParamRange] = {
+    Commuting3D: _ParamRange("lam", "[0, 1]", 1.0, 1.0),
+    QubitPureMixed: _ParamRange("lam", "[0, 1]", 1.0, 1.0),
+    PurePair: _ParamRange("phi", "[0, pi/2]", math.pi / 2.0, math.pi / 2.0 + 1e-12),
+}
+
+
+def _param_range(kind) -> _ParamRange:
+    try:
+        return _PARAM_RANGES[kind]
+    except (KeyError, TypeError):
+        raise ParamOutOfRange(f"unknown family {kind!r}") from None
+
+
+_REALS = (int, float, np.integer, np.floating)
+
+
+def _checked_params(kind, params: Sequence) -> np.ndarray:
+    """``params`` as a float64 array, refused unless every entry lies in ``kind``'s range.
+
+    A non-real entry (a string, a complex number, None) and NaN are out of
+    range; the message names the first entry refused.
+    """
+    rng = _param_range(kind)
+    try:
+        values = np.asarray(params)
+    except ValueError:  # a ragged nesting
+        values = np.asarray(params, dtype=object)
+    if values.ndim == 1 and values.dtype.kind in "biuf":
+        values = values.astype(np.float64, copy=False)
+        if ((values >= 0.0) & (values <= rng.high)).all():
+            return values
+    refused = next(
+        (x for x in params if not (isinstance(x, _REALS) and 0.0 <= x <= rng.high)), params
+    )
+    raise ParamOutOfRange(f"{rng.name} must lie in {rng.label}, got {refused}")
+
+
+def _amplitude_stacks(kind, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(chi0, chi1) of the members ``kind(x)`` as (len(x), dim_proof, dim_token) amplitudes.
+
+    ``x`` is a float64 array of checked parameters (:func:`_checked_params`);
+    the stacks are laid out from it directly, with no member objects.
+    """
+    n = x.shape[0]
     if kind is Commuting3D:
-        lam = np.array([m.lam for m in members])
         a0 = np.zeros((n, 4, 3), dtype=np.complex128)
         a1 = np.zeros((n, 4, 3), dtype=np.complex128)
-        a0[:, 0, 0] = np.sqrt(lam)
-        a0[:, 1, 1] = np.sqrt(1.0 - lam)
-        a1[:, 2, 2] = np.sqrt(lam)
-        a1[:, 3, 1] = np.sqrt(1.0 - lam)
+        a0[:, 0, 0] = np.sqrt(x)
+        a0[:, 1, 1] = np.sqrt(1.0 - x)
+        a1[:, 2, 2] = np.sqrt(x)
+        a1[:, 3, 1] = np.sqrt(1.0 - x)
     elif kind is QubitPureMixed:
-        lam = np.array([m.lam for m in members])
         a0 = np.zeros((n, 3, 2), dtype=np.complex128)
         a1 = np.zeros((n, 3, 2), dtype=np.complex128)
         a0[:, 0, 0] = 1.0
-        a1[:, 1, 0] = np.sqrt(lam)
-        a1[:, 2, 1] = np.sqrt(1.0 - lam)
-    elif kind is PurePair:
-        phi = np.array([m.phi for m in members])
+        a1[:, 1, 0] = np.sqrt(x)
+        a1[:, 2, 1] = np.sqrt(1.0 - x)
+    else:
         a0 = np.zeros((n, 2, 2), dtype=np.complex128)
         a1 = np.zeros((n, 2, 2), dtype=np.complex128)
         a0[:, 0, 0] = 1.0
-        a1[:, 1, 0] = np.cos(phi)
-        a1[:, 1, 1] = np.sin(phi)
-    else:
-        raise TypeError(f"unknown family {members[0]!r}")
+        a1[:, 1, 0] = np.cos(x)
+        a1[:, 1, 1] = np.sin(x)
     return a0, a1
 
 
 def family_protocol(family: ProtocolFamily) -> PurificationProtocol:
     """Build the purification protocol realizing a family member's reductions."""
-    a0, a1 = _amplitude_stacks([family])
+    kind = type(family)
+    x = np.array([getattr(family, _param_range(kind).name)], dtype=np.float64)
+    a0, a1 = _amplitude_stacks(kind, x)
     dim_proof, dim_token = a0.shape[1:]
     return make_protocol(
         bipartite(dim_proof, dim_token, a0[0].reshape(-1)),
@@ -141,9 +188,10 @@ class TradeoffPoint:
     family_param: float
 
     def __post_init__(self):
-        for label, value in (("g_max", self.g_max), ("c_max", self.c_max)):
-            if not -BOUND_TOL <= value <= 0.5 + BOUND_TOL:
-                raise ParamOutOfRange(f"{label} = {value} outside [0, 1/2]")
+        if not -BOUND_TOL <= self.g_max <= 0.5 + BOUND_TOL:
+            raise ParamOutOfRange(f"g_max = {self.g_max} outside [0, 1/2]")
+        if not -BOUND_TOL <= self.c_max <= 0.5 + BOUND_TOL:
+            raise ParamOutOfRange(f"c_max = {self.c_max} outside [0, 1/2]")
 
 
 def sweep(
@@ -153,32 +201,34 @@ def sweep(
 ) -> list[TradeoffPoint]:
     """Evaluate (g_max, c_max) for every parameter of one family.
 
-    The members' amplitudes are built as stacks of up to
-    ``SWEEP_CHUNK_POINTS``, each validated once and passed through
-    :func:`~qbc.protocol.distance_fidelity` in a single call, so a sweep
-    costs two decompositions per chunk and its working arrays never hold
-    more than one chunk.  Each point equals
-    ``security_report(family_protocol(family_kind(param)))`` bit for bit;
-    points are returned in the order of ``params``.  ``max_workers`` is
-    accepted for callers of the former thread pool and ignored.
+    The whole parameter array is checked against the family's range at
+    once; then the members' amplitudes are laid out straight from it, in
+    stacks of up to ``SWEEP_CHUNK_POINTS``, each validated once and passed
+    through :func:`~qbc.protocol.distance_fidelity` in a single call.  No
+    family member object is built, a sweep costs two decompositions per
+    chunk, and its working arrays, the float64 parameter array aside, never
+    hold more than one chunk.  Each point equals
+    ``security_report(family_protocol(family_kind(param)))`` bit for bit
+    and holds the caller's ``param`` object; points are returned in the
+    order of ``params``.  ``max_workers`` is accepted for callers of the
+    former thread pool and ignored.
     """
     params = list(params)
+    x = _checked_params(family_kind, params)
     points = []
     for start in range(0, len(params), SWEEP_CHUNK_POINTS):
-        chunk = params[start : start + SWEEP_CHUNK_POINTS]
-        a0, a1 = checked_stacks(*_amplitude_stacks([family_kind(x) for x in chunk]))
-        d, f = distance_fidelity(a0, a1)
-        points += [
-            TradeoffPoint(g, c, x) for g, c, x in zip((d / 2.0).tolist(), (f / 2.0).tolist(), chunk)
-        ]
+        stop = start + SWEEP_CHUNK_POINTS
+        d, f = distance_fidelity(*checked_stacks(*_amplitude_stacks(family_kind, x[start:stop])))
+        points += map(TradeoffPoint, (d / 2.0).tolist(), (f / 2.0).tolist(), params[start:stop])
     return points
 
 
 def uniform_grid(family_kind: Callable[[float], ProtocolFamily], n_points: int) -> list[float]:
     """n_points uniformly spaced parameters spanning the family's full range."""
+    upper = _param_range(family_kind).upper
+    n_points = _checked_integer(n_points, "the grid point count", 0)
     if n_points < 2:
         raise ParamOutOfRange("need at least 2 grid points")
-    upper = math.pi / 2.0 if family_kind is PurePair else 1.0
     return [upper * i / (n_points - 1) for i in range(n_points)]
 
 

@@ -338,6 +338,23 @@ class TestCheck:
         line = f"OK point gMax={format_float(0.5000000001)} cMax={format_float(0.2)} above_curve_I\n"
         assert capsys.readouterr().out == line
 
+    @pytest.mark.parametrize("g", ["-1e-10", "-1E-10", "-.1e-9"])
+    def test_negative_exponent_coordinate_is_a_number(self, g, capsys):
+        assert run_cli(["check", "--point", "-0.0000000001", "0.5"]) == 0
+        decimal = capsys.readouterr()
+        assert run_cli(["check", "--point", g, "0.5", "--point", "0.5", "-1e-10"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == decimal.out + (
+            f"OK point gMax={format_float(0.5)} cMax={format_float(-1e-10)} above_curve_I\n"
+        )
+        assert decimal.out == "OK point gMax=-1e-10 cMax=0.5 above_curve_I\n"
+
+    @pytest.mark.parametrize("g", ["-inf", "-Infinity", "-nan"])
+    def test_negative_non_finite_coordinate_is_refused_by_name(self, g, capsys):
+        assert run_cli(["check", "--point", g, "0.5"]) == 2
+        assert_refused(capsys, f"g_max = {float(g)} outside [0, 1/2]")
+
     def test_no_arguments_is_usage_error(self, capsys):
         assert run_cli(["check"]) == 2
 

@@ -135,6 +135,76 @@ class TestSweep:
     def test_empty(self):
         assert sweep(Commuting3D, []) == []
 
+    def test_refuses_the_first_bad_member_as_the_member_does(self):
+        with pytest.raises(ParamOutOfRange) as member:
+            QubitPureMixed(1.5)
+        with pytest.raises(ParamOutOfRange) as swept:
+            sweep(QubitPureMixed, [0.2, 1.5, -1.0])
+        assert str(swept.value) == str(member.value) == "lam must lie in [0, 1], got 1.5"
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_nan_is_refused(self, kind):
+        with pytest.raises(ParamOutOfRange, match="got nan"):
+            kind(float("nan"))
+        with pytest.raises(ParamOutOfRange, match="got nan"):
+            sweep(kind, [0.2, float("nan")])
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_array_and_list_sweep_alike(self, kind):
+        params = uniform_grid(kind, 51) + edge_params(kind)
+        assert sweep(kind, np.array(params)) == sweep(kind, params)
+        assert sweep(kind, iter(params)) == sweep(kind, params)
+
+    def test_points_hold_the_callers_parameters(self):
+        params = [0.25, 1, np.float32(0.5), True]
+        points = sweep(Commuting3D, params)
+        assert all(pt.family_param is x for pt, x in zip(points, params))
+
+
+class TestRefusedInputs:
+    """Every input the family code refuses is a ParamOutOfRange."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sweep(int, [0.5]),
+            lambda: sweep(Commuting3D, [0.2, "x"]),
+            lambda: sweep(Commuting3D, [0.2, 0.3j]),
+            lambda: sweep(Commuting3D, [0.2, None]),
+            lambda: sweep(Commuting3D, [0.2, [0.3, 0.4]]),
+            lambda: uniform_grid(Commuting3D, 3.0),
+            lambda: uniform_grid(Commuting3D, True),
+            lambda: uniform_grid(int, 3),
+            lambda: family_protocol(0.5),
+            lambda: Commuting3D("0.5"),
+        ],
+        ids=[
+            "sweep-unknown-family",
+            "sweep-string",
+            "sweep-complex",
+            "sweep-none",
+            "sweep-nested",
+            "grid-float-count",
+            "grid-bool-count",
+            "grid-unknown-family",
+            "protocol-of-a-float",
+            "member-string",
+        ],
+    )
+    def test_refused_with_param_out_of_range(self, call):
+        with pytest.raises(ParamOutOfRange):
+            call()
+
+    def test_too_few_grid_points(self):
+        with pytest.raises(ParamOutOfRange, match="^need at least 2 grid points$"):
+            uniform_grid(PurePair, 1)
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_numpy_integer_point_count(self, kind):
+        grid = uniform_grid(kind, np.int64(3))
+        assert grid == uniform_grid(kind, 3)
+        assert all(type(x) is float for x in grid)
+
 
 class TestEdgeGrid:
     """Closed forms at the ends of each family's range, through both routes."""
