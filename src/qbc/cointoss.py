@@ -136,9 +136,12 @@ def toss_statistics(
 
     The tosses are commitment runs counted per cell by
     :meth:`~qbc.protocol.StrategyTables.sample_cells`: toss i consumes the
-    block of four uniforms at offset 4*i of a Philox stream keyed by
+    four 64-bit words of counter step i of a Philox stream keyed by
     ``seed`` (columns: commit bit, guess bit, estimate, unveiling outcome),
-    so results are seed-reproducible and independent of execution order;
+    so results are seed-reproducible and independent of execution order.
+    Each rule compares a word's top 53 bits m with ``ceil(p * 2**53)``, bit
+    for bit the rule ``u >= p`` on the uniform u = m * 2**-53 of
+    ``Generator.random``, through the draw helper the cheat search shares;
     a bool, non-integral or negative ``seed`` is refused with ``ParamOutOfRange``.
     Bob's guess is the guess bit, or his estimate when he cheats; cheating
     Alice targets 1 - guess.

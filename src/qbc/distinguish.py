@@ -61,7 +61,16 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 
 def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """F(rho, sigma) = sum of singular values of sqrt(rho) sqrt(sigma)."""
+    """F(rho, sigma) = sum of singular values of sqrt(rho) sqrt(sigma).
+
+    The square roots are :func:`~qbc.linalg.sqrt_psd`'s, which zero every
+    eigenvalue below ``SQRT_NOISE_FLOOR = 1e-13``, so overlap carried by
+    such eigenvalues is lost: on the honest reductions of
+    ``QubitPureMixed(1e-14)`` this reads 0.0 where F is 1e-7, and on
+    ``QubitPureMixed(1e-13)`` 0.0 against 3.16e-7.  For a protocol's own F
+    use :func:`~qbc.protocol.security_report`, whose Uhlmann route takes no
+    square root and has no floor.
+    """
     _check_same_dim(rho, sigma)
     product = sqrt_psd(rho) @ sqrt_psd(sigma)
     singular_values = np.linalg.svd(product, compute_uv=False)

@@ -215,7 +215,10 @@ def sqrt_psd(rho: DensityOperator) -> np.ndarray:
 
     The spectrum must pass :func:`check_spectra`; eigenvalues below
     ``SQRT_NOISE_FLOOR`` are then zeroed before the square root.  This is
-    the one place that floor is applied.
+    the one place that floor is applied.  It drops real weight too: an
+    eigenvalue of 1e-14 has the square root 1e-7, which
+    :func:`~qbc.distinguish.fidelity` then loses (it reads 0.0 for
+    ``QubitPureMixed(1e-14)``, whose F is 1e-7).
     """
     eigenvalues, v = np.linalg.eigh(rho.matrix)
     check_spectra(eigenvalues)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
 from typing import Sequence, Union
@@ -367,6 +367,21 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _philox_words(seed: int, step: int, n_steps: int) -> np.ndarray:
+    """The 64-bit words of Philox counter steps ``step`` to ``step + n_steps``, four per step.
+
+    The stream is keyed by ``seed``.  This is the one draw layer of the bulk
+    sampler and the cheat search; ``Generator.random`` would make the
+    uniform (w >> 11) * 2**-53 of a word w.
+    """
+    bit_generator = np.random.Philox(seed)
+    bit_generator.advance(step)
+    return bit_generator.random_raw(4 * n_steps)
+
+
+FAIR_THRESHOLD = 1 << 52  # ceil(0.5 * 2**53): a fair bit is m >= 2**52
+
+
 @dataclass(frozen=True, eq=False)
 class StrategyTables:
     """Exact per-configuration probabilities for one strategy pairing.
@@ -382,11 +397,14 @@ class StrategyTables:
     A run lands in one cell (commitment context, estimate, target,
     outcome) of shape ``out_cum.shape[:3] + (3,)``; an abstaining Bob's
     estimate is 0.  Single runs (the ``draw_*`` methods) take one uniform
-    per step played, bulk runs (:meth:`sample_cells`) a block of four;
-    both apply the same rules: a bit is ``u >= 1/2``, an estimate
-    ``u >= est_prob0[c]``, and an outcome counts the cumulative edges at or
-    below ``u``.  :meth:`cell_probabilities` gives the exact mass of each
-    cell, so a sampled rate and its prediction are the same sum of cells.
+    per step played, bulk runs (:meth:`sample_cells`) the four 64-bit words
+    of one Philox counter step; both apply the same rules: a bit is
+    ``u >= 1/2``, an estimate ``u >= est_prob0[c]``, and an outcome counts
+    the cumulative edges at or below ``u``.  A bulk run applies them to
+    the top 53 bits m of its words, as ``m >= ceil(p * 2**53)``: bit for
+    bit the rule on u = m * 2**-53 (:attr:`_thresholds`).
+    :meth:`cell_probabilities` gives the exact mass of each cell, so a
+    sampled rate and its prediction are the same sum of cells.
     """
 
     first: int
@@ -394,6 +412,18 @@ class StrategyTables:
     bob_cheats: bool
     est_prob0: np.ndarray | None
     out_cum: np.ndarray
+    _thresholds: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # k = ceil(p * 2**53) of est_prob0 and the out_cum edges: m >= k exactly
+        # when u = m * 2**-53 >= p, as the scaling is exact and m an integer.
+        # Set at construction, not on first use: no pool worker fills it, and
+        # an attribute added later would slow every attribute read of the table.
+        est = self.est_prob0
+        if est is not None:
+            est = np.ceil(est * 2.0**53).astype(np.uint64)
+        edges = np.ceil(self.out_cum.reshape(-1, 2) * 2.0**53).astype(np.uint64)
+        object.__setattr__(self, "_thresholds", (est, edges))
 
     def draw_commit(self, rng) -> int:
         """Commitment context of one run; a uniform is drawn only between two contexts."""
@@ -414,11 +444,13 @@ class StrategyTables:
     def sample_cells(self, n_runs: int, seed: int, against_guess: bool = False) -> np.ndarray:
         """Run counts per cell over ``n_runs`` bulk-sampled runs.
 
-        Run i consumes the four uniforms at offset 4*i of a Philox counter
+        Run i consumes the four 64-bit words of counter step i of a Philox
         stream keyed by ``seed`` (columns: committed bit, coin, holding-phase
-        estimate, final outcome).  Alice stands behind the coin, or with
-        ``against_guess`` (the coin toss, where the coin is Bob's guess)
-        behind its complement.
+        estimate, final outcome), from :func:`_philox_words`, which the cheat
+        search shares; a rule ``u >= p`` compares a word's top 53 bits with
+        ``ceil(p * 2**53)``, bit for bit.  Alice stands behind the coin, or
+        with ``against_guess`` (the coin toss, where the coin is Bob's
+        guess) behind its complement.
 
         The runs are cut into chunks of ``MC_CHUNK_RUNS``, each counted by
         :meth:`_chunk_counts` from its own generator advanced to the chunk's
@@ -461,30 +493,29 @@ class StrategyTables:
     def _chunk_counts(self, seed: int, start: int, count: int, against_guess: bool) -> np.ndarray:
         """Flat cell counts of runs ``start`` to ``start + count`` of the stream keyed by ``seed``.
 
-        One Philox counter step is one block of four uniforms, one run, so
-        advancing a fresh generator by ``start`` reaches the chunk's first run.
+        Run i is the four words of counter step i; each rule compares their
+        top 53 bits m with :attr:`_thresholds`.
         """
-        bit_generator = np.random.Philox(seed)
-        bit_generator.advance(start)
-        u = np.random.Generator(bit_generator).random((count, 4))
-        edges = self.out_cum.reshape(-1, 2)
+        est_thresholds, edges = self._thresholds
+        m = _philox_words(seed, start, count).reshape(count, 4)
+        m >>= 11
         # Each run's flat cell index ((c * n_e + e) * 2 + t) * 3 + o grows
         # in place; before the outcome it is the run's row of ``edges``.
-        cell = np.full(count, self.first, dtype=np.intp)
         if self.count == 2:
-            cell += u[:, 0] >= 0.5
+            cell = np.add(m[:, 0] >= FAIR_THRESHOLD, self.first, dtype=np.intp)
+        else:
+            cell = np.full(count, self.first, dtype=np.intp)
         if self.bob_cheats:
-            estimate = u[:, 2] >= self.est_prob0.take(cell)
+            estimate = m[:, 2] >= est_thresholds.take(cell)
             cell *= 2
             cell += estimate
         cell *= 2
-        cell += (u[:, 1] >= 0.5) != against_guess
-        draw = u[:, 3]
-        past_zero = draw >= edges[:, 0].take(cell)
-        past_one = draw >= edges[:, 1].take(cell)
+        cell += (m[:, 1] >= FAIR_THRESHOLD) != against_guess
+        draw = m[:, 3]
+        outcome = (draw >= edges[:, 0].take(cell)).view(np.uint8)
+        outcome += draw >= edges[:, 1].take(cell)
         cell *= 3
-        cell += past_zero
-        cell += past_one
+        cell += outcome
         return np.bincount(cell, minlength=3 * len(edges))
 
     def cell_probabilities(self) -> np.ndarray:
@@ -649,11 +680,13 @@ def estimate_statistics(
     Per-run probabilities are computed exactly once per configuration; the
     runs are counted per table cell by
     :meth:`StrategyTables.sample_cells`, vectorized, streamed in bounded
-    memory and spread over every available core.  Run i consumes the
-    fixed-width block of four uniforms at offset 4*i of a Philox counter
-    stream keyed by ``seed`` (columns: committed bit, target bit,
-    holding-phase estimate, final outcome), so results are reproducible and
-    independent of any execution order.  Target bits are drawn uniformly;
+    memory and spread over every available core.  Run i consumes the four
+    64-bit words of counter step i of a Philox stream keyed by ``seed``
+    (columns: committed bit, target bit, holding-phase estimate, final
+    outcome), so results are reproducible and independent of any execution
+    order.  A rule ``u >= p`` compares a word's top 53 bits with
+    ``ceil(p * 2**53)``, bit for bit; the cheat search shares the draw
+    helper.  Target bits are drawn uniformly;
     honest Alice with ``bit=None`` also draws her committed bit uniformly
     per run (equal priors), which is the setting in which the closed forms
     p_estimate = (1 + D)/2 and p_unveil = (1 + F)/2 apply.  A bool,
@@ -716,12 +749,12 @@ def random_cheat_search(p: PurificationProtocol, n_candidates: int, seed: int) -
     stack of starts and both bits, on k x dim_proof matrices.
 
     Draw scheme: each raw candidate and each ascent start takes a
-    fixed-width block of uniforms at its own offset of a Philox stream
-    keyed by ``seed`` (:func:`_complex_normals`), raw candidates in counter
-    region 0 and ascent starts in region 1.  Raw candidates are evaluated
-    in chunks of ``SEARCH_CHUNK`` and ascents run in stacks of
-    ``ASCENT_STACK`` starts, each drawn by a generator advanced to its
-    first item.  So an item's draws are a pure function of ``(seed,
+    fixed-width block of 64-bit words at its own offset of a Philox stream
+    keyed by ``seed`` (:func:`_complex_normals`, through the bulk sampler's
+    draw helper), raw candidates in counter region 0 and ascent starts in
+    region 1.  Raw candidates are evaluated in chunks of ``SEARCH_CHUNK``
+    and ascents run in stacks of ``ASCENT_STACK`` starts, each drawn from
+    its first item's counter step.  So an item's draws are a pure function of ``(seed,
     index)``, the result does not depend on the chunk or stack size, and
     memory does not grow with ``n_candidates``.  A bool, non-integral or
     negative ``seed`` is refused with ``ParamOutOfRange``.
@@ -749,16 +782,16 @@ def random_cheat_search(p: PurificationProtocol, n_candidates: int, seed: int) -
 def _complex_normals(seed: int, region: int, first: int, count: int, width: int) -> np.ndarray:
     """Standard complex normals, ``width`` for each item ``first`` to ``first + count``.
 
-    Item i takes the ceil(width / 2) Philox counter steps (four uniforms
-    each) from step ``region * 2**128 + i * ceil(width / 2)`` of the stream
-    keyed by ``seed``, and each pair of uniforms (u, v) gives the normal
+    Item i takes the ceil(width / 2) Philox counter steps (four words each)
+    from step ``region * 2**128 + i * ceil(width / 2)`` of the stream keyed
+    by ``seed``.  A word w is the uniform (w >> 11) * 2**-53, as from
+    ``Generator.random``, and each pair (u, v) gives the normal
     sqrt(-ln(1 - u)) e^{2 pi i v}.  Every item takes the same number of
     steps, so its normals do not depend on which items are drawn with it.
     """
     steps = -(-width // 2)
-    bit_generator = np.random.Philox(seed)
-    bit_generator.advance((region << 128) + first * steps)
-    u = np.random.Generator(bit_generator).random((count, 2 * steps, 2))[:, :width]
+    u = _philox_words(seed, (region << 128) + first * steps, count * steps) >> 11
+    u = (u * 2.0**-53).reshape(count, 2 * steps, 2)[:, :width]  # frees the words
     return np.sqrt(-np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
 
 

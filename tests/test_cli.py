@@ -447,3 +447,47 @@ def test_light_commands_do_not_import_the_sampling_pool(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+
+class TestPinnedBulkStdout:
+    """Bulk Monte Carlo stdout of ``python -m qbc.cli``, byte for byte.
+
+    Recorded from the sampler that compared ``Generator.random`` doubles;
+    the integer rule on raw words gives the same bytes.  On several CPUs
+    the runs are counted on the thread pool, and under a one-CPU affinity
+    set (``taskset -c 0``) inline, so running this class both ways shows
+    both paths give these bytes.
+    """
+
+    SIMULATE = (
+        "alice,bob,runs,seed,pEstimate,pEstimateStderr,pEstimatePredicted,"
+        "pUnveil,pUnveilStderr,pUnveilPredicted\n"
+        "cheat,helstrom,1000000,3,0.50017299999999998,0.00049999997007099911,0.5,"
+        "0.47995399999999999,0.0004995979962770067,0.47883467557241444\n"
+    )
+    COINTOSS = (
+        "cheater,runs,seed,alpha,beta,aliceWinRate,bobWinRate,aliceWinStderr,"
+        "aliceWinPredicted,aliceCaughtRate\n"
+        "alice,1000000,4,0.25000000000000006,0.25000000000000006,0.74937900000000002,"
+        "0.25062099999999998,0.00043337064316702396,0.75,0.20894099999999999\n"
+    )
+
+    @staticmethod
+    def stdout(*args):
+        env = dict(os.environ, PYTHONPATH=str(Path(qbc.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "qbc.cli", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    def test_simulate(self, tmp_path):
+        spec = tmp_path / "random8x8.json"
+        write_protocol_spec(qbc.random_protocol(8, 8, 88), spec)
+        args = ("--alice", "cheat", "--bob", "helstrom", "--runs", "1000000", "--seed", "3")
+        assert self.stdout("simulate", str(spec), *args) == self.SIMULATE
+
+    def test_cointoss(self):
+        args = ("--cheater", "alice", "--runs", "1000000", "--seed", "4")
+        assert self.stdout("cointoss", *args) == self.COINTOSS

@@ -82,6 +82,16 @@ class TestFidelity:
             rho, sigma = random_density_pair(3, seed)
             assert fidelity(rho, sigma) == pytest.approx(fidelity(sigma, rho), abs=1e-9)
 
+    @pytest.mark.parametrize("lam, exact", [(1e-14, 1e-7), (1e-13, np.sqrt(1e-13))])
+    def test_square_root_floor_drops_tiny_eigenvalues(self, lam, exact):
+        """``sqrt_psd`` zeroes eigenvalues below ``SQRT_NOISE_FLOOR``, so this
+        route reads 0 where ``security_report``'s Uhlmann route keeps sqrt(lam)."""
+        assert qbc.linalg.SQRT_NOISE_FLOOR == 1e-13
+        rho0, rho1 = family_reductions(qbc.QubitPureMixed(lam))
+        assert fidelity(rho0, rho1) == 0.0
+        report = qbc.security_report(qbc.family_protocol(qbc.QubitPureMixed(lam)))
+        assert report.fidelity == pytest.approx(exact, rel=1e-9)
+
 
 class TestHelstrom:
     def test_indistinguishable(self):

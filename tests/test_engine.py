@@ -6,7 +6,10 @@
   must agree with, draw for draw.
 * Bulk statistics: values pinned from the single-block sampler, at sizes
   below, across and well past one chunk of the streamed Philox draws; the
-  counts are the same on 1, 2 and 3 workers.
+  counts are the same on 1, 2 and 3 workers, and equal a count made here
+  from one block of doubles by the documented rules on u.  The sampler's
+  integer rule on the top 53 bits of a word is that rule on u, checked at
+  the edges of the thresholds.
 * Cells: the joint counts of the bulk sampler over (commitment context,
   estimate, target, outcome) agree with the exact cell probabilities.
 * Memory and threads: at a million runs the bulk samplers' peak
@@ -55,7 +58,14 @@ from qbc import (
     tensor_product,
     toss_statistics,
 )
-from qbc.protocol import CHEAT_CONTEXT, MC_CHUNK_RUNS, MC_MAX_WORKERS, strategy_tables
+from qbc.protocol import (
+    CHEAT_CONTEXT,
+    FAIR_THRESHOLD,
+    MC_CHUNK_RUNS,
+    MC_MAX_WORKERS,
+    StrategyTables,
+    strategy_tables,
+)
 
 DRAWS = 2000
 ALICES = (HonestAlice(), HonestAlice(0), HonestAlice(1), CheatingAlice())
@@ -271,12 +281,65 @@ def test_bulk_peak_bytes_per_run():
         tracemalloc.stop()
 
 
+# Probabilities at the edges of the integer rule.  ``out_cum[..., 0]`` is
+# not clipped, so an edge can exceed 1 by an ulp.
+EDGE_PROBABILITIES = np.array(
+    [0.0, 2.0**-1074, 2.0**-53, 0.5 - 2.0**-54, 0.5, 1.0 - 2.0**-53, 1.0, np.nextafter(1.0, 2.0)]
+)
+
+
+def test_integer_thresholds_are_the_rule_on_doubles():
+    """``m >= ceil(p * 2**53)`` on the top 53 bits m of a word is ``u >= p``
+    on the uniform u = m * 2**-53 that ``Generator.random`` makes of it."""
+    words = np.random.Philox(4).random_raw(64)
+    uniforms = np.random.Generator(np.random.Philox(4)).random(64)
+    assert ((words >> 11) * 2.0**-53 == uniforms).all()
+
+    p = EDGE_PROBABILITIES
+    out_cum = np.repeat(p, 2).reshape(len(p), 1, 1, 2)
+    thresholds, edges = StrategyTables(0, 1, True, p, out_cum)._thresholds
+    assert (edges == thresholds[:, None]).all()
+    assert thresholds[p == 0.5] == FAIR_THRESHOLD
+    for p_i, k in zip(p, thresholds):
+        for m in {int(k) - 1, int(k), int(k) + 1, 0, 2**53 - 1}:
+            if 0 <= m < 2**53:
+                assert (np.uint64(m) >= k) == (m * 2.0**-53 >= p_i), (p_i, m)
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_table_edges_are_finite(name):
+    """The integer thresholds are casts to uint64, undefined for NaN."""
+    p = PROTOCOLS[name]()
+    for alice, bob in itertools.product(ALICES, BOBS):
+        tables = strategy_tables(p, alice, bob)
+        assert np.isfinite(tables.out_cum).all()
+        assert tables.est_prob0 is None or np.isfinite(tables.est_prob0).all()
+
+
+def reference_cells(tables, n, seed, against_guess):
+    """Cells of runs 0 to n - 1, counted from one ``(n, 4)`` block of
+    ``Generator.random`` doubles by the rules on u that ``StrategyTables``
+    documents."""
+    u = np.random.Generator(np.random.Philox(seed)).random((n, 4))
+    commit = tables.first + (u[:, 0] >= 0.5) * (tables.count == 2)
+    estimate = np.zeros(n, dtype=int)
+    if tables.bob_cheats:
+        estimate += u[:, 2] >= tables.est_prob0[commit]
+    target = ((u[:, 1] >= 0.5) != against_guess).astype(int)
+    edges = tables.out_cum[commit, estimate, target]
+    outcome = (u[:, 3] >= edges[:, 0]).astype(int) + (u[:, 3] >= edges[:, 1])
+    counts = np.zeros(tables.out_cum.shape[:3] + (3,), dtype=np.int64)
+    np.add.at(counts, (commit, estimate, target, outcome), 1)
+    return counts
+
+
 WORKER_SIZES = (1, MC_CHUNK_RUNS, MC_CHUNK_RUNS + 1, 65_537, 1_000_003)
 
 
 def test_counts_do_not_depend_on_the_worker_count(monkeypatch):
     """Every pairing and the coin toss's cells against Bob's guess count the
-    same runs on 1, 2 and 3 workers, and as one block of the whole stream."""
+    same runs on 1, 2 and 3 workers, and the runs a count made from doubles
+    by the documented rules gives."""
     p = PROTOCOLS["random8x8"]()
     cases = [(alice, bob, False) for alice, bob in itertools.product(ALICES, BOBS)]
     cases.append((CheatingAlice(), HonestBob(), True))
@@ -289,8 +352,8 @@ def test_counts_do_not_depend_on_the_worker_count(monkeypatch):
                 counts.append(tables.sample_cells(n, 21, against_guess))
             assert (counts[0] == counts[1]).all() and (counts[0] == counts[2]).all()
             if n < 100_000:
-                block = tables._chunk_counts(21, 0, n, against_guess)
-                assert (counts[0].ravel() == block).all(), (alice, bob, against_guess, n)
+                reference = reference_cells(tables, n, 21, against_guess)
+                assert (counts[0] == reference).all(), (alice, bob, against_guess, n)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

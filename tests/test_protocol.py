@@ -528,6 +528,20 @@ class TestCheatSearch:
             chunks = [values(first, min(size, n - first)) for first in range(0, n, size)]
             assert np.array_equal(np.concatenate(chunks), values(0, n))
 
+    @pytest.mark.parametrize(
+        "dims, n, seed, best",
+        [
+            ((2, 2, 1), 20, 5, 0.8653400645295273),
+            ((4, 3, 2), 2500, 7, 0.8469537367018457),
+            ((8, 8, 88), 20, 9, 0.8570370900900657),
+            ((3, 2, 4), 1100, 0, 0.9617881557322119),
+        ],
+    )
+    def test_results_are_pinned(self, dims, n, seed, best):
+        """Recorded from the search that drew its uniforms with
+        ``Generator.random``; the shared word helper keeps every bit."""
+        assert random_cheat_search(random_protocol(*dims), n, seed).best_value == best
+
     def test_result_does_not_depend_on_chunking(self, monkeypatch):
         p = random_protocol(3, 2, 9)
         budgets = (1, 3, 4, 67, 400)  # raw chunks and ascent stacks of 3, split or whole
