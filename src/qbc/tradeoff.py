@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -108,25 +109,29 @@ def _param_range(kind) -> _ParamRange:
 
 
 _REALS = (int, float, np.integer, np.floating)
+_BOOLS = frozenset({bool, np.bool_})
 
 
 def _checked_params(kind, params: Sequence) -> np.ndarray:
     """``params`` as a float64 array, refused unless every entry lies in ``kind``'s range.
 
-    A non-real entry (a string, a complex number, None) and NaN are out of
-    range; the message names the first entry refused.
+    A non-real entry (a bool, a string, a complex number, None) and NaN are
+    out of range; the message names the first entry refused.
     """
     rng = _param_range(kind)
     try:
         values = np.asarray(params)
     except ValueError:  # a ragged nesting
         values = np.asarray(params, dtype=object)
-    if values.ndim == 1 and values.dtype.kind in "biuf":
+    # NumPy reads a bool among numbers as 0.0 or 1.0, so the entries' types are read too.
+    if values.ndim == 1 and values.dtype.kind in "iuf" and _BOOLS.isdisjoint(map(type, params)):
         values = values.astype(np.float64, copy=False)
         if ((values >= 0.0) & (values <= rng.high)).all():
             return values
     refused = next(
-        (x for x in params if not (isinstance(x, _REALS) and 0.0 <= x <= rng.high)), params
+        (x for x in params
+         if not (isinstance(x, _REALS) and type(x) not in _BOOLS and 0.0 <= x <= rng.high)),
+        params,
     )
     raise ParamOutOfRange(f"{rng.name} must lie in {rng.label}, got {refused}")
 
@@ -181,17 +186,46 @@ class Curve(Enum):
     IV = "IV"
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
+def _checked_box(g, c) -> None:
+    """Refuse a g_max or c_max outside [0, 1/2] by more than ``BOUND_TOL``, NaN included.
+
+    ``g`` and ``c`` are two scalars or two arrays; the message names the
+    first value refused.
+    """
+    for name, v in (("g_max", g), ("c_max", c)):
+        inside = (v >= -BOUND_TOL) & (v <= 0.5 + BOUND_TOL)
+        if not np.all(inside):
+            refused = v if np.ndim(v) == 0 else v[~inside][0]
+            raise ParamOutOfRange(f"{name} = {refused} outside [0, 1/2]")
+
+
+class _TradeoffFields(NamedTuple):
     g_max: float
     c_max: float
     family_param: float
 
-    def __post_init__(self):
-        if not -BOUND_TOL <= self.g_max <= 0.5 + BOUND_TOL:
-            raise ParamOutOfRange(f"g_max = {self.g_max} outside [0, 1/2]")
-        if not -BOUND_TOL <= self.c_max <= 0.5 + BOUND_TOL:
-            raise ParamOutOfRange(f"c_max = {self.c_max} outside [0, 1/2]")
+
+class TradeoffPoint(_TradeoffFields):
+    """A family member's (g_max, c_max) and its parameter, as a named 3-tuple.
+
+    Every way to build one from values (positional or keyword arguments,
+    ``_make``, ``_replace``, ``pickle``, ``copy``) refuses, with
+    ``ParamOutOfRange``, a ``g_max`` or ``c_max`` outside [0, 1/2] by more
+    than ``BOUND_TOL``, NaN included (:func:`_checked_box`).  It unpacks to
+    ``(g, c, x)`` and equals and hashes as the plain tuple of its values.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, g_max: float, c_max: float, family_param: float):
+        _checked_box(g_max, c_max)
+        return tuple.__new__(cls, (g_max, c_max, family_param))
+
+    # The namedtuple _make, which _replace calls, builds with tuple.__new__
+    # and would skip the check.
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def sweep(
@@ -204,10 +238,13 @@ def sweep(
     The whole parameter array is checked against the family's range at
     once; then the members' amplitudes are laid out straight from it, in
     stacks of up to ``SWEEP_CHUNK_POINTS``, each validated once and passed
-    through :func:`~qbc.protocol.distance_fidelity` in a single call.  No
-    family member object is built, a sweep costs two decompositions per
-    chunk, and its working arrays, the float64 parameter array aside, never
-    hold more than one chunk.  Each point equals
+    through :func:`~qbc.protocol.distance_fidelity` in a single call.  A
+    chunk's ``g = D/2`` and ``c = F/2`` arrays pass the box check of
+    :class:`TradeoffPoint` in one vectorised call, and its points are then
+    built as tuples with no Python call per point.  No family member
+    object is built, a sweep costs two decompositions per chunk, and its
+    working arrays, the float64 parameter array aside, never hold more than
+    one chunk.  Each point equals
     ``security_report(family_protocol(family_kind(param)))`` bit for bit
     and holds the caller's ``param`` object; points are returned in the
     order of ``params``.  ``max_workers`` is accepted for callers of the
@@ -219,7 +256,10 @@ def sweep(
     for start in range(0, len(params), SWEEP_CHUNK_POINTS):
         stop = start + SWEEP_CHUNK_POINTS
         d, f = distance_fidelity(*checked_stacks(*_amplitude_stacks(family_kind, x[start:stop])))
-        points += map(TradeoffPoint, (d / 2.0).tolist(), (f / 2.0).tolist(), params[start:stop])
+        g, c = d / 2.0, f / 2.0
+        _checked_box(g, c)
+        rows = zip(g.tolist(), c.tolist(), params[start:stop])
+        points += map(tuple.__new__, repeat(TradeoffPoint), rows)
     return points
 
 

@@ -7,6 +7,8 @@ sizing rules.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 import qbc
@@ -41,3 +43,65 @@ ENGINE_PROTOCOLS = {
     "pure-pair": lambda: qbc.family_protocol(qbc.PurePair(0.7)),
     "random8x8": lambda: qbc.random_protocol(8, 8, 88),
 }
+
+
+# Known-answer protocols: commuting spectra p and q on orthogonal proof
+# blocks, so D = (1/2) sum |p - q| and F = sum sqrt(p q) hold by construction.
+KNOWN_ANSWER_CLASSES = ("generic", "near-identical", "tiny-eigenvalues", "near-orthogonal-pure")
+
+
+def known_answer_spectra(kind: str, dim: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra (p, q) of one token dimension, drawn for one class of hard case.
+
+    * generic: two random spectra;
+    * near-identical: q differs from p by 1e-8 in l1 norm, so D = 5e-9;
+    * tiny-eigenvalues: each spectrum has one eigenvalue of 1e-14;
+    * near-orthogonal-pure: p is pure and q gives its eigenvector
+      (5e-8)^2, so F = 5e-8 and D ~ 1.
+    """
+    p, q = rng.random(dim) + 0.1, rng.random(dim) + 0.1
+    if kind == "near-identical":
+        delta = rng.standard_normal(dim)
+        delta -= delta.mean()
+        q = p + 1e-8 * p.sum() * delta / np.abs(delta).sum()
+    elif kind == "tiny-eigenvalues":
+        p[rng.integers(dim)] = 0.0
+        q[rng.integers(dim)] = 0.0
+        p, q = p / p.sum(), q / q.sum()
+        p[p == 0.0] = 1e-14
+        q[q == 0.0] = 1e-14
+    elif kind == "near-orthogonal-pure":
+        p = np.eye(dim)[0]
+        q[0] = 0.0
+        q *= (1.0 - 2.5e-15) / q.sum()
+        q[0] = 2.5e-15
+    elif kind != "generic":
+        raise ValueError(f"unknown known-answer class {kind!r}")
+    return p / p.sum(), q / q.sum()
+
+
+def haar_unitary(dim: int, rng) -> np.ndarray:
+    """A Haar-random unitary: QR of a complex Gaussian, phases fixed by R's diagonal."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def known_answer_amplitudes(p, q, rng) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(A0, A1, D, F): a protocol whose token reductions are unitarily diag(p), diag(q).
+
+    chi0 holds sqrt(p) on the first proof block and chi1 sqrt(q) on the
+    second, so the pair is orthogonal whatever the rotations; a Haar
+    unitary then rotates the token and another the proof.  A_b is the
+    (2 dim, dim) amplitude matrix of chi_b, proof index first; D and F are
+    summed with ``math.fsum`` from the spectra alone.
+    """
+    dim = len(p)
+    a0 = np.zeros((2 * dim, dim), dtype=np.complex128)
+    a1 = np.zeros((2 * dim, dim), dtype=np.complex128)
+    a0[np.arange(dim), np.arange(dim)] = np.sqrt(p)
+    a1[dim + np.arange(dim), np.arange(dim)] = np.sqrt(q)
+    v, u = haar_unitary(2 * dim, rng), haar_unitary(dim, rng)
+    d = 0.5 * math.fsum(abs(a - b) for a, b in zip(p, q))
+    f = math.fsum(math.sqrt(a * b) for a, b in zip(p, q))
+    return v @ a0 @ u.T, v @ a1 @ u.T, d, f

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -449,6 +450,17 @@ def test_light_commands_do_not_import_the_sampling_pool(tmp_path):
     assert result.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
+def cli_stdout(*args) -> str:
+    """stdout of a ``python -m qbc.cli`` child that must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qbc.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "qbc.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 class TestPinnedBulkStdout:
     """Bulk Monte Carlo stdout of ``python -m qbc.cli``, byte for byte.
 
@@ -472,22 +484,34 @@ class TestPinnedBulkStdout:
         "0.25062099999999998,0.00043337064316702396,0.75,0.20894099999999999\n"
     )
 
-    @staticmethod
-    def stdout(*args):
-        env = dict(os.environ, PYTHONPATH=str(Path(qbc.__file__).parents[1]))
-        result = subprocess.run(
-            [sys.executable, "-m", "qbc.cli", *args],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        return result.stdout
-
     def test_simulate(self, tmp_path):
         spec = tmp_path / "random8x8.json"
         write_protocol_spec(qbc.random_protocol(8, 8, 88), spec)
         args = ("--alice", "cheat", "--bob", "helstrom", "--runs", "1000000", "--seed", "3")
-        assert self.stdout("simulate", str(spec), *args) == self.SIMULATE
+        assert cli_stdout("simulate", str(spec), *args) == self.SIMULATE
 
     def test_cointoss(self):
         args = ("--cheater", "alice", "--runs", "1000000", "--seed", "4")
-        assert self.stdout("cointoss", *args) == self.COINTOSS
+        assert cli_stdout("cointoss", *args) == self.COINTOSS
+
+
+class TestPinnedSweepStdout:
+    """sha256 of ``python -m qbc.cli sweep --points 1001`` stdout, per family and format.
+
+    Recorded when ``TradeoffPoint`` was a frozen dataclass built once per
+    point; the NamedTuple points built in bulk give the same bytes.
+    """
+
+    DIGESTS = {
+        ("commuting3d", "csv"): "4ae41b448e19c8ee87640b53ac17c8490899512464ea3b045b2fc309a6821278",
+        ("commuting3d", "json"): "fee47ca707fede22bcc892c0fcd1ca5b0dce0b31d8d3748338919dc9b2036cba",
+        ("qubit-pure-mixed", "csv"): "17094c38198b048d2e6799b32f006a63255bdea3c0f936b1bc2303e681840d12",
+        ("qubit-pure-mixed", "json"): "ea28e30b553986454e336eaf8c1cd98e3709a9fbb96aca26bd332de3cbd46b44",
+        ("pure-pair", "csv"): "4d62f33c5081020b6106aea6734a8c34c883a482b90e5003feec3dfbb39b7fd3",
+        ("pure-pair", "json"): "126d78f21f445fbda3b01fcd348f99aef06585330378adb36d8d1ecca58ce854",
+    }
+
+    @pytest.mark.parametrize("family, fmt", sorted(DIGESTS))
+    def test_sweep(self, family, fmt):
+        out = cli_stdout("sweep", "--family", family, "--points", "1001", "--format", fmt)
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[family, fmt]

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import math
+import pickle
+import re
 import tracemalloc
 from collections import Counter
 
@@ -156,7 +160,7 @@ class TestSweep:
         assert sweep(kind, iter(params)) == sweep(kind, params)
 
     def test_points_hold_the_callers_parameters(self):
-        params = [0.25, 1, np.float32(0.5), True]
+        params = [0.25, 1, np.float32(0.5), np.int64(0)]
         points = sweep(Commuting3D, params)
         assert all(pt.family_param is x for pt, x in zip(points, params))
 
@@ -195,6 +199,21 @@ class TestRefusedInputs:
         with pytest.raises(ParamOutOfRange):
             call()
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: PurePair(True),
+            lambda: Commuting3D(np.True_),
+            lambda: sweep(PurePair, [True, 0.5]),
+            lambda: sweep(QubitPureMixed, [0.5, np.True_]),
+            lambda: sweep(Commuting3D, np.array([True, False])),
+        ],
+        ids=["member-bool", "member-numpy-bool", "sweep-bool", "sweep-numpy-bool", "sweep-bool-array"],
+    )
+    def test_bool_parameter_is_refused_by_value(self, call):
+        with pytest.raises(ParamOutOfRange, match=r"must lie in .*, got True$"):
+            call()
+
     def test_too_few_grid_points(self):
         with pytest.raises(ParamOutOfRange, match="^need at least 2 grid points$"):
             uniform_grid(PurePair, 1)
@@ -204,6 +223,68 @@ class TestRefusedInputs:
         grid = uniform_grid(kind, np.int64(3))
         assert grid == uniform_grid(kind, 3)
         assert all(type(x) is float for x in grid)
+
+
+class TestTradeoffPoint:
+    """The record: a named 3-tuple that refuses a point outside the box."""
+
+    OUTSIDE = [
+        ((0.25, 0.7, 0.0), "c_max = 0.7 outside [0, 1/2]"),
+        ((-0.1, 0.25, 0.0), "g_max = -0.1 outside [0, 1/2]"),
+        ((0.5 + 2e-9, 0.25, 0.0), "g_max = 0.500000002 outside [0, 1/2]"),
+        ((float("nan"), 0.25, 0.0), "g_max = nan outside [0, 1/2]"),
+        ((0.25, float("nan"), 0.0), "c_max = nan outside [0, 1/2]"),
+    ]
+
+    @pytest.mark.parametrize("args, message", OUTSIDE)
+    def test_refuses_outside_the_box(self, args, message):
+        g, c, x = args
+        for build in (
+            lambda: TradeoffPoint(g, c, x),
+            lambda: TradeoffPoint(g_max=g, c_max=c, family_param=x),
+            lambda: TradeoffPoint._make(args),
+            lambda: TradeoffPoint(0.25, 0.25, x)._replace(g_max=g, c_max=c),
+        ):
+            with pytest.raises(ParamOutOfRange, match=f"^{re.escape(message)}$"):
+                build()
+
+    def test_box_allows_the_bound_tolerance(self):
+        assert TradeoffPoint(-1e-10, 0.5 + 1e-10, 0.0) == (-1e-10, 0.5 + 1e-10, 0.0)
+
+    @pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))])
+    def test_round_trips_check_again(self, round_trip):
+        point = TradeoffPoint(0.25, 0.125, 0.5)
+        back = round_trip(point)
+        assert type(back) is TradeoffPoint and back == point
+        unchecked = tuple.__new__(TradeoffPoint, (0.25, 0.7, 0.5))
+        with pytest.raises(ParamOutOfRange, match=r"^c_max = 0\.7 outside \[0, 1/2\]$"):
+            round_trip(unchecked)
+
+    def test_value_semantics(self):
+        point = TradeoffPoint(0.25, 0.125, 0.5)
+        assert point == TradeoffPoint(0.25, 0.125, 0.5) == (0.25, 0.125, 0.5)
+        assert hash(point) == hash(TradeoffPoint(0.25, 0.125, 0.5)) == hash((0.25, 0.125, 0.5))
+        assert point != TradeoffPoint(0.25, 0.125, 0.25)
+        g, c, x = point
+        assert (g, c, x) == (point.g_max, point.c_max, point.family_param) == (0.25, 0.125, 0.5)
+        assert repr(point) == "TradeoffPoint(g_max=0.25, c_max=0.125, family_param=0.5)"
+        assert TradeoffPoint._fields == ("g_max", "c_max", "family_param")
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            (Commuting3D, [0.0, 1.0]),
+            (QubitPureMixed, [0.0, 1.0]),
+            (PurePair, [0.0, math.pi / 2, math.pi / 2 + 1e-12]),
+        ],
+    )
+    def test_sweep_endpoints_are_points_in_the_box(self, kind, params):
+        points = sweep(kind, params)
+        assert len(points) == len(params)
+        for pt, x in zip(points, params):
+            assert type(pt) is TradeoffPoint and pt.family_param is x
+            assert 0.0 <= pt.g_max <= 0.5 and 0.0 <= pt.c_max <= 0.5
+            assert TradeoffPoint(*pt) == pt
 
 
 class TestEdgeGrid:
