@@ -96,6 +96,25 @@ def token_reductions(amplitudes: np.ndarray) -> np.ndarray:
     return (reduced + np.swapaxes(reduced, -2, -1).conj()) / 2.0
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _checked_integer(value, name: str, least: int, error: type = ParamOutOfRange) -> int:
+    """``value`` as an int >= ``least``; anything else, a bool included, raises ``error``."""
+    if not _is_integer(value) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _seeded_generator(seed) -> np.random.Generator:
+    """``seed`` if it is a ``numpy.random.Generator``, else one seeded by the integer ``seed`` >= 0."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(_checked_integer(seed, "the seed", 0))
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized complex amplitude vector.
@@ -148,10 +167,7 @@ class BipartiteState:
 
     def __post_init__(self):
         for name in ("dim_proof", "dim_token"):
-            dim = getattr(self, name)
-            if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
-                raise DimMismatch(f"{name} must be an integer >= 1, got {dim!r}")
-            object.__setattr__(self, name, int(dim))
+            object.__setattr__(self, name, _checked_integer(getattr(self, name), name, 1, DimMismatch))
         if self.state.dim != self.dim_proof * self.dim_token:
             raise DimMismatch(
                 f"state dim {self.state.dim} != {self.dim_proof} x {self.dim_token}"
@@ -167,7 +183,14 @@ class BipartiteState:
 
 
 def basis_state(dim: int, index: int) -> PureState:
-    """Computational basis vector |index> in the given dimension."""
+    """Computational basis vector |index> in the given dimension.
+
+    ``index`` must be an integer in [0, dim); anything else, a bool
+    included, is refused with ``ParamOutOfRange``.
+    """
+    dim = _checked_integer(dim, "dim", 1, DimMismatch)
+    if not _is_integer(index) or not 0 <= index < dim:
+        raise ParamOutOfRange(f"index must be an integer in [0, {dim}), got {index!r}")
     amp = np.zeros(dim, dtype=np.complex128)
     amp[index] = 1.0
     return PureState(amp)
@@ -227,8 +250,13 @@ def sqrt_psd(rho: DensityOperator) -> np.ndarray:
 
 
 def random_pure_state(dim: int, seed) -> PureState:
-    """Haar-uniform pure state: normalized vector of iid complex Gaussians."""
-    rng = np.random.default_rng(seed)
+    """Haar-uniform pure state: normalized vector of iid complex Gaussians.
+
+    ``seed`` is a ``numpy.random.Generator``, which the draws advance, or
+    an integer >= 0; a dim that is not an integer >= 1 raises ``DimMismatch``.
+    """
+    dim = _checked_integer(dim, "dim", 1, DimMismatch)
+    rng = _seeded_generator(seed)
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureState(vec / np.linalg.norm(vec))
 
@@ -238,8 +266,11 @@ def random_density(dim: int, rank: int, seed) -> DensityOperator:
 
     Obtained as the reduced state of a Haar-uniform pure state on a
     dim ⊗ rank space, which for rank = dim is the Hilbert-Schmidt measure.
+    ``dim`` and ``seed`` are checked as by :func:`random_pure_state`, and a
+    rank that is not an integer in 1..dim raises ``BadRank``.
     """
-    if not 1 <= rank <= dim:
-        raise BadRank(f"rank must satisfy 1 <= rank <= {dim}, got {rank}")
+    dim = _checked_integer(dim, "dim", 1, DimMismatch)
+    if not _is_integer(rank) or not 1 <= rank <= dim:
+        raise BadRank(f"rank must be an integer with 1 <= rank <= {dim}, got {rank!r}")
     purification = BipartiteState(dim, rank, random_pure_state(dim * rank, seed))
     return partial_trace(purification, keep="proof")

@@ -47,6 +47,9 @@ from .linalg import (
     BipartiteState,
     DensityOperator,
     PureState,
+    _checked_integer,
+    _is_integer,
+    _seeded_generator,
     bipartite,
     check_spectra,
     normalize_states,
@@ -121,9 +124,13 @@ def make_protocol(chi0: BipartiteState, chi1: BipartiteState) -> PurificationPro
 
 
 def random_protocol(dim_proof: int, dim_token: int, seed) -> PurificationProtocol:
-    """Random protocol: Haar chi0, chi1 Gram-Schmidt-orthogonalized against it."""
-    rng = np.random.default_rng(seed)
-    dim = dim_proof * dim_token
+    """Random protocol: Haar chi0, chi1 Gram-Schmidt-orthogonalized against it.
+
+    ``seed`` and the dims are checked as by :func:`~qbc.linalg.random_pure_state`.
+    """
+    dim = _checked_integer(dim_proof, "dim_proof", 1, DimMismatch)
+    dim *= _checked_integer(dim_token, "dim_token", 1, DimMismatch)
+    rng = _seeded_generator(seed)
     chi0 = random_pure_state(dim, rng)
     raw = random_pure_state(dim, rng).amplitudes
     raw = raw - np.vdot(chi0.amplitudes, raw) * chi0.amplitudes
@@ -143,15 +150,8 @@ def random_protocol(dim_proof: int, dim_token: int, seed) -> PurificationProtoco
 
 def _checked_bit(value, name: str) -> int:
     """``value`` as the int 0 or 1; a bool or a non-integral value is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value not in (0, 1):
+    if not _is_integer(value) or value not in (0, 1):
         raise ParamOutOfRange(f"{name} must be the integer 0 or 1, got {value!r}")
-    return int(value)
-
-
-def _checked_integer(value, name: str, least: int) -> int:
-    """``value`` as an int >= ``least``; a bool or a non-integral value is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ParamOutOfRange(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
@@ -713,108 +713,70 @@ class CheatSearchResult:
     candidates_evaluated: int
 
 
-# Share of a cheat-search budget spent on ascent, and the iterates of one ascent.
-REFINE_FRACTION = 0.2
+# Iterates of one ascent, and ascent starts run per stack, so the search's
+# memory is bounded whatever its budget.
 ASCENT_ITERATES = 20
-# Raw candidates drawn per chunk, and ascent starts run per stack, so the
-# search's memory is bounded whatever its budget; a start holds more
-# arrays than a raw candidate.
-SEARCH_CHUNK = 1024
 ASCENT_STACK = 512
+# Philox counter step of ascent start 0's draws.
+_SEARCH_STEP = 1 << 128
 
 
 def random_cheat_search(p: PurificationProtocol, n_candidates: int, seed: int) -> CheatSearchResult:
     """Search over cheating strategies (state, unitary pair) for Alice.
 
-    Each candidate is a committed state |psi> with proof-side unveiling
-    unitaries (v0, v1); its value is the average acceptance probability
-    (|<chi0|(v0 ⊗ I)|psi>|^2 + |<chi1|(v1 ⊗ I)|psi>|^2) / 2.  Once the
-    share ``REFINE_FRACTION`` of the budget is a candidate or more, it buys
-    alternating best-response ascents from random starts (optimal unitaries
-    for the current state via the orthogonal-Procrustes solution, then the
-    optimal state for the current unitaries), at least one, each of
-    ``ASCENT_ITERATES`` iterates or the whole budget if smaller; the rest
-    goes to independent uniform draws.  Each draw or iterate is one
-    candidate, exactly ``n_candidates`` in all.  Independent of the
-    closed-form construction in :func:`optimal_cheat_kit`, which it is used
-    to cross-check.
+    A candidate is a committed state |psi> with proof-side unveiling
+    unitaries (v0, v1), valued at the average acceptance probability
+    (|<chi0|(v0 ⊗ I)|psi>|^2 + |<chi1|(v1 ⊗ I)|psi>|^2) / 2.  Every
+    candidate is an iterate of an alternating best-response ascent from a
+    random start: optimal unitaries for the current state (orthogonal
+    Procrustes), then the optimal state for those unitaries.  With it =
+    min(``ASCENT_ITERATES``, ``n_candidates``), the budget buys
+    ``n_candidates // it`` ascents of ``it`` iterates and one last ascent of
+    the ``n_candidates % it`` left, from the next start: exactly
+    ``n_candidates`` candidates.  Independent of the closed form of
+    :func:`optimal_cheat_kit`, which it cross-checks.
 
     The chi pair is factored once, A_b = Q_b R_b with R_b of shape
-    (k, dim_token), k = min(dim_proof, dim_token); v_b enters a value only
-    through the k x dim_proof block Q_b^dag v_b.  So a draw takes that
-    block as the conjugate transpose of a Haar isometry, which is how it
-    is distributed, and an ascent iterate takes the best response
-    v_b^dag A_b = W X^dag R_b, where A_psi R_b^dag = W S X^dag
-    (:func:`_best_responses`): one ``svd`` call per iterate for the whole
-    stack of starts and both bits, on k x dim_proof matrices.
-
-    Draw scheme: each raw candidate and each ascent start takes a
-    fixed-width block of 64-bit words at its own offset of a Philox stream
-    keyed by ``seed`` (:func:`_complex_normals`, through the bulk sampler's
-    draw helper), raw candidates in counter region 0 and ascent starts in
-    region 1.  Raw candidates are evaluated in chunks of ``SEARCH_CHUNK``
-    and ascents run in stacks of ``ASCENT_STACK`` starts, each drawn from
-    its first item's counter step.  So an item's draws are a pure function of ``(seed,
-    index)``, the result does not depend on the chunk or stack size, and
-    memory does not grow with ``n_candidates``.  A bool, non-integral or
-    negative ``seed`` is refused with ``ParamOutOfRange``.
+    (k, dim_token), k = min(dim_proof, dim_token), so an iterate is one
+    ``svd`` call on k x dim_proof matrices for the whole stack of starts and
+    both bits (:func:`_best_responses`).  Start i draws a fixed-width block
+    of a Philox stream keyed by ``seed`` at its own offset
+    (:func:`_complex_normals`), and ascents run in stacks of
+    ``ASCENT_STACK`` starts.  So the result is a pure function of
+    ``(protocol, n_candidates, seed)`` whatever the stack size, and memory
+    does not grow with the budget.  A bool, non-integral or negative
+    ``seed`` is refused with ``ParamOutOfRange``.
     """
     n_candidates = _checked_integer(n_candidates, "n_candidates", 1)
     seed = _checked_integer(seed, "the seed", 0)
     r = np.linalg.qr(np.stack([p.chi0.as_matrix(), p.chi1.as_matrix()]), mode="r")
 
-    refine_budget = int(n_candidates * REFINE_FRACTION)
     iterates = min(ASCENT_ITERATES, n_candidates)
-    n_starts = max(1, refine_budget // iterates) if refine_budget > 0 else 0
-    n_raw = n_candidates - n_starts * iterates
-
-    best = 0.0
-    for first in range(0, n_raw, SEARCH_CHUNK):
-        values = _raw_values(r, p.dim_proof, seed, first, min(SEARCH_CHUNK, n_raw - first))
-        best = max(best, float(values.max()))
-    for first in range(0, n_starts, ASCENT_STACK):
-        count = min(ASCENT_STACK, n_starts - first)
-        values = _ascent_values(r, p.dim_proof, seed, first, count, iterates)
-        best = max(best, float(values.max()))
-    return CheatSearchResult(best, n_raw + n_starts * iterates)
+    n_full, rest = divmod(n_candidates, iterates)
+    stacks = [
+        (first, min(ASCENT_STACK, n_full - first), iterates)
+        for first in range(0, n_full, ASCENT_STACK)
+    ]
+    if rest:
+        stacks.append((n_full, 1, rest))
+    best = max(float(_ascent_values(r, p.dim_proof, seed, *stack).max()) for stack in stacks)
+    return CheatSearchResult(best, n_candidates)
 
 
-def _complex_normals(seed: int, region: int, first: int, count: int, width: int) -> np.ndarray:
+def _complex_normals(seed: int, first: int, count: int, width: int) -> np.ndarray:
     """Standard complex normals, ``width`` for each item ``first`` to ``first + count``.
 
     Item i takes the ceil(width / 2) Philox counter steps (four words each)
-    from step ``region * 2**128 + i * ceil(width / 2)`` of the stream keyed
+    from step ``_SEARCH_STEP + i * ceil(width / 2)`` of the stream keyed
     by ``seed``.  A word w is the uniform (w >> 11) * 2**-53, as from
     ``Generator.random``, and each pair (u, v) gives the normal
     sqrt(-ln(1 - u)) e^{2 pi i v}.  Every item takes the same number of
     steps, so its normals do not depend on which items are drawn with it.
     """
     steps = -(-width // 2)
-    u = _philox_words(seed, (region << 128) + first * steps, count * steps) >> 11
+    u = _philox_words(seed, _SEARCH_STEP + first * steps, count * steps) >> 11
     u = (u * 2.0**-53).reshape(count, 2 * steps, 2)[:, :width]  # frees the words
     return np.sqrt(-np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
-
-
-def _unit_rows(z: np.ndarray) -> np.ndarray:
-    return z / np.linalg.norm(z, axis=-1, keepdims=True)
-
-
-def _raw_values(r: np.ndarray, dp: int, seed: int, first: int, count: int) -> np.ndarray:
-    """Values of raw candidates ``first`` to ``first + count``.
-
-    A candidate's normals are its state, then the Gaussian (dim_proof, k)
-    matrices whose phase-fixed QR gives the Haar isometries y_b; its
-    amplitudes <chi_b|(v_b ⊗ I)|psi> are Tr(y_b^dag A_psi R_b^dag).
-    """
-    _, k, dt = r.shape
-    z = _complex_normals(seed, 0, first, count, dp * dt + 2 * dp * k)
-    a_psi = _unit_rows(z[:, : dp * dt]).reshape(count, dp, dt)
-    y, tri = np.linalg.qr(z[:, dp * dt :].reshape(count, 2, dp, k))
-    diag = np.diagonal(tri, axis1=-2, axis2=-1)
-    y = y * (diag / np.abs(diag))[..., None, :]
-    m = a_psi[:, None] @ r.mT.conj()
-    amp = np.vecdot(y.reshape(count, 2, -1), m.reshape(count, 2, -1))
-    return (amp.real**2 + amp.imag**2).sum(axis=-1) / 2.0
 
 
 def _best_responses(a_psi: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -836,7 +798,8 @@ def _ascent_values(
 ) -> np.ndarray:
     """Best iterate value of each ascent from starts ``first`` to ``first + count``, stacked."""
     _, _, dt = r.shape
-    a_psi = _unit_rows(_complex_normals(seed, 1, first, count, dp * dt)).reshape(count, dp, dt)
+    z = _complex_normals(seed, first, count, dp * dt)
+    a_psi = (z / np.linalg.norm(z, axis=-1, keepdims=True)).reshape(count, dp, dt)
     overlaps = []
     for _ in range(iterates):
         phi = _best_responses(a_psi, r).reshape(count, 2, -1)

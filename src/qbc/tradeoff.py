@@ -33,10 +33,9 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import ParamOutOfRange
-from .linalg import bipartite
+from .linalg import _checked_integer, bipartite
 from .protocol import (
     PurificationProtocol,
-    _checked_integer,
     checked_stacks,
     distance_fidelity,
     make_protocol,

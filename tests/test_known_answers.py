@@ -8,10 +8,13 @@ sums over the spectra.  Four classes of hard case at token dims 2-5
 tiny eigenvalues (1e-14) and near-orthogonal with one pure reduction
 (F = 5e-8).  On 3000 such cases the stacked core's D was within 1.44e-15 and
 its F within 1.11e-15, and Helstrom success and ``per_bit_success`` within
-4.4e-16 of their closed forms; each gate is ten times that.
+4.4e-16 of their closed forms; each gate is ten times that.  The cheat
+search and the Monte Carlo engine are checked against the same answers.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -19,11 +22,26 @@ from conftest import KNOWN_ANSWER_CLASSES, known_answer_amplitudes, known_answer
 
 import qbc
 from qbc.linalg import bipartite
-from qbc.protocol import checked_stacks, distance_fidelity, make_protocol
+from qbc.protocol import (
+    CheatingAlice,
+    HelstromBob,
+    HonestAlice,
+    HonestBob,
+    checked_stacks,
+    distance_fidelity,
+    estimate_statistics,
+    make_protocol,
+)
 
 D_TOL = 1.44e-14
 F_TOL = 1.11e-14
 SUCCESS_TOL = 4.4e-15
+# The ascents at budget 200 fell short of (1 + F)/2 by at most 7.8e-9, on the
+# tiny-eigenvalue class.
+SEARCH_SHORTFALL_TOL = 1e-7
+MC_RUNS = 100_000
+MC_SEED = 2001
+MC_Z_BOUND = 5.0
 
 CLASSES_AND_DIMS = [(kind, dim) for kind in KNOWN_ANSWER_CLASSES for dim in range(2, 6)]
 
@@ -72,3 +90,34 @@ def test_cheat_search_never_beats_the_kit(kind, dim):
     for p, f in zip(protocols(a0, a1), f_exact):
         best = qbc.random_cheat_search(p, 200, 7).best_value
         assert best <= (1.0 + f) / 2.0 + SUCCESS_TOL
+        assert best >= (1.0 + f) / 2.0 - SEARCH_SHORTFALL_TOL
+
+
+def z_score(rate: float, predicted: float, n: int) -> float:
+    """(rate - predicted) over the prediction's binomial sigma sqrt(p (1 - p) / n).
+
+    Where that sigma is below 1/n, a prediction within about 1/n of 0 or 1
+    (as (1 + D)/2 is at D ~ 1 and (1 + F)/2 at F ~ 1), it is floored at 1/n,
+    one run's share of the rate: |z| <= 5 then allows five runs off the
+    prediction, where the unfloored sigma would fail one.
+    """
+    sigma = max(math.sqrt(predicted * (1.0 - predicted) / n), 1.0 / n)
+    return (rate - predicted) / sigma
+
+
+@pytest.mark.parametrize("kind, dim", CLASSES_AND_DIMS)
+def test_monte_carlo_rates(kind, dim):
+    """Sampled rates of both optimal cheats, in the commitment and in the coin
+    toss, against (1 + F)/2 for Alice and (1 + D)/2 for Bob.  The toss takes
+    its own seed: on the commitment's seed it counts the same cells."""
+    a0, a1, d_exact, f_exact = known_answers(kind, dim, 1)
+    (p,), alice, bob = protocols(a0, a1), (1.0 + f_exact[0]) / 2.0, (1.0 + d_exact[0]) / 2.0
+    toss = qbc.CoinTossProtocol(p)
+    rates = {
+        "unveil": (estimate_statistics(p, CheatingAlice(), HonestBob(), MC_RUNS, MC_SEED).p_unveil, alice),
+        "estimate": (estimate_statistics(p, HonestAlice(), HelstromBob(), MC_RUNS, MC_SEED).p_estimate, bob),
+        "alice-toss": (qbc.toss_statistics(toss, "alice", MC_RUNS, MC_SEED + 1).alice_win_rate, alice),
+        "bob-toss": (qbc.toss_statistics(toss, "bob", MC_RUNS, MC_SEED + 1).bob_win_rate, bob),
+    }
+    z = {name: z_score(rate, predicted, MC_RUNS) for name, (rate, predicted) in rates.items()}
+    assert all(abs(value) <= MC_Z_BOUND for value in z.values()), z

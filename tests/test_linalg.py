@@ -169,6 +169,19 @@ class TestValidation:
         with pytest.raises(DimMismatch, match="dim_proof must be an integer >= 1"):
             BipartiteState(bad, 1, random_pure_state(1, 0))
 
+    @pytest.mark.parametrize("index", [-1, 2, 5, True, np.True_, 1.0, "1", None])
+    def test_basis_state_index_must_be_an_integer_below_dim(self, index):
+        """A negative index no longer wraps round to the last vector, a bool is
+        not taken for 0 or 1, and an index past the end is not an IndexError."""
+        with pytest.raises(qbc.ParamOutOfRange, match=r"index must be an integer in \[0, 2\)"):
+            basis_state(2, index)
+
+    def test_basis_state_takes_numpy_integer_indices(self):
+        for index in range(3):
+            for kind in (int, np.int64, np.uint8):
+                state = basis_state(np.int32(3), kind(index))
+                assert np.array_equal(state.amplitudes, np.eye(3)[index])
+
     def test_arrays_frozen(self):
         rho = random_density(2, 2, 0)
         with pytest.raises(ValueError):
