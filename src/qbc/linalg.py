@@ -241,7 +241,9 @@ def sqrt_psd(rho: DensityOperator) -> np.ndarray:
     the one place that floor is applied.  It drops real weight too: an
     eigenvalue of 1e-14 has the square root 1e-7, which
     :func:`~qbc.distinguish.fidelity` then loses (it reads 0.0 for
-    ``QubitPureMixed(1e-14)``, whose F is 1e-7).
+    ``QubitPureMixed(1e-14)``, whose F is 1e-7): at most sqrt(w) of F for a
+    weight w zeroed.  It keeps an exact zero exact: computed as ~1e-17,
+    with no floor it would add its square root, ~3e-9.
     """
     eigenvalues, v = np.linalg.eigh(rho.matrix)
     check_spectra(eigenvalues)

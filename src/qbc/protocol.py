@@ -41,7 +41,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .distinguish import aligned_superposition, helstrom, phase_aligned_sum, polar_unitary
+from .distinguish import aligned_superposition, helstrom
 from .errors import DimMismatch, NotAMeasurement, NotOrthogonal, ParamOutOfRange, QbcError
 from .linalg import (
     BipartiteState,
@@ -739,7 +739,8 @@ def random_cheat_search(p: PurificationProtocol, n_candidates: int, seed: int) -
     The chi pair is factored once, A_b = Q_b R_b with R_b of shape
     (k, dim_token), k = min(dim_proof, dim_token), so an iterate is one
     ``svd`` call on k x dim_proof matrices for the whole stack of starts and
-    both bits (:func:`_best_responses`).  Start i draws a fixed-width block
+    both bits, and a few products of k x k Gram blocks with its factors
+    (:func:`_ascent_values`).  Start i draws a fixed-width block
     of a Philox stream keyed by ``seed`` at its own offset
     (:func:`_complex_normals`), and ascents run in stacks of
     ``ASCENT_STACK`` starts.  So the result is a pure function of
@@ -779,31 +780,45 @@ def _complex_normals(seed: int, first: int, count: int, width: int) -> np.ndarra
     return np.sqrt(-np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
 
 
-def _best_responses(a_psi: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """v_b^dag A_b for the unitaries v_b best against each state of a stack, for both bits.
+def _best_response_factors(m: np.ndarray) -> np.ndarray:
+    """H_b = W_b V_b^dag for each M_b = W_b S_b V_b^dag of a (..., k, dim_proof) stack.
 
-    ``a_psi`` is a (..., dim_proof, dim_token) stack of states and ``r``
-    the (2, k, dim_token) R factors of the chi pair.  With A_psi R_b^dag =
-    W S X^dag, this is W X^dag R_b: the orthogonal-Procrustes step of the
-    full polar unitary of A_psi A_b^dag.  W X^dag is the
-    :func:`polar_unitary` of R_b A_psi^dag, from one ``svd`` of the
-    (..., 2, k, dim_proof) stack.  Returns (..., 2, dim_proof, dim_token).
+    H_b^dag is the :func:`~qbc.distinguish.polar_unitary` of M_b, from one
+    ``svd`` call for the whole stack.  With M_b = R_b A_psi^dag, H_b^dag R_b
+    = v_b^dag A_b for the proof unitary v_b best against chi_b for the state
+    A_psi: the orthogonal-Procrustes step of the full polar of A_psi A_b^dag.
     """
-    u, _ = polar_unitary(r @ a_psi[..., None, :, :].mT.conj())
-    return u @ r
+    w, _, vh = np.linalg.svd(m, full_matrices=False)
+    return w @ vh
 
 
 def _ascent_values(
     r: np.ndarray, dp: int, seed: int, first: int, count: int, iterates: int
 ) -> np.ndarray:
-    """Best iterate value of each ascent from starts ``first`` to ``first + count``, stacked."""
-    _, _, dt = r.shape
+    """Best iterate value of each ascent from starts ``first`` to ``first + count``, stacked.
+
+    The best responses to a state psi are phi_b = H_b^dag R_b, with H_b the
+    :func:`_best_response_factors` of M_b = R_b psi^dag, and the ascent
+    carries H_b, not the state.  With the Gram blocks G_bc = R_b R_c^dag,
+    the responses overlap by c = <phi0|phi1> = Tr(H0 H1^dag G10).  The next
+    state phi0 + (c/|c|)^* phi1 (phase 1 where |c| <= 1e-12, the rule of
+    :func:`~qbc.distinguish.phase_aligned_sum`) has M_b = G_b0 H0 + G_b1 H1
+    once H1 is scaled by c/|c|.  The polar factor does not depend on the
+    scale of M, so that state is never formed or normalized; only the first
+    M, R_b A_psi^dag, is formed from the start's draws.
+    """
+    k, dt = r.shape[1:]
     z = _complex_normals(seed, first, count, dp * dt)
-    a_psi = (z / np.linalg.norm(z, axis=-1, keepdims=True)).reshape(count, dp, dt)
+    a_psi = (z / np.linalg.norm(z, axis=-1, keepdims=True)).reshape(count, 1, dp, dt)
+    gram = r[:, None] @ r.mT.conj()  # gram[b, c] = G_bc
+    g10, row = gram[1, 0], np.concatenate((gram[:, 0], gram[:, 1]), axis=-1)  # row b: [G_b0 | G_b1]
+    m = r @ a_psi.mT.conj()
     overlaps = []
     for _ in range(iterates):
-        phi = _best_responses(a_psi, r).reshape(count, 2, -1)
-        merged, overlap = phase_aligned_sum(phi[:, 0], phi[:, 1])
+        h = _best_response_factors(m)  # (count, 2, k, dp)
+        c = np.vecdot(h[:, 1].reshape(count, -1), (g10 @ h[:, 0]).reshape(count, -1))
+        overlap = np.abs(c)
+        h[:, 1] *= np.divide(c, overlap, out=np.ones_like(c), where=overlap > 1e-12)[:, None, None]
         overlaps.append(overlap)
-        a_psi = merged.reshape(count, dp, dt)
+        m = row @ h.reshape(count, 1, 2 * k, dp)
     return (1.0 + np.max(overlaps, axis=0)) / 2.0

@@ -47,7 +47,7 @@ ENGINE_PROTOCOLS = {
 
 # Known-answer protocols: commuting spectra p and q on orthogonal proof
 # blocks, so D = (1/2) sum |p - q| and F = sum sqrt(p q) hold by construction.
-KNOWN_ANSWER_CLASSES = ("generic", "near-identical", "tiny-eigenvalues", "near-orthogonal-pure")
+KNOWN_ANSWER_CLASSES = ("generic", "near-identical", "tiny-eigenvalues", "near-orthogonal-pure", "rank-deficient")
 
 
 def known_answer_spectra(kind: str, dim: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -57,7 +57,8 @@ def known_answer_spectra(kind: str, dim: int, rng) -> tuple[np.ndarray, np.ndarr
     * near-identical: q differs from p by 1e-8 in l1 norm, so D = 5e-9;
     * tiny-eigenvalues: each spectrum has one eigenvalue of 1e-14;
     * near-orthogonal-pure: p is pure and q gives its eigenvector
-      (5e-8)^2, so F = 5e-8 and D ~ 1.
+      (5e-8)^2, so F = 5e-8 and D ~ 1;
+    * rank-deficient: each spectrum has one eigenvalue of exactly 0.
     """
     p, q = rng.random(dim) + 0.1, rng.random(dim) + 0.1
     if kind == "near-identical":
@@ -70,6 +71,9 @@ def known_answer_spectra(kind: str, dim: int, rng) -> tuple[np.ndarray, np.ndarr
         p, q = p / p.sum(), q / q.sum()
         p[p == 0.0] = 1e-14
         q[q == 0.0] = 1e-14
+    elif kind == "rank-deficient":
+        p[rng.integers(dim)] = 0.0
+        q[rng.integers(dim)] = 0.0
     elif kind == "near-orthogonal-pure":
         p = np.eye(dim)[0]
         q[0] = 0.0

@@ -3,13 +3,15 @@
 Each protocol comes from :func:`conftest.known_answer_amplitudes`: commuting
 spectra on orthogonal proof blocks, rotated by Haar unitaries on the token
 and on the proof, so D = (1/2) sum |p - q| and F = sum sqrt(p q) are exact
-sums over the spectra.  Four classes of hard case at token dims 2-5
+sums over the spectra.  Five classes of hard case at token dims 2-5
 (:func:`conftest.known_answer_spectra`): generic, near-identical (D ~ 1e-8),
-tiny eigenvalues (1e-14) and near-orthogonal with one pure reduction
-(F = 5e-8).  On 3000 such cases the stacked core's D was within 1.44e-15 and
+tiny eigenvalues (1e-14), near-orthogonal with one pure reduction
+(F = 5e-8) and rank-deficient (one eigenvalue of exactly 0 in each).  On
+3000 cases of the first four the stacked core's D was within 1.44e-15 and
 its F within 1.11e-15, and Helstrom success and ``per_bit_success`` within
 4.4e-16 of their closed forms; each gate is ten times that.  The cheat
-search and the Monte Carlo engine are checked against the same answers.
+search, the Monte Carlo engine and the square-root route of
+``qbc.fidelity`` are checked against the same answers.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import pytest
 from conftest import KNOWN_ANSWER_CLASSES, known_answer_amplitudes, known_answer_spectra
 
 import qbc
-from qbc.linalg import bipartite
+from qbc.linalg import SQRT_NOISE_FLOOR, bipartite
 from qbc.protocol import (
     CheatingAlice,
     HelstromBob,
@@ -39,6 +41,9 @@ SUCCESS_TOL = 4.4e-15
 # The ascents at budget 200 fell short of (1 + F)/2 by at most 7.8e-9, on the
 # tiny-eigenvalue class.
 SEARCH_SHORTFALL_TOL = 1e-7
+# qbc.fidelity zeroes eigenvalues below SQRT_NOISE_FLOOR; against the F of the
+# spectra so floored it was within 2.4e-15 on every class (800 cases each).
+FLOORED_F_TOL = 2e-14
 MC_RUNS = 100_000
 MC_SEED = 2001
 MC_Z_BOUND = 5.0
@@ -121,3 +126,25 @@ def test_monte_carlo_rates(kind, dim):
     }
     z = {name: z_score(rate, predicted, MC_RUNS) for name, (rate, predicted) in rates.items()}
     assert all(abs(value) <= MC_Z_BOUND for value in z.values()), z
+
+
+@pytest.mark.parametrize("kind, dim", CLASSES_AND_DIMS)
+def test_square_root_fidelity(kind, dim):
+    """``qbc.fidelity`` takes square roots of the density matrices, which
+    zero every eigenvalue below ``SQRT_NOISE_FLOOR``: it gives the F of the
+    spectra with those eigenvalues zeroed, so it lies below F by at most
+    sqrt(w0) + sqrt(w1), w_b the weight zeroed.  That is 2e-7 on the
+    tiny-eigenvalue class and all of F = 5e-8 on the near-orthogonal-pure
+    one; an exact zero loses nothing.  With no floor, the rounding of a zero
+    eigenvalue (~1e-17) would enter as its square root instead: up to 2.3e-8
+    off on the rank-deficient class and 2.3e-9 on the tiny-eigenvalue one."""
+    rng = np.random.default_rng([KNOWN_ANSWER_CLASSES.index(kind), dim, 1])
+    for _ in range(10):
+        p, q = known_answer_spectra(kind, dim, rng)
+        a0, a1, _, f = known_answer_amplitudes(p, q, rng)
+        (protocol,) = protocols(a0[None], a1[None])
+        fidelity = qbc.fidelity(*qbc.honest_reduced_states(protocol))
+        kept = (p >= SQRT_NOISE_FLOOR) & (q >= SQRT_NOISE_FLOOR)
+        assert abs(fidelity - math.fsum(np.sqrt(p[kept] * q[kept]))) <= FLOORED_F_TOL
+        zeroed = math.sqrt(p[p < SQRT_NOISE_FLOOR].sum()) + math.sqrt(q[q < SQRT_NOISE_FLOOR].sum())
+        assert f - fidelity <= zeroed + FLOORED_F_TOL
