@@ -118,17 +118,9 @@ def _cmd_sweep(args) -> int:
     kind = FAMILY_KINDS[args.family]
     params = uniform_grid(kind, args.points)
     points = sweep(kind, params)
-    header = ["param", "gMax", "cMax", "curveI", "curveII", "curveIII", "curveIV"]
+    header = ["param", "gMax", "cMax", *(f"curve{curve.value}" for curve in Curve)]
     rows = [
-        [
-            pt.family_param,
-            pt.g_max,
-            pt.c_max,
-            curve_value(Curve.I, pt.g_max),
-            curve_value(Curve.II, pt.g_max),
-            curve_value(Curve.III, pt.g_max),
-            curve_value(Curve.IV, pt.g_max),
-        ]
+        [pt.family_param, pt.g_max, pt.c_max, *(curve_value(curve, pt.g_max) for curve in Curve)]
         for pt in points
     ]
     if args.format == "json":
@@ -209,7 +201,7 @@ def _cmd_check(args) -> int:
         raise ParamOutOfRange("check needs a spec path and/or --point entries")
     lines: list[str] = []
     violated = False
-
+    points = []
     if args.spec is not None:
         p = parse_protocol_spec(args.spec)
         report = security_report(p)
@@ -217,15 +209,12 @@ def _cmd_check(args) -> int:
             report.trace_distance, report.fidelity, *honest_reduced_states(p)
         )
         for check in inequality_report.checks:
-            if not check.applicable:
-                continue
-            status = "OK" if check.satisfied else "VIOLATION"
-            lines.append(f"{status} {check.name} slack={format_float(check.slack)}")
-            violated = violated or not check.satisfied
-        points = [(report.g_max, report.c_max)]
-    else:
-        points = []
-    points.extend((g, c) for g, c in (args.point or []))
+            if check.applicable:
+                status = "OK" if check.satisfied else "VIOLATION"
+                lines.append(f"{status} {check.name} slack={format_float(check.slack)}")
+        violated = not inequality_report.all_satisfied()
+        points.append((report.g_max, report.c_max))
+    points += args.point or []
 
     for g, c in points:
         bound_violations = check_bounds(TradeoffPoint(g, c, float("nan")))

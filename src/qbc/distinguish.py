@@ -268,10 +268,15 @@ def combined_support_rank(rho: DensityOperator, sigma: DensityOperator) -> int:
 
 @dataclass(frozen=True)
 class InequalityCheck:
+    """An inequality's slack at a pair's (D, F); satisfied at slack >= -INEQUALITY_TOL, not NaN."""
+
     name: str
     applicable: bool
-    satisfied: bool
     slack: float
+
+    @property
+    def satisfied(self) -> bool:
+        return self.slack >= -INEQUALITY_TOL
 
 
 @dataclass(frozen=True)
@@ -312,30 +317,11 @@ def inequalities_at(
     strong_applicable = any(pure) or combined_support_rank(rho, sigma) <= 2
     upper = float(np.sqrt(max(0.0, 1.0 - f * f)))
 
+    # The equality's slack is -|sqrt(1 - F^2) - D|, so it holds within the tolerance either side.
     checks = (
-        InequalityCheck(
-            "fidelity_lower_bound",  # 1 - F <= D
-            applicable=True,
-            satisfied=d - (1.0 - f) >= -INEQUALITY_TOL,
-            slack=d - (1.0 - f),
-        ),
-        InequalityCheck(
-            "fidelity_upper_bound",  # D <= sqrt(1 - F^2)
-            applicable=True,
-            satisfied=upper - d >= -INEQUALITY_TOL,
-            slack=upper - d,
-        ),
-        InequalityCheck(
-            "pure_pair_equality",  # D = sqrt(1 - F^2) for two pure states
-            applicable=all(pure),
-            satisfied=abs(upper - d) <= INEQUALITY_TOL,
-            slack=-abs(upper - d),
-        ),
-        InequalityCheck(
-            "squared_fidelity_lower_bound",  # 1 - F^2 <= D, one pure or 2-dim support
-            applicable=strong_applicable,
-            satisfied=d - (1.0 - f * f) >= -INEQUALITY_TOL,
-            slack=d - (1.0 - f * f),
-        ),
+        InequalityCheck("fidelity_lower_bound", True, d - (1.0 - f)),
+        InequalityCheck("fidelity_upper_bound", True, upper - d),
+        InequalityCheck("pure_pair_equality", all(pure), -abs(upper - d)),
+        InequalityCheck("squared_fidelity_lower_bound", strong_applicable, d - (1.0 - f * f)),
     )
     return InequalityReport(d, f, checks)

@@ -84,7 +84,7 @@ def check_spectra(eigenvalues: np.ndarray) -> None:
     and each trace, the sum of a spectrum, must be within ``NORM_TOL`` of 1
     (NotNormalized).
     """
-    lowest = eigenvalues[..., 0].min()
+    lowest = eigenvalues[..., 0].min(initial=np.inf)
     if lowest < EIGENVALUE_FLOOR:
         raise NotPositiveSemidefinite(f"eigenvalue {lowest} below floor {EIGENVALUE_FLOOR}")
     _unit_deviation(eigenvalues.sum(axis=-1), "trace")

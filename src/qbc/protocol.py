@@ -60,7 +60,6 @@ from .linalg import (
 
 ORTHOGONALITY_TOL = 1e-9
 MEASUREMENT_TOL = 1e-8
-REPORT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ class PurificationProtocol:
 
 def _check_orthogonal(a0: np.ndarray, a1: np.ndarray) -> None:
     """Reject any protocol of a stack whose |<chi0|chi1>| exceeds ``ORTHOGONALITY_TOL``."""
-    overlap = float(np.abs(np.einsum("npt,npt->n", a0.conj(), a1)).max())
+    overlap = float(np.abs(np.einsum("npt,npt->n", a0.conj(), a1)).max(initial=0.0))
     if overlap > ORTHOGONALITY_TOL:
         raise NotOrthogonal(f"|<chi0|chi1>| = {overlap} exceeds {ORTHOGONALITY_TOL}")
 
@@ -126,10 +125,13 @@ def make_protocol(chi0: BipartiteState, chi1: BipartiteState) -> PurificationPro
 def random_protocol(dim_proof: int, dim_token: int, seed) -> PurificationProtocol:
     """Random protocol: Haar chi0, chi1 Gram-Schmidt-orthogonalized against it.
 
-    ``seed`` and the dims are checked as by :func:`~qbc.linalg.random_pure_state`.
+    ``seed`` and the dims are checked as by :func:`~qbc.linalg.random_pure_state`; dims
+    whose product is below 2, too few for two orthogonal states, are refused before any draw.
     """
     dim = _checked_integer(dim_proof, "dim_proof", 1, DimMismatch)
     dim *= _checked_integer(dim_token, "dim_token", 1, DimMismatch)
+    if dim < 2:
+        raise DimMismatch(f"dim_proof * dim_token must be >= 2 for an orthogonal pair, got {dim}")
     rng = _seeded_generator(seed)
     chi0 = random_pure_state(dim, rng)
     raw = random_pure_state(dim, rng).amplitudes
@@ -217,18 +219,18 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class SecurityReport:
-    """Exact one-shot security figures of a protocol instance."""
+    """Exact one-shot security figures of a protocol instance: D, F, g_max = D/2, c_max = F/2."""
 
     trace_distance: float
     fidelity: float
-    g_max: float
-    c_max: float
 
-    def __post_init__(self):
-        if abs(self.g_max - self.trace_distance / 2.0) > REPORT_TOL:
-            raise ValueError("g_max must equal trace_distance / 2")
-        if abs(self.c_max - self.fidelity / 2.0) > REPORT_TOL:
-            raise ValueError("c_max must equal fidelity / 2")
+    @property
+    def g_max(self) -> float:
+        return self.trace_distance / 2.0
+
+    @property
+    def c_max(self) -> float:
+        return self.fidelity / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,8 +295,7 @@ def distance_fidelity(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def security_report(p: PurificationProtocol) -> SecurityReport:
     d, f = distance_fidelity(p.chi0.as_matrix()[None], p.chi1.as_matrix()[None])
-    d, f = float(d[0]), float(f[0])
-    return SecurityReport(d, f, d / 2.0, f / 2.0)
+    return SecurityReport(float(d[0]), float(f[0]))
 
 
 def optimal_cheat_kit(p: PurificationProtocol) -> CheatKit:

@@ -185,15 +185,15 @@ class Curve(Enum):
     IV = "IV"
 
 
-def _checked_box(g, c) -> None:
-    """Refuse a g_max or c_max outside [0, 1/2] by more than ``BOUND_TOL``, NaN included.
+def _checked_box(**values) -> None:
+    """Refuse a ``g_max`` or ``c_max`` outside [0, 1/2] by more than ``BOUND_TOL``, NaN included.
 
-    ``g`` and ``c`` are two scalars or two arrays; the message names the
-    first value refused.
+    Each keyword names a coordinate and gives a scalar or an array; the
+    message names the first value refused.
     """
-    for name, v in (("g_max", g), ("c_max", c)):
+    for name, v in values.items():
         inside = (v >= -BOUND_TOL) & (v <= 0.5 + BOUND_TOL)
-        if not np.all(inside):
+        if inside is not True and not np.all(inside):  # a float's bool skips the slow np.all
             refused = v if np.ndim(v) == 0 else v[~inside][0]
             raise ParamOutOfRange(f"{name} = {refused} outside [0, 1/2]")
 
@@ -217,7 +217,7 @@ class TradeoffPoint(_TradeoffFields):
     __slots__ = ()
 
     def __new__(cls, g_max: float, c_max: float, family_param: float):
-        _checked_box(g_max, c_max)
+        _checked_box(g_max=g_max, c_max=c_max)
         return tuple.__new__(cls, (g_max, c_max, family_param))
 
     # The namedtuple _make, which _replace calls, builds with tuple.__new__
@@ -256,7 +256,7 @@ def sweep(
         stop = start + SWEEP_CHUNK_POINTS
         d, f = distance_fidelity(*checked_stacks(*_amplitude_stacks(family_kind, x[start:stop])))
         g, c = d / 2.0, f / 2.0
-        _checked_box(g, c)
+        _checked_box(g_max=g, c_max=c)
         rows = zip(g.tolist(), c.tolist(), params[start:stop])
         points += map(tuple.__new__, repeat(TradeoffPoint), rows)
     return points
@@ -271,20 +271,26 @@ def uniform_grid(family_kind: Callable[[float], ProtocolFamily], n_points: int) 
     return [upper * i / (n_points - 1) for i in range(n_points)]
 
 
+# Each curve's height c(g) on [0, 1/2], and its fair point: the g where c(g) = g.
+_CURVES: dict[Curve, tuple[Callable[[float], float], float]] = {
+    Curve.I: (lambda g: (1.0 - 2.0 * g) ** 2 / 2.0, (3.0 - math.sqrt(5.0)) / 4.0),
+    Curve.II: (lambda g: 0.5 - g, 0.25),
+    Curve.III: (lambda g: math.sqrt((0.5 - g) / 2.0), (math.sqrt(5.0) - 1.0) / 4.0),
+    Curve.IV: (lambda g: math.sqrt(max(0.0, 0.25 - g * g)), 1.0 / (2.0 * math.sqrt(2.0))),
+}
+
+
+def _curve(curve: Curve) -> tuple[Callable[[float], float], float]:
+    try:
+        return _CURVES[curve]
+    except (KeyError, TypeError):
+        raise TypeError(f"unknown curve {curve!r}") from None
+
+
 def curve_value(curve: Curve, g_max: float) -> float:
     """Height c(g) of a reference curve, clamped to 0 past its intercept."""
-    if not -BOUND_TOL <= g_max <= 0.5 + BOUND_TOL:
-        raise ParamOutOfRange(f"g_max = {g_max} outside [0, 1/2]")
-    g = min(max(g_max, 0.0), 0.5)
-    if curve is Curve.I:
-        return (1.0 - 2.0 * g) ** 2 / 2.0
-    if curve is Curve.II:
-        return 0.5 - g
-    if curve is Curve.III:
-        return math.sqrt((0.5 - g) / 2.0)
-    if curve is Curve.IV:
-        return math.sqrt(max(0.0, 0.25 - g * g))
-    raise TypeError(f"unknown curve {curve!r}")
+    _checked_box(g_max=g_max)
+    return _curve(curve)[0](min(max(g_max, 0.0), 0.5))
 
 
 def fair_point(curve: Curve) -> float:
@@ -295,15 +301,7 @@ def fair_point(curve: Curve) -> float:
     Curve III: g solves 2 g^2 + g = 1/2, i.e. g = (sqrt(5) - 1) / 4.
     Curve IV: g = 1 / (2 sqrt(2)).
     """
-    if curve is Curve.I:
-        return (3.0 - math.sqrt(5.0)) / 4.0
-    if curve is Curve.II:
-        return 0.25
-    if curve is Curve.III:
-        return (math.sqrt(5.0) - 1.0) / 4.0
-    if curve is Curve.IV:
-        return 1.0 / (2.0 * math.sqrt(2.0))
-    raise TypeError(f"unknown curve {curve!r}")
+    return _curve(curve)[1]
 
 
 def curve_i_slack(g_max: float, c_max: float) -> float:

@@ -515,3 +515,70 @@ class TestPinnedSweepStdout:
     def test_sweep(self, family, fmt):
         out = cli_stdout("sweep", "--family", family, "--points", "1001", "--format", fmt)
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[family, fmt]
+
+
+class TestPinnedAnalyzeCheckStdout:
+    """sha256 of ``analyze`` (text and JSON) and ``check`` stdout and exit codes, per spec.
+
+    Each family is pinned at parameter 0, an interior value and its
+    endpoint, beside a random 4x3 protocol; the last case checks a point
+    below curve I beside one above it.  Recorded while ``SecurityReport``
+    stored ``g_max`` and ``c_max`` and each ``InequalityCheck`` its verdict;
+    deriving them gives the same bytes.
+    """
+
+    SPECS = {
+        "commuting3d-0": ("commuting3d", 0.0),
+        "commuting3d-0.3": ("commuting3d", 0.3),
+        "commuting3d-1": ("commuting3d", 1.0),
+        "qubit-pure-mixed-0": ("qubit-pure-mixed", 0.0),
+        "qubit-pure-mixed-0.3": ("qubit-pure-mixed", 0.3),
+        "qubit-pure-mixed-1": ("qubit-pure-mixed", 1.0),
+        "pure-pair-0": ("pure-pair", 0.0),
+        "pure-pair-0.7": ("pure-pair", 0.7),
+        "pure-pair-pi/2": ("pure-pair", np.pi / 2.0),
+        "random-4x3": None,
+    }
+    DIGESTS = {
+        "commuting3d-0": "b5102c57bc96fbd4fecd0bd8b7b2de3c4931afbb3ba07ef4e8136f165f4d7dec",
+        "commuting3d-0.3": "295d3927d5012e5f307c179c28188fb977a27b9f2f60373ae9679105d2da7c1e",
+        "commuting3d-1": "793e501c347c79b5d8a0ec0ed2d6559832ed9ec9b2c693b228c8947ddaaace36",
+        "pure-pair-0": "928f66fcac6d701d49018268a6b687657e4706a85c20d50cd3cd86015e4d3e6f",
+        "pure-pair-0.7": "d8c85908143c1af6d194d8bdb3ece6ea37126eb4e98e1afc314e34d39e983b47",
+        "pure-pair-pi/2": "d2ab9b7c257426d92ea76dac61c75cd594c41de9f2421bbdbdb05b48ecce48b5",
+        "qubit-pure-mixed-0": "4db65b5187a78c5b592cc0582e89caeeb2a9952b4341bb7ecdecf16b72d9af6f",
+        "qubit-pure-mixed-0.3": "45897671e6a79644603ff365fcdbdd49511aac9218c836278b2c5eac3695787f",
+        "qubit-pure-mixed-1": "439e9eaf6a485d62b6c13c676b17824a7242ba929819ad1bd35882da9366f596",
+        "random-4x3": "b77d5e0ac47be64a0bb3ef147c4650c5699db8306a7768b1ebdc40a4545033f8",
+        "violating-point": "53936a6ad18204aeab646ce3522ece3462794b81effc68ea9ab567d16a6c74c9",
+    }
+
+    @staticmethod
+    def _transcript(capsys, *commands) -> str:
+        """Each command's exit code and stdout, in order, as one string."""
+        capsys.readouterr()
+        parts = []
+        for command in commands:
+            code = run_cli(command)
+            parts.append(f"{code}\n{capsys.readouterr().out}")
+        return "".join(parts)
+
+    @pytest.mark.parametrize("case", sorted(SPECS))
+    def test_spec(self, case, tmp_path, capsys):
+        if self.SPECS[case] is None:
+            spec = tmp_path / "random4x3.json"
+            write_protocol_spec(qbc.random_protocol(4, 3, 43), spec)
+        else:
+            spec = make_spec_file(tmp_path, *self.SPECS[case])
+        out = self._transcript(
+            capsys,
+            ["analyze", str(spec)],
+            ["analyze", str(spec), "--format", "json"],
+            ["check", str(spec)],
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[case]
+
+    def test_violating_point(self, capsys):
+        out = self._transcript(capsys, ["check", "--point", "0.1", "0.1", "--point", "0.25", "0.25"])
+        assert out.startswith("1\nVIOLATION point gMax=0.10000000000000001")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS["violating-point"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from qbc.distinguish import (
     bloch_trace_distance,
     check_inequalities,
     combined_support_rank,
+    inequalities_at,
     fidelity,
     helstrom,
     is_pure,
@@ -429,6 +432,20 @@ class TestInequalities:
             strong = next(c for c in report.checks if c.name == "squared_fidelity_lower_bound")
             assert strong.applicable and strong.satisfied
             assert report.trace_distance + report.fidelity**2 >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize(
+        "slack, satisfied", [(-1e-9, True), (-1.0000001e-9, False), (float("nan"), False)]
+    )
+    def test_verdict_is_derived_from_slack(self, slack, satisfied):
+        """Every check holds exactly when its slack is at least -INEQUALITY_TOL; NaN fails."""
+        pure = density_from_pure(qbc.basis_state(2, 0))
+        report = inequalities_at(0.5, 0.5, pure, pure)
+        assert [c.applicable for c in report.checks] == [True] * 4
+        for check in report.checks:
+            edge = dataclasses.replace(check, slack=slack)
+            assert edge.satisfied is satisfied, check.name
+            edged = dataclasses.replace(report, checks=(edge,))
+            assert edged.all_satisfied() is satisfied
 
     def test_support_rank_detection(self):
         rho = density_from_pure(qbc.basis_state(4, 0))

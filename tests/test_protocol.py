@@ -126,8 +126,11 @@ class TestSecurityReport:
         assert report.g_max == pytest.approx(0.15, abs=1e-12)
         assert report.c_max == pytest.approx(0.35, abs=1e-12)
 
-    def test_report_invariants(self):
-        with pytest.raises(ValueError):
+    def test_figures_derive_from_d_and_f(self):
+        """gMax and cMax are read off D and F, so no report can contradict itself."""
+        report = qbc.SecurityReport(0.4, 0.6)
+        assert (report.g_max, report.c_max) == (0.4 / 2.0, 0.6 / 2.0)
+        with pytest.raises(TypeError):
             qbc.SecurityReport(0.4, 0.6, g_max=0.3, c_max=0.3)
 
     def test_bounds_hold_on_random_protocols(self):
@@ -197,6 +200,12 @@ class TestStackedCore:
         a1[1] = a0[1]
         with pytest.raises(NotOrthogonal):
             checked_stacks(a0, a1)
+
+    def test_empty_stack(self):
+        """A stack of no protocols passes the checks and has no figures."""
+        empty = np.zeros((0, 3, 4), dtype=np.complex128)
+        d, f = distance_fidelity(*checked_stacks(empty, empty))
+        assert d.shape == f.shape == (0,)
 
     def test_core_rejects_reduction_off_unit_trace(self):
         """One density rule: a trace off 1 by 2e-9 fails the core and DensityOperator alike."""
@@ -736,6 +745,10 @@ REFUSED_INPUTS = {
     ),
     "protocol-dim": (lambda p: random_protocol(2.0, 2, 1), "dim_proof must be an integer >= 1, got 2.0"),
     "token-dim": (lambda p: random_protocol(2, 0, 1), "dim_token must be an integer >= 1, got 0"),
+    "orthogonal-pair-dim": (
+        lambda p: random_protocol(1, 1, 1),
+        "dim_proof * dim_token must be >= 2 for an orthogonal pair, got 1",
+    ),
     "state-dim": (lambda p: qbc.random_pure_state(-1, 1), "dim must be an integer >= 1, got -1"),
     "empty-state": (lambda p: qbc.random_pure_state(0, 1), "dim must be an integer >= 1, got 0"),
     "density-dim": (lambda p: qbc.random_density(np.float64(2), 1, 1), "dim must be an integer >= 1"),
@@ -756,6 +769,7 @@ REFUSED_INPUTS = {
 REFUSED_AS = {
     "protocol-dim": DimMismatch,
     "token-dim": DimMismatch,
+    "orthogonal-pair-dim": DimMismatch,
     "state-dim": DimMismatch,
     "empty-state": DimMismatch,
     "density-dim": DimMismatch,

@@ -335,6 +335,13 @@ class TestCurveValue:
         with pytest.raises(ParamOutOfRange):
             curve_value(Curve.I, 0.6)
 
+    @pytest.mark.parametrize("curve", ["I", 2, None, [Curve.I]])
+    def test_unknown_curve(self, curve):
+        with pytest.raises(TypeError, match="unknown curve"):
+            curve_value(curve, 0.25)
+        with pytest.raises(TypeError, match="unknown curve"):
+            fair_point(curve)
+
 
 class TestFairPoints:
     def test_closed_forms(self):
