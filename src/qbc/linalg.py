@@ -12,7 +12,9 @@ Each state invariant is one function here, which the single objects and
 the stacked core of :mod:`qbc.protocol` both call: the norm rule
 (:func:`normalize_states`), the density rule (:func:`check_spectra`), the
 token reduction (:func:`token_reductions`) and the square-root floor
-(:func:`sqrt_psd`).
+(:func:`sqrt_psd`).  The closed forms that the core uses for qubit tokens
+in place of ``eigvalsh`` and ``svd`` are one function too
+(:func:`qubit_token_core`).
 
 Index convention, fixed globally: the amplitude of a bipartite state at
 (proof index p, token index t) sits at flat index ``p * dim_token + t``.
@@ -22,6 +24,7 @@ products, partial traces and proof-side unitaries below all assume this.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -94,6 +97,56 @@ def token_reductions(amplitudes: np.ndarray) -> np.ndarray:
     """Token reductions (A^T A^* + h.c.)/2 of a stack of (..., dim_proof, dim_token) matrices A."""
     reduced = np.swapaxes(amplitudes, -2, -1) @ amplitudes.conj()
     return (reduced + np.swapaxes(reduced, -2, -1).conj()) / 2.0
+
+
+def _squared_norms(z: np.ndarray) -> np.ndarray:
+    """sum |z|^2 over all but the first axis of a C-contiguous complex stack."""
+    parts = z.view(np.float64).reshape(z.shape[0], 2 * math.prod(z.shape[1:]))
+    return np.vecdot(parts, parts)
+
+
+def qubit_token_core(
+    rho: np.ndarray, a0: np.ndarray, a1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2x2 rules of the D/F core, in elementwise closed forms with no LAPACK call.
+
+    ``a0`` and ``a1`` are the (n, dim_proof, 2) amplitude stacks A_b of n
+    protocols, and ``rho`` holds their token reductions rho0, rho1
+    (:func:`token_reductions`) and rho0 - rho1 as a (3, n, 2, 2) array.
+    With x, y and b the entries [0, 0], [1, 1] and [0, 1] of each matrix,
+    its eigenvalues are m ∓ r, where m = (x + y)/2 and r = hypot((x - y)/2,
+    |b|).  Returns
+
+    * the ascending spectra, (3, n, 2);
+    * D = max(|m|, r) of rho0 - rho1, which is (1/2) sum |eigenvalues|;
+    * F = sqrt(||A1 A0^dag||_F^2 + 2 |det R0| |det R1|).
+
+    F is the sum s1 + s2 of the singular values of A1 A0^dag, which has
+    rank <= 2: F^2 = s1^2 + s2^2 + 2 s1 s2, and s1 s2 = |det(R1 R0^dag)|
+    for A_b = Q_b R_b with Q_b an isometry.  By Cauchy-Binet, |det R_b|^2 =
+    det(A_b^dag A_b) is the sum of |A[p,0] A[q,1] - A[q,0] A[p,1]|^2 over
+    the row pairs p < q (none when dim_proof = 1).  So F needs no division,
+    no square root of a reduction and no floor.  The products are
+    elementwise broadcasts: a batched ``@`` would make one BLAS call per
+    2-column matrix.
+    """
+    x, y = rho[..., 0, 0].real, rho[..., 1, 1].real
+    mean = (x + y) / 2.0
+    radius = np.hypot((x - y) / 2.0, np.abs(rho[..., 0, 1]))
+    spectra = np.empty(mean.shape + (2,))
+    np.subtract(mean, radius, out=spectra[..., 0])
+    np.add(mean, radius, out=spectra[..., 1])
+    d = np.maximum(np.abs(mean[2]), radius[2])
+    a0_dag = a0.conj()
+    overlaps = a1[..., :, None, 0] * a0_dag[..., None, :, 0]  # A1 A0^dag, one column of A at a time
+    overlaps += a1[..., :, None, 1] * a0_dag[..., None, :, 1]
+    # t_b = 2 |det R_b|^2: the minor of rows p < q enters as itself and, negated, as q, p.
+    # Then 2 |det R0| |det R1| = sqrt(t_0 t_1).
+    t = []
+    for a in (a0, a1):
+        products = a[..., :, None, 0] * a[..., None, :, 1]
+        t.append(_squared_norms(products - products.mT))
+    return spectra, d, np.sqrt(_squared_norms(overlaps) + np.sqrt(t[0] * t[1]))
 
 
 def _is_integer(value) -> bool:

@@ -18,8 +18,9 @@ Both figures come from one stacked core, :func:`distance_fidelity`, which
 takes the amplitudes of any number of protocols at once: D from the
 eigenvalues of rho0 - rho1 and, by Uhlmann's theorem, F as the nuclear
 norm of A1 A0^dag (A_b is chi_b as a proof x token matrix), with no square
-root of a reduction.  A single report and a whole family sweep take the
-same route.
+root of a reduction.  Qubit tokens take elementwise closed forms with no
+LAPACK call; larger tokens take one ``eigvalsh`` and one ``svd`` call per
+stack.  A single report and a whole family sweep take the same route.
 
 Both optimal strategies are constructed explicitly and can be run through
 a Born-rule Monte Carlo, either one transcript at a time
@@ -54,6 +55,7 @@ from .linalg import (
     check_spectra,
     normalize_states,
     partial_trace,
+    qubit_token_core,
     random_pure_state,
     token_reductions,
 )
@@ -276,21 +278,26 @@ def distance_fidelity(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.nd
         D = (1/2) sum |eigenvalues of rho0 - rho1|
         F = sum of singular values of A1 A0^dag      (Uhlmann's theorem)
 
-    each clipped to [0, 1].  The whole stack costs one ``eigvalsh`` and one
-    ``svd`` call.  F takes no square root of a reduction, so it stays exact
-    where a reduction has eigenvalues far below rounding noise (F = 1e-7 at
-    an eigenvalue of 1e-14).
+    each capped at 1.  For dim_token = 2 the spectra, D and F have closed
+    forms (:func:`~qbc.linalg.qubit_token_core`), and the stack costs no
+    LAPACK call; for larger tokens it costs one ``eigvalsh`` and one ``svd``
+    call.  F takes no square root of a reduction on either path, so it
+    stays exact where a reduction has eigenvalues far below rounding noise
+    (F = 1e-7 at an eigenvalue of 1e-14).
     """
     n, _, dim_token = a0.shape
     rho = np.empty((3, n, dim_token, dim_token), dtype=np.complex128)
     rho[0] = token_reductions(a0)
     rho[1] = token_reductions(a1)
     np.subtract(rho[0], rho[1], out=rho[2])
-    eigenvalues = np.linalg.eigvalsh(rho)
+    if dim_token == 2:
+        eigenvalues, d, f = qubit_token_core(rho, a0, a1)
+    else:
+        eigenvalues = np.linalg.eigvalsh(rho)
+        d = 0.5 * np.abs(eigenvalues[2]).sum(axis=-1)
+        f = np.linalg.svd(a1 @ np.swapaxes(a0, -2, -1).conj(), compute_uv=False).sum(axis=-1)
     check_spectra(eigenvalues[:2])
-    d = np.clip(0.5 * np.abs(eigenvalues[2]).sum(axis=-1), 0.0, 1.0)
-    singular_values = np.linalg.svd(a1 @ np.swapaxes(a0, -2, -1).conj(), compute_uv=False)
-    return d, np.clip(singular_values.sum(axis=-1), 0.0, 1.0)
+    return np.minimum(d, 1.0), np.minimum(f, 1.0)
 
 
 def security_report(p: PurificationProtocol) -> SecurityReport:

@@ -177,7 +177,16 @@ def family_protocol(family: ProtocolFamily) -> PurificationProtocol:
 
 
 class Curve(Enum):
-    """The four reference curves in the (g_max, c_max) plane."""
+    """The four reference curves in the (g_max, c_max) plane.
+
+    Curve III, g + 2 c^2 = 1/2 (D + F^2 = 1), is the exact frontier of
+    qubit tokens: every protocol with dim_token = 2 has D + F^2 >= 1, with
+    equality only when rho0 = rho1, or when one reduction is pure and the
+    other's Bloch vector lies on the line through the pure one's and the
+    origin (``QubitPureMixed`` up to rotation).  The README's conventions
+    sketch the proof.  Curve II is first reached at dim_token = 3
+    (``Commuting3D``).
+    """
 
     I = "I"
     II = "II"
@@ -241,9 +250,9 @@ def sweep(
     chunk's ``g = D/2`` and ``c = F/2`` arrays pass the box check of
     :class:`TradeoffPoint` in one vectorised call, and its points are then
     built as tuples with no Python call per point.  No family member
-    object is built, a sweep costs two decompositions per chunk, and its
-    working arrays, the float64 parameter array aside, never hold more than
-    one chunk.  Each point equals
+    object is built, a ``Commuting3D`` sweep costs two decompositions per
+    chunk and a qubit-token sweep none, and the working arrays, the float64
+    parameter array aside, never hold more than one chunk.  Each point equals
     ``security_report(family_protocol(family_kind(param)))`` bit for bit
     and holds the caller's ``param`` object; points are returned in the
     order of ``params``.  ``max_workers`` is accepted for callers of the

@@ -36,6 +36,22 @@ def random_protocols(count: int, seed: int, max_dim: int = 4):
     return protocols
 
 
+def qubit_token_stacks(dim_proof: int, count: int, seed: int, pure0: bool = False):
+    """(A0, A1): ``count`` random qubit-token protocols as (count, dim_proof, 2) amplitudes.
+
+    A0 is Haar-random, or with ``pure0`` a product u ⊗ v, which makes rho0
+    pure; A1 is Haar-random, Gram-Schmidt-orthogonalized against A0.  A
+    ``dim_proof`` of 1 makes both reductions pure.
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2, count, dim_proof, 2)) + 1j * rng.standard_normal((2, count, dim_proof, 2))
+    if pure0:
+        z[0] = z[0, :, :, :1] * z[0, :, :1, :]
+    a0 = z[0] / np.linalg.norm(z[0], axis=(1, 2), keepdims=True)
+    a1 = z[1] - np.einsum("npt,npt->n", a0.conj(), z[1])[:, None, None] * a0
+    return a0, a1 / np.linalg.norm(a1, axis=(1, 2), keepdims=True)
+
+
 # The engine's reference protocols: one of each family and a random 8x8.
 ENGINE_PROTOCOLS = {
     "commuting3d": lambda: qbc.family_protocol(qbc.Commuting3D(0.3)),

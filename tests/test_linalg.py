@@ -21,6 +21,7 @@ from qbc.linalg import (
     bipartite,
     partial_trace,
     projector,
+    qubit_token_core,
     random_density,
     random_pure_state,
     sqrt_psd,
@@ -97,6 +98,17 @@ class TestSqrtPsd:
         rho = random_density(4, 3, seed)
         root = sqrt_psd(rho)
         assert np.max(np.abs(root @ root - rho.matrix)) <= 1e-8
+
+
+class TestQubitTokenCore:
+    def test_spectra_match_eigvalsh(self):
+        """The closed-form spectra of any 2x2 Hermitian stack, trace-free ones included."""
+        h = random_matrix(600, 2, 9).reshape(3, 100, 2, 2)
+        h = h + np.swapaxes(h, -2, -1).conj()
+        h[2] -= np.trace(h[2], axis1=-2, axis2=-1)[:, None, None].real * np.eye(2) / 2.0
+        a = np.zeros((100, 1, 2), dtype=np.complex128)  # no amplitudes are read for the spectra
+        spectra, _, _ = qubit_token_core(h, a, a)
+        assert np.abs(spectra - np.linalg.eigvalsh(h)).max() <= 1e-14
 
 
 class TestRandomStates:

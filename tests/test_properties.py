@@ -1,7 +1,8 @@
 """Property checks of the security figures on random protocols.
 
-Every example is a ``random_protocol`` of factor dimensions 2..4 x 2..16;
-``hypothesis`` picks the dimensions and the seed.  The examples are
+Every example is a ``random_protocol`` of factor dimensions 2..4 x 2..16,
+or a stack of random qubit-token protocols; ``hypothesis`` picks the
+dimensions and the seed.  The examples are
 derandomized, so the suite is deterministic.
 """
 
@@ -9,11 +10,13 @@ from __future__ import annotations
 
 import math
 
+from conftest import qubit_token_stacks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbc
-from qbc.protocol import distance_fidelity
+from qbc.protocol import checked_stacks, distance_fidelity
+from qbc.tradeoff import BOUND_TOL
 
 TOL = 1e-12
 
@@ -60,3 +63,11 @@ def test_uhlmann_fidelity_matches_square_root_route(p):
     rho0, rho1 = qbc.honest_reduced_states(p)
     assert abs(f[0] - qbc.fidelity(rho0, rho1)) <= TOL
     assert abs(d[0] - qbc.trace_distance(rho0, rho1)) <= TOL
+
+
+@examples
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+def test_qubit_tokens_stay_above_curve_iii(dim_proof, seed, pure0):
+    """D + F^2 >= 1 on 64 random dim_token = 2 protocols, one reduction pure or neither."""
+    d, f = distance_fidelity(*checked_stacks(*qubit_token_stacks(dim_proof, 64, seed, pure0)))
+    assert (d + f * f - 1.0).min() >= -BOUND_TOL

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import pickle
 import re
@@ -13,8 +14,12 @@ import numpy as np
 import pytest
 
 import qbc
+from conftest import known_answer_amplitudes
+from qbc.distinguish import BlochVector, bloch_fidelity_sq, bloch_trace_distance
 from qbc.errors import ParamOutOfRange
+from qbc.protocol import checked_stacks, distance_fidelity
 from qbc.tradeoff import (
+    BOUND_TOL,
     SWEEP_CHUNK_POINTS,
     Commuting3D,
     Curve,
@@ -107,6 +112,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("kind", FAMILIES)
     def test_decompositions_do_not_grow_with_points(self, kind, monkeypatch):
+        """A fixed number of decompositions per sweep; none at all for the qubit-token families."""
         calls = Counter()
         for name in ("eigvalsh", "svd", "eigh"):
             def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
@@ -119,7 +125,10 @@ class TestSweep:
             calls.clear()
             sweep(kind, uniform_grid(kind, n_points))
             totals.append(sum(calls.values()))
-        assert totals[0] == totals[1] > 0
+        if kind is Commuting3D:
+            assert totals[0] == totals[1] > 0
+        else:
+            assert totals == [0, 0]
 
     def test_memory_bounded_by_chunk(self):
         params = uniform_grid(Commuting3D, 10 * SWEEP_CHUNK_POINTS + 1)
@@ -309,6 +318,37 @@ class TestEdgeGrid:
     def test_fidelity_below_rounding_floor(self):
         report = qbc.security_report(family_protocol(QubitPureMixed(1e-14)))
         assert report.fidelity == pytest.approx(1e-7, abs=1e-12)
+
+
+class TestQubitTokensAboveCurveIII:
+    """Every qubit-token pair has D + F^2 >= 1 (g + 2 c^2 >= 1/2); see ``Curve.III``.
+
+    The property-based check of random protocols through the stacked core
+    is in ``test_properties.py``.
+    """
+
+    def test_collinear_pure_mixed_pairs_reach_equality(self):
+        """rho0 pure and rho1's Bloch vector on the line through rho0's and the origin."""
+        rng = np.random.default_rng(20)
+        cases = [
+            known_answer_amplitudes(np.array([1.0, 0.0]), np.array([(1.0 + t) / 2.0, (1.0 - t) / 2.0]), rng)
+            for t in np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 200)])
+        ]
+        a0, a1, _, _ = zip(*cases)
+        d, f = distance_fidelity(*checked_stacks(np.stack(a0), np.stack(a1)))
+        assert np.abs(d + f * f - 1.0).max() <= 1e-14
+
+    def test_bloch_grid(self):
+        """r = (0, 0, a) against s at Bloch length b and angle psi: every relative position."""
+        lengths = np.linspace(0.0, 1.0, 21)
+        slack = {}
+        for a, b, psi in itertools.product(lengths, lengths, np.linspace(0.0, np.pi, 21)):
+            r = BlochVector(0.0, 0.0, a)
+            s = BlochVector(b * math.sin(psi), 0.0, b * math.cos(psi))
+            slack[a, b, psi] = bloch_trace_distance(r, s) + bloch_fidelity_sq(r, s) - 1.0
+        assert min(slack.values()) >= -BOUND_TOL
+        collinear = [v for (a, _, psi), v in slack.items() if a == 1.0 and psi in (0.0, np.pi)]
+        assert len(collinear) == 42 and max(map(abs, collinear)) <= 1e-14
 
 
 class TestCurveValue:
