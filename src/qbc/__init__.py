@@ -78,7 +78,6 @@ from .protocol import (
     estimate_statistics,
     exact_statistics,
     honest_reduced_states,
-    make_protocol,
     optimal_cheat_kit,
     random_cheat_search,
     random_protocol,

@@ -8,8 +8,9 @@ significant digits, key/column order is fixed, and every command honors
 Exit codes: 0 success; 1 bound or inequality violation found by ``check``;
 2 a usage error: argparse's, any :class:`~qbc.errors.QbcError` (the library
 raises one for every input it refuses, each naming the broken invariant)
-or an ``OSError`` (an unwritable ``--out``); 3 a numeric failure, any other
-``ValueError`` (``LinAlgError`` among them) or a ``FloatingPointError``.
+or an ``OSError`` (an unwritable ``--out``); 3 a numeric failure: a
+``ValueError`` from NumPy (``LinAlgError`` among them; the package raises no
+plain ``ValueError`` of its own) or a ``FloatingPointError``.
 Exits 2 and 3 print ``Name: message`` on stderr.
 """
 

@@ -3,10 +3,11 @@
 The contract runs both ways: every :class:`QbcError` names a violated
 input invariant, so the input, not the numerics, is at fault; and every
 input the package refuses raises one.  ``QbcError`` is a ``ValueError``,
-as a refused caller value is; a plain ``ValueError`` from the package's
-own checks is an internal consistency failure that only a numerical fault
-can trip.  (A ``TypeError`` still marks an object of the wrong kind, such
-as an unknown curve; an unknown family is a refused input.)  Class names
+as a refused caller value is.  The package raises no plain ``ValueError``
+of its own, so one that escapes it comes from NumPy (``LinAlgError``
+among them): a numerical failure, as a ``FloatingPointError`` is.  (A
+``TypeError`` still marks an object of the wrong kind, such as an
+unknown curve; an unknown family is a refused input.)  Class names
 double as machine-readable diagnostics: the CLI prints
 ``type(exc).__name__`` and exits 2 for any of them, subclasses defined
 elsewhere included.

@@ -66,23 +66,24 @@ MEASUREMENT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PurificationProtocol:
-    """Validated pair of orthogonal commitment states on proof ⊗ token."""
+    """Validated pair of orthogonal commitment states on proof ⊗ token; the dims are chi0's."""
 
-    dim_proof: int
-    dim_token: int
     chi0: BipartiteState
     chi1: BipartiteState
 
     def __post_init__(self):
-        for chi in (self.chi0, self.chi1):
-            if (chi.dim_proof, chi.dim_token) != (self.dim_proof, self.dim_token):
-                raise DimMismatch(
-                    f"commitment state dims {chi.dim_proof}x{chi.dim_token}"
-                    f" != protocol dims {self.dim_proof}x{self.dim_token}"
-                )
-        object.__setattr__(self, "dim_proof", self.chi0.dim_proof)  # ints, as the states hold them
-        object.__setattr__(self, "dim_token", self.chi0.dim_token)
+        (p0, t0), (p1, t1) = ((chi.dim_proof, chi.dim_token) for chi in (self.chi0, self.chi1))
+        if (p0, t0) != (p1, t1):
+            raise DimMismatch(f"commitment state dims {p0}x{t0} != {p1}x{t1}")
         _check_orthogonal(self.chi0.as_matrix()[None], self.chi1.as_matrix()[None])
+
+    @property
+    def dim_proof(self) -> int:
+        return self.chi0.dim_proof
+
+    @property
+    def dim_token(self) -> int:
+        return self.chi0.dim_token
 
     def chi(self, bit: int) -> BipartiteState:
         return self.chi1 if bit else self.chi0
@@ -119,11 +120,6 @@ def checked_stacks(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return stacks[0], stacks[1]
 
 
-def make_protocol(chi0: BipartiteState, chi1: BipartiteState) -> PurificationProtocol:
-    """Validate and assemble a protocol from its two commitment states."""
-    return PurificationProtocol(chi0.dim_proof, chi0.dim_token, chi0, chi1)
-
-
 def random_protocol(dim_proof: int, dim_token: int, seed) -> PurificationProtocol:
     """Random protocol: Haar chi0, chi1 Gram-Schmidt-orthogonalized against it.
 
@@ -142,7 +138,7 @@ def random_protocol(dim_proof: int, dim_token: int, seed) -> PurificationProtoco
     if norm < 1e-8:
         raise QbcError("degenerate draw while orthogonalizing chi1")
     chi1 = PureState(raw / norm)
-    return make_protocol(
+    return PurificationProtocol(
         BipartiteState(dim_proof, dim_token, chi0),
         BipartiteState(dim_proof, dim_token, chi1),
     )
@@ -589,7 +585,8 @@ def _build_strategy_tables(p: PurificationProtocol) -> dict:
     ):
         steered = steer[:, None] @ branches[:, :, None]  # one more axis: the target
         out_cum = np.abs(np.einsum("bpt,...pt->...b", chi.conj(), steered)) ** 2
-        out_cum[..., 1] = np.minimum(1.0, out_cum[..., 0] + out_cum[..., 1])  # P(0), P(0 or 1)
+        out_cum[..., 1] += out_cum[..., 0]  # P(0), P(0 or 1), each capped at 1 against rounding
+        np.minimum(out_cum, 1.0, out=out_cum)
         out_cum.flags.writeable = est_prob0.flags.writeable = False
         for alice, (first, count) in _ALICE_CONTEXTS.items():
             tables[alice, bob] = StrategyTables(first, count, est is not None, est, out_cum)
@@ -829,4 +826,4 @@ def _ascent_values(
         h[:, 1] *= np.divide(c, overlap, out=np.ones_like(c), where=overlap > 1e-12)[:, None, None]
         overlaps.append(overlap)
         m = row @ h.reshape(count, 1, 2 * k, dp)
-    return (1.0 + np.max(overlaps, axis=0)) / 2.0
+    return (1.0 + np.minimum(np.max(overlaps, axis=0), 1.0)) / 2.0  # as optimal_cheat_kit caps it

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import QbcError
 from .linalg import bipartite
-from .protocol import PurificationProtocol, make_protocol
+from .protocol import PurificationProtocol
 
 SCHEMA_VERSION = 1
 
@@ -129,7 +129,7 @@ def parse_protocol_spec(source: str | Path | dict) -> PurificationProtocol:
     dim = dim_proof * dim_token
     chi0 = _parse_amplitudes(doc["chi0"], dim, "chi0")
     chi1 = _parse_amplitudes(doc["chi1"], dim, "chi1")
-    return make_protocol(
+    return PurificationProtocol(
         bipartite(dim_proof, dim_token, chi0),
         bipartite(dim_proof, dim_token, chi1),
     )

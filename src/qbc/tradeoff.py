@@ -34,12 +34,7 @@ import numpy as np
 
 from .errors import ParamOutOfRange
 from .linalg import _checked_integer, bipartite
-from .protocol import (
-    PurificationProtocol,
-    checked_stacks,
-    distance_fidelity,
-    make_protocol,
-)
+from .protocol import PurificationProtocol, checked_stacks, distance_fidelity
 
 BOUND_TOL = 1e-9
 
@@ -170,7 +165,7 @@ def family_protocol(family: ProtocolFamily) -> PurificationProtocol:
     x = np.array([getattr(family, _param_range(kind).name)], dtype=np.float64)
     a0, a1 = _amplitude_stacks(kind, x)
     dim_proof, dim_token = a0.shape[1:]
-    return make_protocol(
+    return PurificationProtocol(
         bipartite(dim_proof, dim_token, a0[0].reshape(-1)),
         bipartite(dim_proof, dim_token, a1[0].reshape(-1)),
     )

@@ -60,6 +60,19 @@ ENGINE_PROTOCOLS = {
     "random8x8": lambda: qbc.random_protocol(8, 8, 88),
 }
 
+# Protocols at the edges of [0, 1]: each family's F = 1 and D = 1 endpoints,
+# and a 2x1 random protocol with F = 1.  At F = 1 an overlap of 1 can round
+# up, to a table edge P(0) or a cheat-search value above 1 unless capped.
+EDGE_PROTOCOLS = {
+    "commuting3d-F1": lambda: qbc.family_protocol(qbc.Commuting3D(0.0)),
+    "commuting3d-D1": lambda: qbc.family_protocol(qbc.Commuting3D(1.0)),
+    "qubit-pure-mixed-F1": lambda: qbc.family_protocol(qbc.QubitPureMixed(1.0)),
+    "qubit-pure-mixed-D1": lambda: qbc.family_protocol(qbc.QubitPureMixed(0.0)),
+    "pure-pair-F1": lambda: qbc.family_protocol(qbc.PurePair(0.0)),
+    "pure-pair-D1": lambda: qbc.family_protocol(qbc.PurePair(np.pi / 2)),
+    "random2x1": lambda: qbc.random_protocol(2, 1, 3),
+}
+
 
 # Known-answer protocols: commuting spectra p and q on orthogonal proof
 # blocks, so D = (1/2) sum |p - q| and F = sum sqrt(p q) hold by construction.

@@ -8,7 +8,6 @@ import pytest
 import qbc
 from conftest import random_protocols
 from qbc.cointoss import (
-    BiasReport,
     CoinTossProtocol,
     biases,
     fair_toss_protocol,
@@ -38,10 +37,6 @@ class TestBiases:
         for p in random_protocols(20, seed=61):
             report = biases(CoinTossProtocol(p))
             assert report.alpha + report.beta >= 0.5 - 1e-9
-
-    def test_report_validation(self):
-        with pytest.raises(ValueError):
-            BiasReport(alpha=0.1, beta=0.1)
 
 
 class TestFairTossProtocol:

@@ -133,7 +133,7 @@ class TestHelstrom:
             t, _ = np.linalg.qr(z[: 2 * dt].reshape(dt, 2))
             phi = z[2 * dt :].reshape(2, dp)
             chi = [np.kron(phi[b] / np.linalg.norm(phi[b]), t[:, b]) for b in (0, 1)]
-            p = qbc.make_protocol(*(qbc.bipartite(dp, dt, amplitudes) for amplitudes in chi))
+            p = qbc.PurificationProtocol(*(qbc.bipartite(dp, dt, amplitudes) for amplitudes in chi))
             rho0, rho1 = qbc.honest_reduced_states(p)
             success = helstrom(rho0, rho1).success_probability
             assert success <= 1.0

@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 
 import qbc
+from conftest import EDGE_PROTOCOLS
 from conftest import ENGINE_PROTOCOLS as PROTOCOLS
 from qbc import (
     CheatingAlice,
@@ -306,14 +307,19 @@ def test_integer_thresholds_are_the_rule_on_doubles():
                 assert (np.uint64(m) >= k) == (m * 2.0**-53 >= p_i), (p_i, m)
 
 
-@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+@pytest.mark.parametrize("name", sorted(PROTOCOLS) + sorted(EDGE_PROTOCOLS))
 def test_table_edges_are_finite(name):
-    """The integer thresholds are casts to uint64, undefined for NaN."""
-    p = PROTOCOLS[name]()
+    """The integer thresholds are casts to uint64, undefined for NaN; the
+    edges are probabilities, so no cell and no predicted rate leaves [0, 1],
+    even where rounding lifts an overlap above 1 (``EDGE_PROTOCOLS``)."""
+    p = {**PROTOCOLS, **EDGE_PROTOCOLS}[name]()
     for alice, bob in itertools.product(ALICES, BOBS):
         tables = strategy_tables(p, alice, bob)
         assert np.isfinite(tables.out_cum).all()
         assert tables.est_prob0 is None or np.isfinite(tables.est_prob0).all()
+        assert (tables.out_cum <= 1.0).all()
+        assert (tables.cell_probabilities() >= 0.0).all()
+        assert all(0.0 <= rate <= 1.0 for rate in exact_statistics(p, alice, bob))
 
 
 def reference_cells(tables, n, seed, against_guess):
@@ -501,7 +507,7 @@ def test_stored_tables_are_read_only():
 def test_table_store_is_not_a_field():
     p = PROTOCOLS["qubit-pure-mixed"]()
     names = [f.name for f in dataclasses.fields(PurificationProtocol)]
-    assert names == ["dim_proof", "dim_token", "chi0", "chi1"]
+    assert names == ["chi0", "chi1"]
     before = repr(p)
     for alice, bob in itertools.product(ALICES, BOBS):
         strategy_tables(p, alice, bob)

@@ -29,10 +29,10 @@ from qbc.protocol import (
     HelstromBob,
     HonestAlice,
     HonestBob,
+    PurificationProtocol,
     checked_stacks,
     distance_fidelity,
     estimate_statistics,
-    make_protocol,
 )
 
 D_TOL = 1.44e-14
@@ -62,7 +62,7 @@ def known_answers(kind: str, dim: int, n: int):
 def protocols(a0: np.ndarray, a1: np.ndarray):
     dim_proof, dim_token = a0.shape[1:]
     for m0, m1 in zip(a0, a1):
-        yield make_protocol(
+        yield PurificationProtocol(
             bipartite(dim_proof, dim_token, m0.reshape(-1)),
             bipartite(dim_proof, dim_token, m1.reshape(-1)),
         )

@@ -12,6 +12,7 @@ import pytest
 
 import qbc
 from conftest import (
+    EDGE_PROTOCOLS,
     KNOWN_ANSWER_CLASSES,
     known_answer_amplitudes,
     known_answer_spectra,
@@ -20,7 +21,15 @@ from conftest import (
 )
 from qbc.distinguish import phase_aligned_sum, polar_unitary
 from qbc.errors import BadRank, DimMismatch, NotAMeasurement, NotNormalized, NotOrthogonal, QbcError
-from qbc.linalg import DensityOperator, PureState, apply_to_proof, basis_state, bipartite, partial_trace
+from qbc.linalg import (
+    BipartiteState,
+    DensityOperator,
+    PureState,
+    apply_to_proof,
+    basis_state,
+    bipartite,
+    partial_trace,
+)
 from qbc.protocol import (
     ASCENT_ITERATES,
     ASCENT_STACK,
@@ -29,13 +38,13 @@ from qbc.protocol import (
     HonestAlice,
     HonestBob,
     Outcome,
+    PurificationProtocol,
     born_sample,
     checked_stacks,
     distance_fidelity,
     estimate_statistics,
     exact_statistics,
     honest_reduced_states,
-    make_protocol,
     optimal_cheat_kit,
     random_cheat_search,
     random_protocol,
@@ -49,7 +58,7 @@ from qbc.protocol import _ascent_values, _best_response_factors, _complex_normal
 def product_protocol():
     chi0 = bipartite(2, 2, np.kron(basis_state(2, 0).amplitudes, basis_state(2, 0).amplitudes))
     chi1 = bipartite(2, 2, np.kron(basis_state(2, 1).amplitudes, basis_state(2, 1).amplitudes))
-    return make_protocol(chi0, chi1)
+    return PurificationProtocol(chi0, chi1)
 
 
 class TestMakeProtocol:
@@ -60,13 +69,13 @@ class TestMakeProtocol:
     def test_rejects_equal_states(self):
         chi = bipartite(2, 2, np.kron(basis_state(2, 0).amplitudes, basis_state(2, 0).amplitudes))
         with pytest.raises(NotOrthogonal):
-            make_protocol(chi, chi)
+            PurificationProtocol(chi, chi)
 
     def test_rejects_dim_mismatch(self):
         chi0 = bipartite(2, 2, qbc.random_pure_state(4, 0).amplitudes)
         chi1 = bipartite(4, 1, qbc.random_pure_state(4, 1).amplitudes)
         with pytest.raises(DimMismatch):
-            make_protocol(chi0, chi1)
+            PurificationProtocol(chi0, chi1)
 
     def test_family_states_orthogonal(self):
         p = qbc.family_protocol(qbc.Commuting3D(0.5))
@@ -86,7 +95,8 @@ class TestMakeProtocol:
 
     def test_numpy_integer_dims_reach_the_cheat_search(self):
         p = random_protocol(np.int64(2), np.int64(2), 1)
-        direct = qbc.PurificationProtocol(np.int64(2), np.uint8(2), p.chi0, p.chi1)
+        states = (BipartiteState(np.int64(2), np.uint8(2), chi.state) for chi in (p.chi0, p.chi1))
+        direct = PurificationProtocol(*states)
         expected = random_cheat_search(random_protocol(2, 2, 1), 20, 0)
         for q in (p, direct):
             assert type(q.dim_proof) is int and type(q.dim_token) is int
@@ -296,7 +306,7 @@ class TestOptimalCheatKit:
             u, _ = np.linalg.qr(z[: dp * 2].reshape(dp, 2))
             phi = z[dp * 2 :] / np.linalg.norm(z[dp * 2 :])
             chi0, chi1 = (bipartite(dp, dt, np.kron(u[:, b], phi)) for b in (0, 1))
-            success = optimal_cheat_kit(make_protocol(chi0, chi1)).per_bit_success
+            success = optimal_cheat_kit(PurificationProtocol(chi0, chi1)).per_bit_success
             assert type(success) is float
             assert 1.0 - 1e-12 <= success <= 1.0
 
@@ -565,6 +575,13 @@ class TestCheatSearch:
             result = random_cheat_search(p, 2000, seed=100 + i)
             assert result.best_value <= kit.per_bit_success + 5e-3
             assert result.candidates_evaluated <= 2000
+
+    @pytest.mark.parametrize("name", sorted(EDGE_PROTOCOLS))
+    def test_value_is_at_most_1(self, name):
+        """An overlap of 1 rounded up must not lift a best value, a probability, above 1."""
+        p = EDGE_PROTOCOLS[name]()
+        for budget in (20, 100, 1000):
+            assert random_cheat_search(p, budget, seed=3).best_value <= 1.0
 
     def test_budget_caps_candidates(self):
         p = random_protocol(2, 2, 3)
