@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DimMismatch, NotQubit
 from .linalg import (
+    TOL,
     BipartiteState,
     DensityOperator,
     normalize_states,
@@ -31,12 +32,6 @@ from .linalg import (
 # Eigenvectors of rho0 - rho1 whose eigenvalue is within this of zero are
 # assigned to projector0; any assignment is optimal, one is deterministic.
 ZERO_EIGENVALUE_TOL = 1e-10
-
-# Eigenvalue threshold when counting support dimensions.
-SUPPORT_RANK_TOL = 1e-9
-
-# Slack granted to closed-form inequality checks.
-INEQUALITY_TOL = 1e-9
 
 # A Bloch purity gap 1 - |r|^2 below this is rounding noise on a pure
 # state; the square root in the fidelity formula would amplify it to
@@ -212,7 +207,7 @@ class BlochVector:
     z: float
 
     def __post_init__(self):
-        if self.norm_sq() > 1.0 + INEQUALITY_TOL:
+        if not self.norm_sq() <= 1.0 + TOL:  # a NaN compares False
             raise NotQubit(f"Bloch vector norm^2 {self.norm_sq()} exceeds 1")
 
     def norm_sq(self) -> float:
@@ -255,20 +250,20 @@ def bloch_fidelity_sq(r: BlochVector, s: BlochVector) -> float:
 
 
 def is_pure(rho: DensityOperator) -> bool:
-    """True when Tr(rho^2) is within ``INEQUALITY_TOL`` of 1."""
-    return float(np.trace(rho.matrix @ rho.matrix).real) >= 1.0 - INEQUALITY_TOL
+    """True when Tr(rho^2) is within ``TOL`` of 1."""
+    return float(np.trace(rho.matrix @ rho.matrix).real) >= 1.0 - TOL
 
 
 def combined_support_rank(rho: DensityOperator, sigma: DensityOperator) -> int:
-    """Dimension of span(support rho, support sigma)."""
+    """Dimension of span(support rho, support sigma): eigenvalues of rho + sigma above ``TOL``."""
     _check_same_dim(rho, sigma)
     eigenvalues = np.linalg.eigvalsh(rho.matrix + sigma.matrix)
-    return int(np.sum(eigenvalues > SUPPORT_RANK_TOL))
+    return int(np.sum(eigenvalues > TOL))
 
 
 @dataclass(frozen=True)
 class InequalityCheck:
-    """An inequality's slack at a pair's (D, F); satisfied at slack >= -INEQUALITY_TOL, not NaN."""
+    """An inequality's slack at a pair's (D, F); satisfied at slack >= -TOL, not NaN."""
 
     name: str
     applicable: bool
@@ -276,7 +271,7 @@ class InequalityCheck:
 
     @property
     def satisfied(self) -> bool:
-        return self.slack >= -INEQUALITY_TOL
+        return self.slack >= -TOL
 
 
 @dataclass(frozen=True)
@@ -310,7 +305,7 @@ def inequalities_at(
     are pure, the upper bound must be an equality.  When at least one state
     is pure, or both supports fit inside a common 2-dimensional subspace,
     the stronger lower bound 1 - F^2 <= D applies.  Each check is granted
-    ``INEQUALITY_TOL`` of slack.  ``rho`` and ``sigma`` decide only which
+    ``TOL`` of slack.  ``rho`` and ``sigma`` decide only which
     checks apply.
     """
     pure = (is_pure(rho), is_pure(sigma))

@@ -39,10 +39,11 @@ from .errors import (
     ParamOutOfRange,
 )
 
-# Closed-form identities are checked at 1e-9.
-NORM_TOL = 1e-9
-HERMITIAN_TOL = 1e-9
-EIGENVALUE_FLOOR = -1e-9
+# The rounding slack of every identity check: a value within TOL of the value
+# an identity fixes counts as that value.  It covers norms and traces, Hermiticity,
+# zero eigenvalues (PSD floor, support rank), orthogonality, purity, inequality
+# slacks, and the [0, 1/2] box and curve-I bound of the trade-off plane.
+TOL = 1e-9
 
 # Eigenvalues below this are eigensolver noise on a unit-trace operator;
 # sqrt_psd zeroes them so sqrt(noise) cannot pollute fidelities.
@@ -52,18 +53,18 @@ Factor = Literal["proof", "token"]
 
 
 def _unit_deviation(values: np.ndarray, name: str) -> float:
-    """Largest |value - 1|; NotNormalized unless every value is finite and within NORM_TOL of 1."""
+    """Largest |value - 1|; NotNormalized unless every value is finite and within TOL of 1."""
     deviation = np.abs(values - 1.0)
     worst = deviation.max(initial=0.0)
-    if not worst <= NORM_TOL:  # a NaN compares False
-        raise NotNormalized(f"{name} {values.flat[deviation.argmax()]} not within {NORM_TOL} of 1")
+    if not worst <= TOL:  # a NaN compares False
+        raise NotNormalized(f"{name} {values.flat[deviation.argmax()]} not within {TOL} of 1")
     return worst
 
 
 def normalize_states(states: np.ndarray) -> np.ndarray:
     """The norm rule, applied to each row of a C-contiguous (count, dim) complex array.
 
-    Every row's norm must be finite and within ``NORM_TOL`` of 1.  A row off
+    Every row's norm must be finite and within ``TOL`` of 1.  A row off
     by more than 1e-12 is rescaled in place to unit norm; any other keeps
     its bits, so re-checking a state never moves it.  A NaN, infinite or
     overflowing amplitude raises NotNormalized without a floating-point
@@ -83,13 +84,12 @@ def normalize_states(states: np.ndarray) -> np.ndarray:
 def check_spectra(eigenvalues: np.ndarray) -> None:
     """The density rule, on ascending spectra (..., dim) as ``eigvalsh`` returns them.
 
-    No eigenvalue may lie below ``EIGENVALUE_FLOOR`` (NotPositiveSemidefinite)
-    and each trace, the sum of a spectrum, must be within ``NORM_TOL`` of 1
-    (NotNormalized).
+    No eigenvalue may lie below ``-TOL`` (NotPositiveSemidefinite) and each
+    trace, the sum of a spectrum, must be within ``TOL`` of 1 (NotNormalized).
     """
     lowest = eigenvalues[..., 0].min(initial=np.inf)
-    if lowest < EIGENVALUE_FLOOR:
-        raise NotPositiveSemidefinite(f"eigenvalue {lowest} below floor {EIGENVALUE_FLOOR}")
+    if lowest < -TOL:
+        raise NotPositiveSemidefinite(f"eigenvalue {lowest} below floor {-TOL}")
     _unit_deviation(eigenvalues.sum(axis=-1), "trace")
 
 
@@ -198,9 +198,12 @@ class DensityOperator:
         arr = np.array(self.matrix, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimMismatch(f"density operator must be square, got {arr.shape}")
+        finite = np.isfinite(arr)  # before any arithmetic: inf - inf would warn
+        if not finite.all():
+            raise NotNormalized(f"density operator entry {arr[~finite][0]} is not finite")
         herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
-        if herm_dev > HERMITIAN_TOL:
-            raise NotHermitian(f"Hermiticity deviation {herm_dev} exceeds {HERMITIAN_TOL}")
+        if herm_dev > TOL:
+            raise NotHermitian(f"Hermiticity deviation {herm_dev} exceeds {TOL}")
         check_spectra(np.linalg.eigvalsh(arr))
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)

@@ -45,6 +45,7 @@ import numpy as np
 from .distinguish import aligned_superposition, helstrom
 from .errors import DimMismatch, NotAMeasurement, NotOrthogonal, ParamOutOfRange, QbcError
 from .linalg import (
+    TOL,
     BipartiteState,
     DensityOperator,
     PureState,
@@ -60,7 +61,6 @@ from .linalg import (
     token_reductions,
 )
 
-ORTHOGONALITY_TOL = 1e-9
 MEASUREMENT_TOL = 1e-8
 
 
@@ -99,10 +99,10 @@ class PurificationProtocol:
 
 
 def _check_orthogonal(a0: np.ndarray, a1: np.ndarray) -> None:
-    """Reject any protocol of a stack whose |<chi0|chi1>| exceeds ``ORTHOGONALITY_TOL``."""
+    """Reject any protocol of a stack whose |<chi0|chi1>| exceeds ``TOL``."""
     overlap = float(np.abs(np.einsum("npt,npt->n", a0.conj(), a1)).max(initial=0.0))
-    if overlap > ORTHOGONALITY_TOL:
-        raise NotOrthogonal(f"|<chi0|chi1>| = {overlap} exceeds {ORTHOGONALITY_TOL}")
+    if overlap > TOL:
+        raise NotOrthogonal(f"|<chi0|chi1>| = {overlap} exceeds {TOL}")
 
 
 def checked_stacks(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +111,7 @@ def checked_stacks(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Applies, to every protocol at once, the checks :class:`PureState` and
     :class:`PurificationProtocol` apply to one: each state passes the norm
     rule of :func:`~qbc.linalg.normalize_states` (and may be renormalized),
-    and each pair is orthogonal within ``ORTHOGONALITY_TOL``.  Returns the
+    and each pair is orthogonal within ``TOL``.  Returns the
     (renormalized) stacks.
     """
     stacks = np.stack([a0, a1]).astype(np.complex128, copy=False)

@@ -16,88 +16,94 @@ drop below; ``check_bounds`` flags points that would.
 
 Each family purifies its target reductions with orthogonal proof-side
 supports, which makes <chi0|chi1> = 0 automatic for every parameter value
-and uses the smallest proof dimension that allows it.  One table holds
-each family's parameter range, checked on a whole parameter array at once,
-and one function lays out the amplitudes of a whole stack of members
-straight from that array; a single protocol is a stack of one.
+and uses the smallest proof dimension that allows it.  One table row per
+family holds its command-line name, parameter range and amplitude layout: a
+whole parameter array is checked against the range at once, and a whole
+stack of members is laid out straight from it; a protocol is a stack of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import repeat
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ParamOutOfRange
-from .linalg import _checked_integer, bipartite
+from .linalg import TOL, _checked_integer, bipartite
 from .protocol import PurificationProtocol, checked_stacks, distance_fidelity
-
-BOUND_TOL = 1e-9
 
 # Members a sweep passes to the stacked core per call; peak memory is O(chunk).
 SWEEP_CHUNK_POINTS = 1 << 12
 
 
 @dataclass(frozen=True)
-class Commuting3D:
+class ProtocolFamily:
+    """A member of one of the families below, whose one field is the family parameter.
+
+    Construction refuses a parameter outside the family's range, or a kind
+    with no row in the family table, with ``ParamOutOfRange``.
+    """
+
+    def __post_init__(self):
+        _checked_params(type(self), [getattr(self, f.name) for f in fields(self)])
+
+
+@dataclass(frozen=True)
+class Commuting3D(ProtocolFamily):
     """Commuting 3-dimensional reductions diag(lam, 1-lam, 0) / diag(0, 1-lam, lam)."""
 
     lam: float
 
-    def __post_init__(self):
-        _checked_params(Commuting3D, [self.lam])
-
 
 @dataclass(frozen=True)
-class QubitPureMixed:
+class QubitPureMixed(ProtocolFamily):
     """Pure diag(1, 0) against the qubit mixture diag(lam, 1-lam)."""
 
     lam: float
 
-    def __post_init__(self):
-        _checked_params(QubitPureMixed, [self.lam])
-
 
 @dataclass(frozen=True)
-class PurePair:
+class PurePair(ProtocolFamily):
     """Two pure token states |0> and cos(phi)|0> + sin(phi)|1>."""
 
     phi: float
 
-    def __post_init__(self):
-        _checked_params(PurePair, [self.phi])
 
-
-ProtocolFamily = Union[Commuting3D, QubitPureMixed, PurePair]
-
-FAMILY_KINDS: dict[str, Callable[[float], ProtocolFamily]] = {
-    "commuting3d": Commuting3D,
-    "qubit-pure-mixed": QubitPureMixed,
-    "pure-pair": PurePair,
-}
-
-
-class _ParamRange(NamedTuple):
-    name: str  # the family's parameter field
+class _Family(NamedTuple):
+    name: str  # on the command line
     label: str  # the range as messages print it
     upper: float  # top of the uniform grid
     high: float  # largest value accepted
+    dims: tuple[int, int]  # (dim_proof, dim_token)
+    layout: Callable[[np.ndarray], dict]  # x -> {(bit, proof, token): chi_bit there}; others 0
 
 
-_PARAM_RANGES: dict[type, _ParamRange] = {
-    Commuting3D: _ParamRange("lam", "[0, 1]", 1.0, 1.0),
-    QubitPureMixed: _ParamRange("lam", "[0, 1]", 1.0, 1.0),
-    PurePair: _ParamRange("phi", "[0, pi/2]", math.pi / 2.0, math.pi / 2.0 + 1e-12),
+_FAMILIES: dict[type, _Family] = {
+    Commuting3D: _Family(
+        "commuting3d", "[0, 1]", 1.0, 1.0, (4, 3),
+        lambda x: {(0, 0, 0): np.sqrt(x), (0, 1, 1): np.sqrt(1.0 - x),
+                   (1, 2, 2): np.sqrt(x), (1, 3, 1): np.sqrt(1.0 - x)},
+    ),
+    QubitPureMixed: _Family(
+        "qubit-pure-mixed", "[0, 1]", 1.0, 1.0, (3, 2),
+        lambda x: {(0, 0, 0): 1.0, (1, 1, 0): np.sqrt(x), (1, 2, 1): np.sqrt(1.0 - x)},
+    ),
+    PurePair: _Family(
+        "pure-pair", "[0, pi/2]", math.pi / 2.0, math.pi / 2.0 + 1e-12, (2, 2),
+        lambda x: {(0, 0, 0): 1.0, (1, 1, 0): np.cos(x), (1, 1, 1): np.sin(x)},
+    ),
 }
 
+FAMILY_KINDS: dict[str, Callable[[float], ProtocolFamily]] = {f.name: k for k, f in _FAMILIES.items()}
 
-def _param_range(kind) -> _ParamRange:
+
+def _family(kind) -> _Family:
     try:
-        return _PARAM_RANGES[kind]
+        return _FAMILIES[kind]
     except (KeyError, TypeError):
         raise ParamOutOfRange(f"unknown family {kind!r}") from None
 
@@ -110,9 +116,9 @@ def _checked_params(kind, params: Sequence) -> np.ndarray:
     """``params`` as a float64 array, refused unless every entry lies in ``kind``'s range.
 
     A non-real entry (a bool, a string, a complex number, None) and NaN are
-    out of range; the message names the first entry refused.
+    out of range; the message names the field and the first entry refused.
     """
-    rng = _param_range(kind)
+    family = _family(kind)
     try:
         values = np.asarray(params)
     except ValueError:  # a ragged nesting
@@ -120,54 +126,37 @@ def _checked_params(kind, params: Sequence) -> np.ndarray:
     # NumPy reads a bool among numbers as 0.0 or 1.0, so the entries' types are read too.
     if values.ndim == 1 and values.dtype.kind in "iuf" and _BOOLS.isdisjoint(map(type, params)):
         values = values.astype(np.float64, copy=False)
-        if ((values >= 0.0) & (values <= rng.high)).all():
+        if ((values >= 0.0) & (values <= family.high)).all():
             return values
     refused = next(
         (x for x in params
-         if not (isinstance(x, _REALS) and type(x) not in _BOOLS and 0.0 <= x <= rng.high)),
+         if not (isinstance(x, _REALS) and type(x) not in _BOOLS and 0.0 <= x <= family.high)),
         params,
     )
-    raise ParamOutOfRange(f"{rng.name} must lie in {rng.label}, got {refused}")
+    raise ParamOutOfRange(f"{fields(kind)[0].name} must lie in {family.label}, got {refused}")
 
 
-def _amplitude_stacks(kind, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(chi0, chi1) of the members ``kind(x)`` as (len(x), dim_proof, dim_token) amplitudes.
+def _amplitudes(family: _Family, x: np.ndarray) -> np.ndarray:
+    """chi0 and chi1 of the members ``x`` as one (2, len(x), dim_proof, dim_token) array.
 
     ``x`` is a float64 array of checked parameters (:func:`_checked_params`);
-    the stacks are laid out from it directly, with no member objects.
+    the amplitudes are laid out from it directly, with no member objects.
     """
-    n = x.shape[0]
-    if kind is Commuting3D:
-        a0 = np.zeros((n, 4, 3), dtype=np.complex128)
-        a1 = np.zeros((n, 4, 3), dtype=np.complex128)
-        a0[:, 0, 0] = np.sqrt(x)
-        a0[:, 1, 1] = np.sqrt(1.0 - x)
-        a1[:, 2, 2] = np.sqrt(x)
-        a1[:, 3, 1] = np.sqrt(1.0 - x)
-    elif kind is QubitPureMixed:
-        a0 = np.zeros((n, 3, 2), dtype=np.complex128)
-        a1 = np.zeros((n, 3, 2), dtype=np.complex128)
-        a0[:, 0, 0] = 1.0
-        a1[:, 1, 0] = np.sqrt(x)
-        a1[:, 2, 1] = np.sqrt(1.0 - x)
-    else:
-        a0 = np.zeros((n, 2, 2), dtype=np.complex128)
-        a1 = np.zeros((n, 2, 2), dtype=np.complex128)
-        a0[:, 0, 0] = 1.0
-        a1[:, 1, 0] = np.cos(x)
-        a1[:, 1, 1] = np.sin(x)
-    return a0, a1
+    a = np.zeros((2, x.shape[0], *family.dims), dtype=np.complex128)
+    for (bit, p, t), values in family.layout(x).items():
+        a[bit, :, p, t] = values
+    return a
 
 
 def family_protocol(family: ProtocolFamily) -> PurificationProtocol:
     """Build the purification protocol realizing a family member's reductions."""
-    kind = type(family)
-    x = np.array([getattr(family, _param_range(kind).name)], dtype=np.float64)
-    a0, a1 = _amplitude_stacks(kind, x)
-    dim_proof, dim_token = a0.shape[1:]
+    row = _family(type(family))  # before fields(), which a non-member would fail
+    (field,) = fields(family)
+    a = _amplitudes(row, np.array([getattr(family, field.name)], dtype=np.float64))
+    dim_proof, dim_token = a.shape[2:]
     return PurificationProtocol(
-        bipartite(dim_proof, dim_token, a0[0].reshape(-1)),
-        bipartite(dim_proof, dim_token, a1[0].reshape(-1)),
+        bipartite(dim_proof, dim_token, a[0, 0].reshape(-1)),
+        bipartite(dim_proof, dim_token, a[1, 0].reshape(-1)),
     )
 
 
@@ -190,13 +179,13 @@ class Curve(Enum):
 
 
 def _checked_box(**values) -> None:
-    """Refuse a ``g_max`` or ``c_max`` outside [0, 1/2] by more than ``BOUND_TOL``, NaN included.
+    """Refuse a ``g_max`` or ``c_max`` outside [0, 1/2] by more than ``TOL``, NaN included.
 
     Each keyword names a coordinate and gives a scalar or an array; the
     message names the first value refused.
     """
     for name, v in values.items():
-        inside = (v >= -BOUND_TOL) & (v <= 0.5 + BOUND_TOL)
+        inside = (v >= -TOL) & (v <= 0.5 + TOL)
         if inside is not True and not np.all(inside):  # a float's bool skips the slow np.all
             refused = v if np.ndim(v) == 0 else v[~inside][0]
             raise ParamOutOfRange(f"{name} = {refused} outside [0, 1/2]")
@@ -214,7 +203,7 @@ class TradeoffPoint(_TradeoffFields):
     Every way to build one from values (positional or keyword arguments,
     ``_make``, ``_replace``, ``pickle``, ``copy``) refuses, with
     ``ParamOutOfRange``, a ``g_max`` or ``c_max`` outside [0, 1/2] by more
-    than ``BOUND_TOL``, NaN included (:func:`_checked_box`).  It unpacks to
+    than ``TOL``, NaN included (:func:`_checked_box`).  It unpacks to
     ``(g, c, x)`` and equals and hashes as the plain tuple of its values.
     """
 
@@ -255,10 +244,11 @@ def sweep(
     """
     params = list(params)
     x = _checked_params(family_kind, params)
+    family = _family(family_kind)
     points = []
     for start in range(0, len(params), SWEEP_CHUNK_POINTS):
         stop = start + SWEEP_CHUNK_POINTS
-        d, f = distance_fidelity(*checked_stacks(*_amplitude_stacks(family_kind, x[start:stop])))
+        d, f = distance_fidelity(*checked_stacks(*_amplitudes(family, x[start:stop])))
         g, c = d / 2.0, f / 2.0
         _checked_box(g_max=g, c_max=c)
         rows = zip(g.tolist(), c.tolist(), params[start:stop])
@@ -268,7 +258,7 @@ def sweep(
 
 def uniform_grid(family_kind: Callable[[float], ProtocolFamily], n_points: int) -> list[float]:
     """n_points uniformly spaced parameters spanning the family's full range."""
-    upper = _param_range(family_kind).upper
+    upper = _family(family_kind).upper
     n_points = _checked_integer(n_points, "the grid point count", 0)
     if n_points < 2:
         raise ParamOutOfRange("need at least 2 grid points")
@@ -320,6 +310,6 @@ def check_bounds(point: TradeoffPoint) -> list[str]:
     entry names the violated bound and its shortfall.
     """
     slack = curve_i_slack(point.g_max, point.c_max)
-    if slack < -BOUND_TOL:
+    if slack < -TOL:
         return [f"below_curve_I: 2*gMax + sqrt(2*cMax) - 1 = {slack:.6g} < 0"]
     return []

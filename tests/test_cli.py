@@ -88,6 +88,14 @@ class TestSpecFile:
             parse_protocol_spec({"schemaVersion": 2})
         with pytest.raises(SpecFileError):
             parse_protocol_spec({"schemaVersion": 1, "dimProof": 2, "dimToken": 2, "chi0": [], "chi1": []})
+        path.write_text("[1]")
+        with pytest.raises(SpecFileError, match="top level must be a JSON object"):
+            parse_protocol_spec(path)
+        with pytest.raises(SpecFileError, match="missing key 'chi1'"):
+            parse_protocol_spec({"schemaVersion": 1, "dimProof": 1, "dimToken": 2, "chi0": []})
+        pairs = {"schemaVersion": 1, "dimProof": 1, "dimToken": 2, "chi1": [[0, 0], [1, 0]]}
+        with pytest.raises(SpecFileError, match=r"chi0\[1\] must be a \[re, im\] pair"):
+            parse_protocol_spec({**pairs, "chi0": [[1, 0], [0, 0, 0]]})
 
     def test_parse_names_violated_invariant(self):
         doc = protocol_to_spec(qbc.family_protocol(qbc.Commuting3D(0.3)))

@@ -383,6 +383,8 @@ class TestBloch:
             qubit_bloch(random_density(3, 2, 0))
         with pytest.raises(NotQubit):
             BlochVector(1.0, 1.0, 1.0)
+        with pytest.raises(NotQubit):
+            BlochVector(float("nan"), 0.0, 0.0)
 
 
 class TestInequalities:
@@ -437,7 +439,7 @@ class TestInequalities:
         "slack, satisfied", [(-1e-9, True), (-1.0000001e-9, False), (float("nan"), False)]
     )
     def test_verdict_is_derived_from_slack(self, slack, satisfied):
-        """Every check holds exactly when its slack is at least -INEQUALITY_TOL; NaN fails."""
+        """Every check holds exactly when its slack is at least -TOL; NaN fails."""
         pure = density_from_pure(qbc.basis_state(2, 0))
         report = inequalities_at(0.5, 0.5, pure, pure)
         assert [c.applicable for c in report.checks] == [True] * 4

@@ -11,7 +11,9 @@
   integer rule on the top 53 bits of a word is that rule on u, checked at
   the edges of the thresholds.
 * Cells: the joint counts of the bulk sampler over (commitment context,
-  estimate, target, outcome) agree with the exact cell probabilities.
+  estimate, target, outcome) agree with the exact cell probabilities, each
+  within 6 sigma and all of a pairing's or a toss's at once by a Pearson
+  chi-square; a cell of probability 0 holds no run.
 * Memory and threads: at a million runs the bulk samplers' peak
   allocation stays within 16 bytes per run (one block of all the uniforms
   would take 32) and at most one chunk's per worker at 1e6 and 4e6 runs
@@ -34,7 +36,7 @@ import numpy as np
 import pytest
 
 import qbc
-from conftest import EDGE_PROTOCOLS
+from conftest import EDGE_PROTOCOLS, KNOWN_ANSWER_CLASSES, known_answer_amplitudes, known_answer_spectra
 from conftest import ENGINE_PROTOCOLS as PROTOCOLS
 from qbc import (
     CheatingAlice,
@@ -259,6 +261,75 @@ def test_sampled_cells_follow_cell_probabilities(name):
         assert not counts[probs <= 0.0].any()
         sigma = np.sqrt(np.clip(probs, 0.0, 1.0) * (1.0 - np.clip(probs, 0.0, 1.0)) / n)
         assert np.all(np.abs(counts / n - probs) <= 6.0 * sigma + 1e-15), (alice, bob, against_guess)
+
+
+def known_answer_protocol(kind: str) -> PurificationProtocol:
+    """One protocol of a known-answer class, at token dim 3 and a fixed seed."""
+    rng = np.random.default_rng(17)
+    a0, a1, _, _ = known_answer_amplitudes(*known_answer_spectra(kind, 3, rng), rng)
+    return PurificationProtocol(*(qbc.bipartite(6, 3, a.reshape(-1)) for a in (a0, a1)))
+
+
+CHI2_RUNS = 100_000
+CHI2_PROTOCOLS = {
+    "fair": lambda: qbc.fair_toss_protocol().base,
+    "random8x8": lambda: qbc.random_protocol(8, 8, 88),
+    "random3x2": lambda: qbc.random_protocol(3, 2, 5),
+    **{f"known-answer-{kind}": lambda kind=kind: known_answer_protocol(kind) for kind in KNOWN_ANSWER_CLASSES},
+}
+
+
+def assert_cells_fit(counts: np.ndarray, probs: np.ndarray) -> None:
+    """Sampled cell counts against their exact probabilities, cell by cell.
+
+    A cell of probability 0 must hold no run.  The rest get a Pearson
+    chi-square against ``n * probs``: cells expected to hold fewer than 5
+    runs are merged into one, which is folded into the smallest other cell
+    if it too falls short of 5.  The statistic must stay within
+    ``dof + 8 sqrt(2 dof)``, eight of its standard deviations above its mean.
+    """
+    counts, probs = counts.ravel(), probs.ravel()
+    assert not counts[probs <= 0.0].any()
+    expected = counts.sum() * probs
+    small = expected < 5.0
+    observed, merged = counts[~small].astype(float), expected[~small]
+    if expected[small].sum() < 5.0:
+        smallest = merged.argmin()
+        observed[smallest] += counts[small].sum()
+        merged[smallest] += expected[small].sum()
+    else:
+        observed = np.append(observed, counts[small].sum())
+        merged = np.append(merged, expected[small].sum())
+    chi2, dof = float(((observed - merged) ** 2 / merged).sum()), len(merged) - 1
+    assert dof >= 1 and chi2 <= dof + 8.0 * np.sqrt(2.0 * dof), (chi2, dof)
+
+
+@pytest.mark.parametrize("name", sorted(CHI2_PROTOCOLS))
+def test_each_pairing_passes_a_cell_chi_square(name):
+    """A fault that moves runs between cells of the same game rates, such as
+    swapping the wrong-bit and FAIL outcomes, leaves both rates as they
+    were; the cells show it."""
+    p = CHI2_PROTOCOLS[name]()
+    for alice, bob in itertools.product(ALICES, BOBS):
+        tables = strategy_tables(p, alice, bob)
+        assert_cells_fit(tables.sample_cells(CHI2_RUNS, 11), tables.cell_probabilities())
+
+
+@pytest.mark.parametrize("cheater", ["none", "alice", "bob"])
+@pytest.mark.parametrize("name", ["fair", "random3x2"])
+def test_each_toss_mode_passes_a_cell_chi_square(name, cheater, monkeypatch):
+    """The cells that ``toss_statistics`` itself counts, recorded on their way out."""
+    recorded = []
+    sample_cells = StrategyTables.sample_cells
+
+    def recording(tables, *args, **kwargs):
+        recorded.append((tables, sample_cells(tables, *args, **kwargs)))
+        return recorded[-1][1]
+
+    monkeypatch.setattr(StrategyTables, "sample_cells", recording)
+    toss_statistics(CoinTossProtocol(CHI2_PROTOCOLS[name]()), cheater, CHI2_RUNS, 12)
+    ((tables, counts),) = recorded
+    assert_cells_fit(counts, tables.cell_probabilities())
 
 
 def test_bulk_peak_bytes_per_run():

@@ -17,6 +17,7 @@ from qbc.linalg import (
     BipartiteState,
     DensityOperator,
     PureState,
+    apply_to_proof,
     basis_state,
     bipartite,
     partial_trace,
@@ -154,6 +155,12 @@ class TestValidation:
         with pytest.raises(NotNormalized):
             PureState(np.array([1.0, bad]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
+    def test_density_non_finite(self, bad):
+        """Refused before the Hermiticity check, whose inf - inf would warn."""
+        with pytest.raises(NotNormalized, match=r"^density operator entry .* is not finite$"):
+            DensityOperator(np.array([[bad, 0.0], [0.0, 1.0]]))
+
     def test_density_hermitian(self):
         with pytest.raises(NotHermitian):
             DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]]))
@@ -169,6 +176,10 @@ class TestValidation:
     def test_bipartite_dims(self):
         with pytest.raises(DimMismatch):
             BipartiteState(2, 3, random_pure_state(5, 0))
+        with pytest.raises(DimMismatch, match="must be square"):
+            DensityOperator(np.eye(2, 3) / 2.0)
+        with pytest.raises(DimMismatch, match="does not act on proof dim 2"):
+            apply_to_proof(np.eye(3), bipartite(2, 2, np.eye(4)[0]))
 
     def test_bipartite_numpy_integer_dims_are_stored_as_int(self):
         state = BipartiteState(np.int64(2), np.uint8(3), random_pure_state(6, 0))

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import qbc
 from qbc.protocol import checked_stacks, distance_fidelity
-from qbc.tradeoff import BOUND_TOL
 
 TOL = 1e-12
 
@@ -70,4 +69,4 @@ def test_uhlmann_fidelity_matches_square_root_route(p):
 def test_qubit_tokens_stay_above_curve_iii(dim_proof, seed, pure0):
     """D + F^2 >= 1 on 64 random dim_token = 2 protocols, one reduction pure or neither."""
     d, f = distance_fidelity(*checked_stacks(*qubit_token_stacks(dim_proof, 64, seed, pure0)))
-    assert (d + f * f - 1.0).min() >= -BOUND_TOL
+    assert (d + f * f - 1.0).min() >= -qbc.linalg.TOL

@@ -391,6 +391,8 @@ class TestBornSample:
         rng = np.random.default_rng(0)
         with pytest.raises(NotAMeasurement):
             born_sample(basis_state(2, 0), [np.diag([1.0, 0.0])], rng)
+        with pytest.raises(NotAMeasurement, match="does not match dim 2"):
+            born_sample(basis_state(2, 0), [np.eye(3)], rng)
 
     def test_rejects_non_orthogonal(self):
         rng = np.random.default_rng(0)

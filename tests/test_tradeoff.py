@@ -17,9 +17,9 @@ import qbc
 from conftest import known_answer_amplitudes
 from qbc.distinguish import BlochVector, bloch_fidelity_sq, bloch_trace_distance
 from qbc.errors import ParamOutOfRange
+from qbc.linalg import TOL
 from qbc.protocol import checked_stacks, distance_fidelity
 from qbc.tradeoff import (
-    BOUND_TOL,
     SWEEP_CHUNK_POINTS,
     Commuting3D,
     Curve,
@@ -346,7 +346,7 @@ class TestQubitTokensAboveCurveIII:
             r = BlochVector(0.0, 0.0, a)
             s = BlochVector(b * math.sin(psi), 0.0, b * math.cos(psi))
             slack[a, b, psi] = bloch_trace_distance(r, s) + bloch_fidelity_sq(r, s) - 1.0
-        assert min(slack.values()) >= -BOUND_TOL
+        assert min(slack.values()) >= -TOL
         collinear = [v for (a, _, psi), v in slack.items() if a == 1.0 and psi in (0.0, np.pi)]
         assert len(collinear) == 42 and max(map(abs, collinear)) <= 1e-14
 
