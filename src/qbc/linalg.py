@@ -24,7 +24,6 @@ products, partial traces and proof-side unitaries below all assume this.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -100,19 +99,18 @@ def token_reductions(amplitudes: np.ndarray) -> np.ndarray:
 
 
 def _squared_norms(z: np.ndarray) -> np.ndarray:
-    """sum |z|^2 over all but the first axis of a C-contiguous complex stack."""
-    parts = z.view(np.float64).reshape(z.shape[0], 2 * math.prod(z.shape[1:]))
+    """sum |z|^2 over the last two axes of a C-contiguous complex stack."""
+    parts = z.view(np.float64).reshape(z.shape[:-2] + (2 * z.shape[-2] * z.shape[-1],))
     return np.vecdot(parts, parts)
 
 
-def qubit_token_core(
-    rho: np.ndarray, a0: np.ndarray, a1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def qubit_token_core(rho: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 2x2 rules of the D/F core, in elementwise closed forms with no LAPACK call.
 
-    ``a0`` and ``a1`` are the (n, dim_proof, 2) amplitude stacks A_b of n
-    protocols, and ``rho`` holds their token reductions rho0, rho1
-    (:func:`token_reductions`) and rho0 - rho1 as a (3, n, 2, 2) array.
+    ``a`` holds the amplitude matrices A_b of n protocols as a (2, n,
+    dim_proof, 2) array, chi0 at index 0 and chi1 at index 1, and ``rho``
+    holds their token reductions rho0, rho1 (:func:`token_reductions`) and
+    rho0 - rho1 as a (3, n, 2, 2) array.
     With x, y and b the entries [0, 0], [1, 1] and [0, 1] of each matrix,
     its eigenvalues are m ∓ r, where m = (x + y)/2 and r = hypot((x - y)/2,
     |b|).  Returns
@@ -137,15 +135,13 @@ def qubit_token_core(
     np.subtract(mean, radius, out=spectra[..., 0])
     np.add(mean, radius, out=spectra[..., 1])
     d = np.maximum(np.abs(mean[2]), radius[2])
-    a0_dag = a0.conj()
-    overlaps = a1[..., :, None, 0] * a0_dag[..., None, :, 0]  # A1 A0^dag, one column of A at a time
-    overlaps += a1[..., :, None, 1] * a0_dag[..., None, :, 1]
+    a0_dag = a[0].conj()
+    overlaps = a[1, ..., :, None, 0] * a0_dag[..., None, :, 0]  # A1 A0^dag, one column of A at a time
+    overlaps += a[1, ..., :, None, 1] * a0_dag[..., None, :, 1]
     # t_b = 2 |det R_b|^2: the minor of rows p < q enters as itself and, negated, as q, p.
     # Then 2 |det R0| |det R1| = sqrt(t_0 t_1).
-    t = []
-    for a in (a0, a1):
-        products = a[..., :, None, 0] * a[..., None, :, 1]
-        t.append(_squared_norms(products - products.mT))
+    products = a[..., :, None, 0] * a[..., None, :, 1]
+    t = _squared_norms(products - products.mT)
     return spectra, d, np.sqrt(_squared_norms(overlaps) + np.sqrt(t[0] * t[1]))
 
 
@@ -201,6 +197,9 @@ class DensityOperator:
         finite = np.isfinite(arr)  # before any arithmetic: inf - inf would warn
         if not finite.all():
             raise NotNormalized(f"density operator entry {arr[~finite][0]} is not finite")
+        parts = np.abs(arr.view(np.float64))  # real and imaginary parts: no check can overflow
+        if parts.max(initial=0.0) > 2.0:  # no entry exceeds 1; 1e308 - (-1e308) would overflow
+            raise NotNormalized(f"density operator entry {arr.flat[parts.argmax() // 2]} exceeds 1")
         herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
         if herm_dev > TOL:
             raise NotHermitian(f"Hermiticity deviation {herm_dev} exceeds {TOL}")
@@ -281,9 +280,10 @@ def partial_trace(state: BipartiteState, keep: Factor) -> DensityOperator:
     return DensityOperator(token_reductions(a))
 
 
-def apply_to_proof(u: np.ndarray, state: BipartiteState) -> BipartiteState:
-    """Apply (u ⊗ I) to the proof factor."""
+def apply_to_proof(u, state: BipartiteState) -> BipartiteState:
+    """Apply (u ⊗ I) to the proof factor; ``u`` is any (dim_proof, dim_proof) array-like."""
     a = state.as_matrix()
+    u = np.asarray(u, dtype=np.complex128)
     if u.shape != (state.dim_proof, state.dim_proof):
         raise DimMismatch(f"unitary shape {u.shape} does not act on proof dim {state.dim_proof}")
     return bipartite(state.dim_proof, state.dim_token, (u @ a).reshape(-1))

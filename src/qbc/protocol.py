@@ -55,7 +55,6 @@ from .linalg import (
     bipartite,
     check_spectra,
     normalize_states,
-    partial_trace,
     qubit_token_core,
     random_pure_state,
     token_reductions,
@@ -75,7 +74,7 @@ class PurificationProtocol:
         (p0, t0), (p1, t1) = ((chi.dim_proof, chi.dim_token) for chi in (self.chi0, self.chi1))
         if (p0, t0) != (p1, t1):
             raise DimMismatch(f"commitment state dims {p0}x{t0} != {p1}x{t1}")
-        _check_orthogonal(self.chi0.as_matrix()[None], self.chi1.as_matrix()[None])
+        checked_stacks(self.as_matrices()[:, None])
 
     @property
     def dim_proof(self) -> int:
@@ -88,6 +87,10 @@ class PurificationProtocol:
     def chi(self, bit: int) -> BipartiteState:
         return self.chi1 if bit else self.chi0
 
+    def as_matrices(self) -> np.ndarray:
+        """chi0 and chi1 as one (2, dim_proof, dim_token) array: a stack of one, less its n axis."""
+        return np.array([self.chi0.as_matrix(), self.chi1.as_matrix()])
+
     @cached_property
     def _table_store(self) -> dict:
         """The tables of the eight pairings, keyed by (alice, bob); see :func:`strategy_tables`.
@@ -98,26 +101,23 @@ class PurificationProtocol:
         return _build_strategy_tables(self)
 
 
-def _check_orthogonal(a0: np.ndarray, a1: np.ndarray) -> None:
-    """Reject any protocol of a stack whose |<chi0|chi1>| exceeds ``TOL``."""
-    overlap = float(np.abs(np.einsum("npt,npt->n", a0.conj(), a1)).max(initial=0.0))
+def checked_stacks(a: np.ndarray) -> np.ndarray:
+    """Validate n protocols given as one (2, n, dim_proof, dim_token) array, chi0 at index 0.
+
+    Any other shape is a ``DimMismatch``.  Each state must pass the norm rule
+    of :func:`~qbc.linalg.normalize_states` (and may be renormalized), and no
+    pair may overlap by more than ``TOL`` (``NotOrthogonal``); a
+    :class:`PurificationProtocol` is checked by the same call with n = 1.
+    Returns a validated complex copy; the caller's array is never written.
+    """
+    stacks = np.array(a, dtype=np.complex128)
+    if stacks.ndim != 4 or stacks.shape[0] != 2:
+        raise DimMismatch(f"protocol stack shape {stacks.shape} is not (2, n, dim_proof, dim_token)")
+    normalize_states(stacks.reshape(-1, stacks.shape[-2] * stacks.shape[-1]))
+    overlap = float(np.abs(np.einsum("npt,npt->n", stacks[0].conj(), stacks[1])).max(initial=0.0))
     if overlap > TOL:
         raise NotOrthogonal(f"|<chi0|chi1>| = {overlap} exceeds {TOL}")
-
-
-def checked_stacks(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Validate a stack of protocols given as (n, dim_proof, dim_token) amplitudes.
-
-    Applies, to every protocol at once, the checks :class:`PureState` and
-    :class:`PurificationProtocol` apply to one: each state passes the norm
-    rule of :func:`~qbc.linalg.normalize_states` (and may be renormalized),
-    and each pair is orthogonal within ``TOL``.  Returns the
-    (renormalized) stacks.
-    """
-    stacks = np.stack([a0, a1]).astype(np.complex128, copy=False)
-    normalize_states(stacks.reshape(-1, stacks.shape[-2] * stacks.shape[-1]))
-    _check_orthogonal(stacks[0], stacks[1])
-    return stacks[0], stacks[1]
+    return stacks
 
 
 def random_protocol(dim_proof: int, dim_token: int, seed) -> PurificationProtocol:
@@ -256,17 +256,16 @@ class CheatKit:
 
 def honest_reduced_states(p: PurificationProtocol) -> tuple[DensityOperator, DensityOperator]:
     """Token-side reductions (rho0, rho1) of the honest commitment states."""
-    return (
-        partial_trace(p.chi0, keep="token"),
-        partial_trace(p.chi1, keep="token"),
-    )
+    rho = token_reductions(p.as_matrices())
+    return DensityOperator(rho[0]), DensityOperator(rho[1])
 
 
-def distance_fidelity(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def distance_fidelity(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Trace distances and fidelities of the token reductions of a stack of protocols.
 
-    ``a0`` and ``a1`` hold chi0 and chi1 of n protocols as (n, dim_proof,
-    dim_token) amplitude matrices A_b.  The reductions rho_b = A_b^T A_b^*
+    ``a`` holds the amplitude matrices A_b of n protocols as one (2, n,
+    dim_proof, dim_token) array, chi0 at index 0 and chi1 at index 1, as
+    :func:`checked_stacks` returns it.  The reductions rho_b = A_b^T A_b^*
     (:func:`~qbc.linalg.token_reductions`), written with rho0 - rho1 into one
     (3, n, dim_token, dim_token) buffer, pass the density rule of
     :func:`~qbc.linalg.check_spectra`, as in :class:`DensityOperator`; then
@@ -281,23 +280,24 @@ def distance_fidelity(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.nd
     stays exact where a reduction has eigenvalues far below rounding noise
     (F = 1e-7 at an eigenvalue of 1e-14).
     """
-    n, _, dim_token = a0.shape
+    _, n, _, dim_token = a.shape
     rho = np.empty((3, n, dim_token, dim_token), dtype=np.complex128)
-    rho[0] = token_reductions(a0)
-    rho[1] = token_reductions(a1)
+    # A bit at a time: both bits' temporaries at once are fresh pages on every sweep chunk.
+    rho[0] = token_reductions(a[0])
+    rho[1] = token_reductions(a[1])
     np.subtract(rho[0], rho[1], out=rho[2])
     if dim_token == 2:
-        eigenvalues, d, f = qubit_token_core(rho, a0, a1)
+        eigenvalues, d, f = qubit_token_core(rho, a)
     else:
         eigenvalues = np.linalg.eigvalsh(rho)
         d = 0.5 * np.abs(eigenvalues[2]).sum(axis=-1)
-        f = np.linalg.svd(a1 @ np.swapaxes(a0, -2, -1).conj(), compute_uv=False).sum(axis=-1)
+        f = np.linalg.svd(a[1] @ a[0].mT.conj(), compute_uv=False).sum(axis=-1)
     check_spectra(eigenvalues[:2])
     return np.minimum(d, 1.0), np.minimum(f, 1.0)
 
 
 def security_report(p: PurificationProtocol) -> SecurityReport:
-    d, f = distance_fidelity(p.chi0.as_matrix()[None], p.chi1.as_matrix()[None])
+    d, f = distance_fidelity(p.as_matrices()[:, None])
     return SecurityReport(float(d[0]), float(f[0]))
 
 
@@ -566,8 +566,8 @@ def _build_strategy_tables(p: PurificationProtocol) -> dict:
     """
     kit = optimal_cheat_kit(p)
     measurement = helstrom(*honest_reduced_states(p))
-    chi = np.array([p.chi0.as_matrix(), p.chi1.as_matrix()])
-    committed = np.concatenate([chi, kit.psi_max.as_matrix()[None]])
+    chi = p.as_matrices()
+    committed = np.concatenate([chi, [kit.psi_max.as_matrix()]])
     eye = np.eye(p.dim_proof, dtype=np.complex128)
     steer = np.array([[eye, eye], [eye, eye], [kit.u0, kit.u1]])  # (context, target, proof, proof)
 
@@ -755,7 +755,7 @@ def random_cheat_search(p: PurificationProtocol, n_candidates: int, seed: int) -
     """
     n_candidates = _checked_integer(n_candidates, "n_candidates", 1)
     seed = _checked_integer(seed, "the seed", 0)
-    r = np.linalg.qr(np.stack([p.chi0.as_matrix(), p.chi1.as_matrix()]), mode="r")
+    r = np.linalg.qr(p.as_matrices(), mode="r")
 
     iterates = min(ASCENT_ITERATES, n_candidates)
     n_full, rest = divmod(n_candidates, iterates)

@@ -153,11 +153,7 @@ def family_protocol(family: ProtocolFamily) -> PurificationProtocol:
     row = _family(type(family))  # before fields(), which a non-member would fail
     (field,) = fields(family)
     a = _amplitudes(row, np.array([getattr(family, field.name)], dtype=np.float64))
-    dim_proof, dim_token = a.shape[2:]
-    return PurificationProtocol(
-        bipartite(dim_proof, dim_token, a[0, 0].reshape(-1)),
-        bipartite(dim_proof, dim_token, a[1, 0].reshape(-1)),
-    )
+    return PurificationProtocol(*(bipartite(*row.dims, chi.reshape(-1)) for chi in a[:, 0]))
 
 
 class Curve(Enum):
@@ -248,7 +244,7 @@ def sweep(
     points = []
     for start in range(0, len(params), SWEEP_CHUNK_POINTS):
         stop = start + SWEEP_CHUNK_POINTS
-        d, f = distance_fidelity(*checked_stacks(*_amplitudes(family, x[start:stop])))
+        d, f = distance_fidelity(checked_stacks(_amplitudes(family, x[start:stop])))
         g, c = d / 2.0, f / 2.0
         _checked_box(g_max=g, c_max=c)
         rows = zip(g.tolist(), c.tolist(), params[start:stop])

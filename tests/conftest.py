@@ -37,7 +37,7 @@ def random_protocols(count: int, seed: int, max_dim: int = 4):
 
 
 def qubit_token_stacks(dim_proof: int, count: int, seed: int, pure0: bool = False):
-    """(A0, A1): ``count`` random qubit-token protocols as (count, dim_proof, 2) amplitudes.
+    """``count`` random qubit-token protocols as one (2, count, dim_proof, 2) stack (A0, A1).
 
     A0 is Haar-random, or with ``pure0`` a product u ⊗ v, which makes rho0
     pure; A1 is Haar-random, Gram-Schmidt-orthogonalized against A0.  A
@@ -49,7 +49,7 @@ def qubit_token_stacks(dim_proof: int, count: int, seed: int, pure0: bool = Fals
         z[0] = z[0, :, :, :1] * z[0, :, :1, :]
     a0 = z[0] / np.linalg.norm(z[0], axis=(1, 2), keepdims=True)
     a1 = z[1] - np.einsum("npt,npt->n", a0.conj(), z[1])[:, None, None] * a0
-    return a0, a1 / np.linalg.norm(a1, axis=(1, 2), keepdims=True)
+    return np.stack([a0, a1 / np.linalg.norm(a1, axis=(1, 2), keepdims=True)])
 
 
 # The engine's reference protocols: one of each family and a random 8x8.
@@ -120,14 +120,14 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def known_answer_amplitudes(p, q, rng) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(A0, A1, D, F): a protocol whose token reductions are unitarily diag(p), diag(q).
+def known_answer_amplitudes(p, q, rng) -> tuple[np.ndarray, float, float]:
+    """(A, D, F): a protocol whose token reductions are unitarily diag(p), diag(q).
 
     chi0 holds sqrt(p) on the first proof block and chi1 sqrt(q) on the
     second, so the pair is orthogonal whatever the rotations; a Haar
-    unitary then rotates the token and another the proof.  A_b is the
-    (2 dim, dim) amplitude matrix of chi_b, proof index first; D and F are
-    summed with ``math.fsum`` from the spectra alone.
+    unitary then rotates the token and another the proof.  A = (A0, A1) is
+    a (2, 2 dim, dim) stack, A_b the amplitude matrix of chi_b, proof index
+    first; D and F are summed with ``math.fsum`` from the spectra alone.
     """
     dim = len(p)
     a0 = np.zeros((2 * dim, dim), dtype=np.complex128)
@@ -137,4 +137,4 @@ def known_answer_amplitudes(p, q, rng) -> tuple[np.ndarray, np.ndarray, float, f
     v, u = haar_unitary(2 * dim, rng), haar_unitary(dim, rng)
     d = 0.5 * math.fsum(abs(a - b) for a, b in zip(p, q))
     f = math.fsum(math.sqrt(a * b) for a, b in zip(p, q))
-    return v @ a0 @ u.T, v @ a1 @ u.T, d, f
+    return np.stack([v @ a0 @ u.T, v @ a1 @ u.T]), d, f

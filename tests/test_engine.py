@@ -266,8 +266,8 @@ def test_sampled_cells_follow_cell_probabilities(name):
 def known_answer_protocol(kind: str) -> PurificationProtocol:
     """One protocol of a known-answer class, at token dim 3 and a fixed seed."""
     rng = np.random.default_rng(17)
-    a0, a1, _, _ = known_answer_amplitudes(*known_answer_spectra(kind, 3, rng), rng)
-    return PurificationProtocol(*(qbc.bipartite(6, 3, a.reshape(-1)) for a in (a0, a1)))
+    a, _, _ = known_answer_amplitudes(*known_answer_spectra(kind, 3, rng), rng)
+    return PurificationProtocol(*(qbc.bipartite(6, 3, m.reshape(-1)) for m in a))
 
 
 CHI2_RUNS = 100_000

@@ -52,16 +52,17 @@ CLASSES_AND_DIMS = [(kind, dim) for kind in KNOWN_ANSWER_CLASSES for dim in rang
 
 
 def known_answers(kind: str, dim: int, n: int):
-    """(A0, A1, D, F) stacks of ``n`` known-answer protocols, at a seed fixed per class and dim."""
+    """(A, D, F) of ``n`` known-answer protocols, A a (2, n, dim_proof, dim_token) stack,
+    at a seed fixed per class and dim."""
     rng = np.random.default_rng([KNOWN_ANSWER_CLASSES.index(kind), dim])
     cases = [known_answer_amplitudes(*known_answer_spectra(kind, dim, rng), rng) for _ in range(n)]
-    a0, a1, d, f = zip(*cases)
-    return np.stack(a0), np.stack(a1), np.array(d), np.array(f)
+    a, d, f = zip(*cases)
+    return np.stack(a, axis=1), np.array(d), np.array(f)
 
 
-def protocols(a0: np.ndarray, a1: np.ndarray):
-    dim_proof, dim_token = a0.shape[1:]
-    for m0, m1 in zip(a0, a1):
+def protocols(a: np.ndarray):
+    dim_proof, dim_token = a.shape[2:]
+    for m0, m1 in zip(*a):
         yield PurificationProtocol(
             bipartite(dim_proof, dim_token, m0.reshape(-1)),
             bipartite(dim_proof, dim_token, m1.reshape(-1)),
@@ -70,20 +71,20 @@ def protocols(a0: np.ndarray, a1: np.ndarray):
 
 @pytest.mark.parametrize("kind, dim", CLASSES_AND_DIMS)
 def test_distance_fidelity(kind, dim):
-    a0, a1, d_exact, f_exact = known_answers(kind, dim, 50)
+    a, d_exact, f_exact = known_answers(kind, dim, 50)
     if kind == "near-identical":
         assert np.allclose(d_exact, 5e-9, rtol=1e-6, atol=0.0)
     if kind == "near-orthogonal-pure":
         assert np.allclose(f_exact, 5e-8, rtol=1e-6, atol=0.0)
-    d, f = distance_fidelity(*checked_stacks(a0, a1))
+    d, f = distance_fidelity(checked_stacks(a))
     assert np.abs(d - d_exact).max() <= D_TOL
     assert np.abs(f - f_exact).max() <= F_TOL
 
 
 @pytest.mark.parametrize("kind, dim", CLASSES_AND_DIMS)
 def test_helstrom_and_cheat_kit(kind, dim):
-    a0, a1, d_exact, f_exact = known_answers(kind, dim, 10)
-    for p, d, f in zip(protocols(a0, a1), d_exact, f_exact):
+    a, d_exact, f_exact = known_answers(kind, dim, 10)
+    for p, d, f in zip(protocols(a), d_exact, f_exact):
         helstrom = qbc.helstrom(*qbc.honest_reduced_states(p))
         assert abs(helstrom.success_probability - (1.0 + d) / 2.0) <= SUCCESS_TOL
         assert abs(qbc.optimal_cheat_kit(p).per_bit_success - (1.0 + f) / 2.0) <= SUCCESS_TOL
@@ -91,8 +92,8 @@ def test_helstrom_and_cheat_kit(kind, dim):
 
 @pytest.mark.parametrize("kind, dim", CLASSES_AND_DIMS)
 def test_cheat_search_never_beats_the_kit(kind, dim):
-    a0, a1, _, f_exact = known_answers(kind, dim, 2)
-    for p, f in zip(protocols(a0, a1), f_exact):
+    a, _, f_exact = known_answers(kind, dim, 2)
+    for p, f in zip(protocols(a), f_exact):
         best = qbc.random_cheat_search(p, 200, 7).best_value
         assert best <= (1.0 + f) / 2.0 + SUCCESS_TOL
         assert best >= (1.0 + f) / 2.0 - SEARCH_SHORTFALL_TOL
@@ -115,8 +116,8 @@ def test_monte_carlo_rates(kind, dim):
     """Sampled rates of both optimal cheats, in the commitment and in the coin
     toss, against (1 + F)/2 for Alice and (1 + D)/2 for Bob.  The toss takes
     its own seed: on the commitment's seed it counts the same cells."""
-    a0, a1, d_exact, f_exact = known_answers(kind, dim, 1)
-    (p,), alice, bob = protocols(a0, a1), (1.0 + f_exact[0]) / 2.0, (1.0 + d_exact[0]) / 2.0
+    a, d_exact, f_exact = known_answers(kind, dim, 1)
+    (p,), alice, bob = protocols(a), (1.0 + f_exact[0]) / 2.0, (1.0 + d_exact[0]) / 2.0
     toss = qbc.CoinTossProtocol(p)
     rates = {
         "unveil": (estimate_statistics(p, CheatingAlice(), HonestBob(), MC_RUNS, MC_SEED).p_unveil, alice),
@@ -141,8 +142,8 @@ def test_square_root_fidelity(kind, dim):
     rng = np.random.default_rng([KNOWN_ANSWER_CLASSES.index(kind), dim, 1])
     for _ in range(10):
         p, q = known_answer_spectra(kind, dim, rng)
-        a0, a1, _, f = known_answer_amplitudes(p, q, rng)
-        (protocol,) = protocols(a0[None], a1[None])
+        a, _, f = known_answer_amplitudes(p, q, rng)
+        (protocol,) = protocols(a[:, None])
         fidelity = qbc.fidelity(*qbc.honest_reduced_states(protocol))
         kept = (p >= SQRT_NOISE_FLOOR) & (q >= SQRT_NOISE_FLOOR)
         assert abs(fidelity - math.fsum(np.sqrt(p[kept] * q[kept]))) <= FLOORED_F_TOL

@@ -107,8 +107,8 @@ class TestQubitTokenCore:
         h = random_matrix(600, 2, 9).reshape(3, 100, 2, 2)
         h = h + np.swapaxes(h, -2, -1).conj()
         h[2] -= np.trace(h[2], axis1=-2, axis2=-1)[:, None, None].real * np.eye(2) / 2.0
-        a = np.zeros((100, 1, 2), dtype=np.complex128)  # no amplitudes are read for the spectra
-        spectra, _, _ = qubit_token_core(h, a, a)
+        a = np.zeros((2, 100, 1, 2), dtype=np.complex128)  # no amplitudes are read for the spectra
+        spectra, _, _ = qubit_token_core(h, a)
         assert np.abs(spectra - np.linalg.eigvalsh(h)).max() <= 1e-14
 
 
@@ -161,6 +161,12 @@ class TestValidation:
         with pytest.raises(NotNormalized, match=r"^density operator entry .* is not finite$"):
             DensityOperator(np.array([[bad, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("matrix", [[[0.5, 1e308], [-1e308, 0.5]], [[0.5, 1e308j], [1e308j, 0.5]]])
+    def test_density_huge_entry(self, matrix):
+        """Refused before the Hermiticity check, whose 1e308 - (-1e308) would overflow."""
+        with pytest.raises(NotNormalized, match=r"^density operator entry .*1e\+308.* exceeds 1$"):
+            DensityOperator(matrix)
+
     def test_density_hermitian(self):
         with pytest.raises(NotHermitian):
             DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]]))
@@ -180,6 +186,13 @@ class TestValidation:
             DensityOperator(np.eye(2, 3) / 2.0)
         with pytest.raises(DimMismatch, match="does not act on proof dim 2"):
             apply_to_proof(np.eye(3), bipartite(2, 2, np.eye(4)[0]))
+        with pytest.raises(DimMismatch, match="does not act on proof dim 2"):
+            apply_to_proof(np.eye(3).tolist(), bipartite(2, 2, np.eye(4)[0]))
+
+    def test_apply_to_proof_takes_a_nested_list(self):
+        chi = BipartiteState(2, 3, random_pure_state(6, 3))
+        expected = apply_to_proof(np.eye(2), chi).amplitudes
+        assert apply_to_proof([[1, 0], [0, 1]], chi).amplitudes.tobytes() == expected.tobytes()
 
     def test_bipartite_numpy_integer_dims_are_stored_as_int(self):
         state = BipartiteState(np.int64(2), np.uint8(3), random_pure_state(6, 0))

@@ -58,7 +58,7 @@ def test_coin_toss_biases_sum_to_at_least_half(p):
 @examples
 @given(protocols)
 def test_uhlmann_fidelity_matches_square_root_route(p):
-    d, f = distance_fidelity(p.chi0.as_matrix()[None], p.chi1.as_matrix()[None])
+    d, f = distance_fidelity(p.as_matrices()[:, None])
     rho0, rho1 = qbc.honest_reduced_states(p)
     assert abs(f[0] - qbc.fidelity(rho0, rho1)) <= TOL
     assert abs(d[0] - qbc.trace_distance(rho0, rho1)) <= TOL
@@ -68,5 +68,5 @@ def test_uhlmann_fidelity_matches_square_root_route(p):
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
 def test_qubit_tokens_stay_above_curve_iii(dim_proof, seed, pure0):
     """D + F^2 >= 1 on 64 random dim_token = 2 protocols, one reduction pure or neither."""
-    d, f = distance_fidelity(*checked_stacks(*qubit_token_stacks(dim_proof, 64, seed, pure0)))
+    d, f = distance_fidelity(checked_stacks(qubit_token_stacks(dim_proof, 64, seed, pure0)))
     assert (d + f * f - 1.0).min() >= -qbc.linalg.TOL

@@ -102,6 +102,12 @@ class TestMakeProtocol:
             assert type(q.dim_proof) is int and type(q.dim_token) is int
             assert random_cheat_search(q, 20, 0) == expected
 
+    def test_as_matrices_stacks_chi0_then_chi1(self):
+        p = random_protocol(3, 2, 1)
+        a = p.as_matrices()
+        assert a.shape == (2, 3, 2)
+        assert a.tobytes() == p.chi0.amplitudes.tobytes() + p.chi1.amplitudes.tobytes()
+
     def test_random_protocol_valid_and_deterministic(self):
         a = random_protocol(3, 2, 1)
         b = random_protocol(3, 2, 1)
@@ -124,6 +130,14 @@ class TestHonestReducedStates:
         rho0, rho1 = honest_reduced_states(qbc.family_protocol(qbc.QubitPureMixed(0.4)))
         assert np.allclose(rho0.matrix, np.diag([1.0, 0.0]), atol=1e-12)
         assert np.allclose(rho1.matrix, np.diag([0.4, 0.6]), atol=1e-12)
+
+    def test_one_call_equals_each_partial_trace(self):
+        """The stacked reduction of both states equals each state's partial trace, byte for byte."""
+        for dims in AUDIT_DIMS:
+            p = random_protocol(*dims, 7)
+            expected = (partial_trace(p.chi0, "token"), partial_trace(p.chi1, "token"))
+            for rho, reference in zip(honest_reduced_states(p), expected):
+                assert rho.matrix.tobytes() == reference.matrix.tobytes(), dims
 
 
 class TestSecurityReport:
@@ -161,34 +175,39 @@ class TestSecurityReport:
 class TestStackedCore:
     def stacks(self, count=5, seed=3):
         protocols = [random_protocol(3, 4, seed + i) for i in range(count)]
-        a0 = np.stack([p.chi0.as_matrix() for p in protocols])
-        a1 = np.stack([p.chi1.as_matrix() for p in protocols])
-        return protocols, a0, a1
+        return protocols, np.stack([p.as_matrices() for p in protocols], axis=1)
 
     def test_stack_equals_single_reports(self):
-        protocols, a0, a1 = self.stacks()
-        d, f = distance_fidelity(a0, a1)
+        protocols, a = self.stacks()
+        d, f = distance_fidelity(a)
         for i, p in enumerate(protocols):
             report = security_report(p)
             assert (d[i], f[i]) == (report.trace_distance, report.fidelity)
 
     def test_checked_stacks_keeps_valid_amplitudes(self):
-        _, a0, a1 = self.stacks()
-        c0, c1 = checked_stacks(a0, a1)
-        assert np.array_equal(c0, a0) and np.array_equal(c1, a1)
+        _, a = self.stacks()
+        assert np.array_equal(checked_stacks(a), a)
 
     def test_checked_stacks_renormalizes_within_tolerance(self):
-        _, a0, a1 = self.stacks()
-        a0[2] *= 1.0 + 1e-10
-        c0, _ = checked_stacks(a0, a1)
-        assert abs(np.linalg.norm(c0[2]) - 1.0) <= 1e-15
+        """The copy is renormalized; the caller's array keeps its bits."""
+        _, a = self.stacks()
+        a[0, 2] *= 1.0 + 1e-10
+        given = a.tobytes()
+        c = checked_stacks(a)
+        assert abs(np.linalg.norm(c[0, 2]) - 1.0) <= 1e-15
+        assert a.tobytes() == given and c[0, 2].tobytes() != a[0, 2].tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 3, 4), (3, 5, 3, 4)], ids=["3-D", "leading-3"])
+    def test_checked_stacks_rejects_other_layouts(self, shape):
+        with pytest.raises(DimMismatch, match=r"is not \(2, n, dim_proof, dim_token\)"):
+            checked_stacks(np.zeros(shape, dtype=np.complex128))
 
     @pytest.mark.parametrize("scale", [1.0 + 1e-6, np.nan])
     def test_checked_stacks_rejects_bad_norm(self, scale):
-        _, a0, a1 = self.stacks()
-        a1[4] *= scale
+        _, a = self.stacks()
+        a[1, 4] *= scale
         with pytest.raises(NotNormalized):
-            checked_stacks(a0, a1)
+            checked_stacks(a)
 
     @pytest.mark.parametrize(
         "offset",
@@ -196,45 +215,44 @@ class TestStackedCore:
     )
     def test_norm_rule_shared_with_pure_state(self, offset):
         """One norm rule: both raise NotNormalized, or both keep or renormalize to the same bits."""
-        _, a0, a1 = self.stacks()
+        _, a = self.stacks()
         if isinstance(offset, str):
-            a1[4, 0, 0] = float(offset)  # one NaN, infinite or overflowing amplitude
+            a[1, 4, 0, 0] = float(offset)  # one NaN, infinite or overflowing amplitude
         else:
-            a1[4] *= 1.0 + offset  # the norm is off 1 by offset
-        state = a1[4].reshape(-1)
+            a[1, 4] *= 1.0 + offset  # the norm is off 1 by offset
+        state = a[1, 4].reshape(-1)
         if isinstance(offset, str) or abs(offset) > 1e-9:
-            for check in (lambda: PureState(state), lambda: checked_stacks(a0, a1)):
+            for check in (lambda: PureState(state), lambda: checked_stacks(a)):
                 with pytest.raises(NotNormalized):
                     check()
         else:
             expected = PureState(state).amplitudes
-            assert checked_stacks(a0, a1)[1][4].reshape(-1).tobytes() == expected.tobytes()
+            assert checked_stacks(a)[1, 4].reshape(-1).tobytes() == expected.tobytes()
             assert (expected.tobytes() == state.tobytes()) == (abs(offset) <= 1e-12)
 
     def test_checked_stacks_rejects_overlap(self):
-        _, a0, a1 = self.stacks()
-        a1[1] = a0[1]
+        _, a = self.stacks()
+        a[1, 1] = a[0, 1]
         with pytest.raises(NotOrthogonal):
-            checked_stacks(a0, a1)
+            checked_stacks(a)
 
     def test_empty_stack(self):
         """A stack of no protocols passes the checks and has no figures."""
-        empty = np.zeros((0, 3, 4), dtype=np.complex128)
-        d, f = distance_fidelity(*checked_stacks(empty, empty))
+        d, f = distance_fidelity(checked_stacks(np.zeros((2, 0, 3, 4), dtype=np.complex128)))
         assert d.shape == f.shape == (0,)
 
     def test_core_rejects_reduction_off_unit_trace(self):
         """One density rule: a trace off 1 by 2e-9 fails the core and DensityOperator alike."""
-        _, a0, a1 = self.stacks()
-        a0 *= np.sqrt(1 + 2e-9)
+        _, a = self.stacks()
+        a[0] *= np.sqrt(1 + 2e-9)
         with pytest.raises(NotNormalized):
-            distance_fidelity(a0, a1)
+            distance_fidelity(a)
         with pytest.raises(NotNormalized):
-            DensityOperator(a0[0].T @ a0[0].conj())
+            DensityOperator(a[0, 0].T @ a[0, 0].conj())
 
 
 def zero_token_column(a: np.ndarray) -> np.ndarray:
-    """(n, dim_proof, 2) amplitudes padded to dim_token 3: the same D and F, on the LAPACK path."""
+    """(..., dim_proof, 2) amplitudes padded to dim_token 3: the same D and F, on the LAPACK path."""
     return np.concatenate([a, np.zeros(a.shape[:-1] + (1,), dtype=a.dtype)], axis=-1)
 
 
@@ -248,48 +266,47 @@ class TestQubitTokenRoutes:
 
     ROUTE_TOL = 1e-14
 
-    def assert_routes_agree(self, a0, a1, singles=4):
-        a0, a1 = checked_stacks(a0, a1)
-        d, f = distance_fidelity(a0, a1)
-        d3, f3 = distance_fidelity(zero_token_column(a0), zero_token_column(a1))
+    def assert_routes_agree(self, a, singles=4):
+        a = checked_stacks(a)
+        d, f = distance_fidelity(a)
+        d3, f3 = distance_fidelity(zero_token_column(a))
         assert np.abs(d - d3).max() <= self.ROUTE_TOL
         assert np.abs(f - f3).max() <= self.ROUTE_TOL
         for i in range(min(singles, len(d))):  # a stack of one takes the same route, bit for bit
-            d1, f1 = distance_fidelity(a0[i : i + 1], a1[i : i + 1])
+            d1, f1 = distance_fidelity(a[:, i : i + 1])
             assert (d1[0], f1[0]) == (d[i], f[i])
 
     @pytest.mark.parametrize("dim_proof", range(1, 7))
     @pytest.mark.parametrize("pure0", [False, True], ids=["mixed", "pure-rho0"])
     def test_random_protocols(self, dim_proof, pure0):
-        self.assert_routes_agree(*qubit_token_stacks(dim_proof, 200, 100 * dim_proof + pure0, pure0))
+        self.assert_routes_agree(qubit_token_stacks(dim_proof, 200, 100 * dim_proof + pure0, pure0))
 
     def test_pure_tokens(self):
         """Product states u_b ⊗ v_b with orthogonal u_b: both reductions pure."""
         rng = np.random.default_rng(5)
         z = rng.standard_normal((2, 200, 2)) + 1j * rng.standard_normal((2, 200, 2))
         v = z / np.linalg.norm(z, axis=-1, keepdims=True)
-        a0 = np.zeros((200, 3, 2), dtype=np.complex128)
-        a1 = np.zeros((200, 3, 2), dtype=np.complex128)
-        a0[:, 0], a1[:, 2] = v[0], v[1]
-        self.assert_routes_agree(a0, a1)
+        a = np.zeros((2, 200, 3, 2), dtype=np.complex128)
+        a[0, :, 0], a[1, :, 2] = v[0], v[1]
+        self.assert_routes_agree(a)
 
     @pytest.mark.parametrize("kind", KNOWN_ANSWER_CLASSES)
     def test_known_answer_classes(self, kind):
         rng = np.random.default_rng([KNOWN_ANSWER_CLASSES.index(kind), 2, 2])
         cases = [known_answer_amplitudes(*known_answer_spectra(kind, 2, rng), rng) for _ in range(100)]
-        a0, a1, _, _ = zip(*cases)
-        self.assert_routes_agree(np.stack(a0), np.stack(a1))
+        a, _, _ = zip(*cases)
+        self.assert_routes_agree(np.stack(a, axis=1))
 
     def test_empty_stack(self):
-        empty = np.zeros((0, 3, 2), dtype=np.complex128)
-        d, f = distance_fidelity(*checked_stacks(empty, empty))
+        d, f = distance_fidelity(checked_stacks(np.zeros((2, 0, 3, 2), dtype=np.complex128)))
         assert d.shape == f.shape == (0,)
 
     def test_density_rule_holds(self):
         """A trace off 1 by 2e-9 fails the closed-form core as it fails the LAPACK one."""
-        a0, a1 = qubit_token_stacks(3, 5, 8)
+        a = qubit_token_stacks(3, 5, 8)
+        a[0] *= np.sqrt(1 + 2e-9)
         with pytest.raises(NotNormalized):
-            distance_fidelity(a0 * np.sqrt(1 + 2e-9), a1)
+            distance_fidelity(a)
 
 
 class TestOptimalCheatKit:
@@ -631,7 +648,7 @@ class TestCheatSearch:
         """The same on every known-answer class: a rank-1 reduction, exact
         zero or 1e-14 eigenvalues, F = 5e-8."""
         rng = np.random.default_rng([KNOWN_ANSWER_CLASSES.index(kind), dim])
-        assert_same_ascent(np.stack(known_answer_amplitudes(*known_answer_spectra(kind, dim, rng), rng)[:2]))
+        assert_same_ascent(known_answer_amplitudes(*known_answer_spectra(kind, dim, rng), rng)[0])
 
     @pytest.mark.parametrize("n", [20, 10_000])
     def test_one_svd_per_ascent_iterate(self, n, monkeypatch):

@@ -334,8 +334,8 @@ class TestQubitTokensAboveCurveIII:
             known_answer_amplitudes(np.array([1.0, 0.0]), np.array([(1.0 + t) / 2.0, (1.0 - t) / 2.0]), rng)
             for t in np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 200)])
         ]
-        a0, a1, _, _ = zip(*cases)
-        d, f = distance_fidelity(*checked_stacks(np.stack(a0), np.stack(a1)))
+        a, _, _ = zip(*cases)
+        d, f = distance_fidelity(checked_stacks(np.stack(a, axis=1)))
         assert np.abs(d + f * f - 1.0).max() <= 1e-14
 
     def test_bloch_grid(self):
