@@ -192,8 +192,8 @@ class DensityOperator:
 
     def __post_init__(self):
         arr = np.array(self.matrix, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimMismatch(f"density operator must be square, got {arr.shape}")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+            raise DimMismatch(f"density operator must be square and nonempty, got {arr.shape}")
         finite = np.isfinite(arr)  # before any arithmetic: inf - inf would warn
         if not finite.all():
             raise NotNormalized(f"density operator entry {arr[~finite][0]} is not finite")

@@ -26,9 +26,10 @@ Both optimal strategies are constructed explicitly and can be run through
 a Born-rule Monte Carlo, either one transcript at a time
 (:func:`simulate_run`) or in bulk (:func:`estimate_statistics`).  Both
 read the exact per-configuration :class:`StrategyTables`, which the coin
-toss samples too.  One cheat kit and one Helstrom measurement give the
-tables of all eight strategy pairings, which a protocol builds together on
-first use and keeps.
+toss samples too.  A protocol's report, reductions, cheat kit, Helstrom
+measurement and the tables of all eight strategy pairings are one read-only
+record, which :func:`_analyze` builds on the first call of any reader and
+the protocol keeps.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .distinguish import aligned_superposition, helstrom
+from .distinguish import HelstromMeasurement, aligned_superposition, helstrom
 from .errors import DimMismatch, NotAMeasurement, NotOrthogonal, ParamOutOfRange, QbcError
 from .linalg import (
     TOL,
@@ -92,26 +93,26 @@ class PurificationProtocol:
         return np.array([self.chi0.as_matrix(), self.chi1.as_matrix()])
 
     @cached_property
-    def _table_store(self) -> dict:
-        """The tables of the eight pairings, keyed by (alice, bob); see :func:`strategy_tables`.
+    def _analysis(self) -> _Analysis:
+        """The protocol's analysis record, built on first use by :func:`_analyze`.
 
         Not a field, so equality and repr ignore it; a frozen dataclass
         allows it because ``cached_property`` writes the instance ``__dict__``.
         """
-        return _build_strategy_tables(self)
+        return _analyze(self)
 
 
 def checked_stacks(a: np.ndarray) -> np.ndarray:
     """Validate n protocols given as one (2, n, dim_proof, dim_token) array, chi0 at index 0.
 
-    Any other shape is a ``DimMismatch``.  Each state must pass the norm rule
-    of :func:`~qbc.linalg.normalize_states` (and may be renormalized), and no
+    Any other shape, or a zero dim, is a ``DimMismatch``.  Each state must pass the
+    norm rule of :func:`~qbc.linalg.normalize_states` (and may be renormalized), and no
     pair may overlap by more than ``TOL`` (``NotOrthogonal``); a
     :class:`PurificationProtocol` is checked by the same call with n = 1.
     Returns a validated complex copy; the caller's array is never written.
     """
     stacks = np.array(a, dtype=np.complex128)
-    if stacks.ndim != 4 or stacks.shape[0] != 2:
+    if stacks.ndim != 4 or stacks.shape[0] != 2 or 0 in stacks.shape[2:]:
         raise DimMismatch(f"protocol stack shape {stacks.shape} is not (2, n, dim_proof, dim_token)")
     normalize_states(stacks.reshape(-1, stacks.shape[-2] * stacks.shape[-1]))
     overlap = float(np.abs(np.einsum("npt,npt->n", stacks[0].conj(), stacks[1])).max(initial=0.0))
@@ -250,14 +251,24 @@ class CheatKit:
         return self.u1 if bit else self.u0
 
 
+@dataclass(frozen=True, eq=False)
+class _Analysis:
+    """What a protocol's four readers return, and the Helstrom measurement of its tables."""
+
+    report: SecurityReport
+    reductions: tuple[DensityOperator, DensityOperator]
+    kit: CheatKit
+    helstrom: HelstromMeasurement
+    tables: dict  # (alice, bob) -> StrategyTables of the eight pairings
+
+
 # --------------------------------------------------------------------------
 # closed-form analysis
 
 
 def honest_reduced_states(p: PurificationProtocol) -> tuple[DensityOperator, DensityOperator]:
     """Token-side reductions (rho0, rho1) of the honest commitment states."""
-    rho = token_reductions(p.as_matrices())
-    return DensityOperator(rho[0]), DensityOperator(rho[1])
+    return p._analysis.reductions
 
 
 def distance_fidelity(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,12 +308,12 @@ def distance_fidelity(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def security_report(p: PurificationProtocol) -> SecurityReport:
-    d, f = distance_fidelity(p.as_matrices()[:, None])
-    return SecurityReport(float(d[0]), float(f[0]))
+    """D and F of the protocol, from :func:`distance_fidelity` on a stack of one."""
+    return p._analysis.report
 
 
 def optimal_cheat_kit(p: PurificationProtocol) -> CheatKit:
-    """Construct Alice's optimal cheating strategy.
+    """Alice's optimal cheating strategy; its unitaries are read-only.
 
     :func:`~qbc.distinguish.aligned_superposition` of the chi pair gives
     the proof-side unitary u1 aligning chi1 with chi0; with u0 = I, Alice
@@ -316,10 +327,7 @@ def optimal_cheat_kit(p: PurificationProtocol) -> CheatKit:
     is that float with c capped at 1, as :func:`~qbc.distinguish.max_fidelity_sq_sum`
     caps it, so rounding at F = 1 cannot give a probability above 1.
     """
-    u1, vec, overlap = aligned_superposition(p.chi0.as_matrix(), p.chi1.as_matrix())
-    u0 = np.eye(p.dim_proof, dtype=np.complex128)
-    psi_max = bipartite(p.dim_proof, p.dim_token, vec)
-    return CheatKit(psi_max, u0, u1, (1.0 + min(float(overlap), 1.0)) / 2.0)
+    return p._analysis.kit
 
 
 # --------------------------------------------------------------------------
@@ -333,16 +341,15 @@ def born_sample(state: PureState, projectors: Sequence[np.ndarray], rng) -> int:
     (tolerance ``MEASUREMENT_TOL``); exactly one uniform draw is consumed.
     """
     dim = state.dim
-    total = np.zeros((dim, dim), dtype=np.complex128)
+    projectors = [np.asarray(proj) for proj in projectors]
     for proj in projectors:
         if proj.shape != (dim, dim):
             raise NotAMeasurement(f"projector shape {proj.shape} does not match dim {dim}")
-        total = total + proj
-    if np.max(np.abs(total - np.eye(dim))) > MEASUREMENT_TOL:
+    if not np.max(np.abs(sum(projectors) - np.eye(dim))) <= MEASUREMENT_TOL:  # a NaN compares False
         raise NotAMeasurement("projectors do not sum to the identity")
     for i in range(len(projectors)):
         for j in range(i + 1, len(projectors)):
-            if np.max(np.abs(projectors[i] @ projectors[j])) > MEASUREMENT_TOL:
+            if not np.max(np.abs(projectors[i] @ projectors[j])) <= MEASUREMENT_TOL:
                 raise NotAMeasurement(f"projectors {i} and {j} are not orthogonal")
 
     vec = state.amplitudes
@@ -539,37 +546,40 @@ def strategy_tables(
 ) -> StrategyTables:
     """Exact tables of a strategy pairing; shared by every sampler.
 
-    Both optimal cheats are fixed by the protocol, so ``p`` builds the
-    tables of all eight pairings (four Alices, two Bobs) on first use and
-    keeps them, freed with it; later calls return the same objects.  Their
-    arrays are read-only, because every caller shares them.  Any other
-    pairing is refused with ``ParamOutOfRange``.
+    Both optimal cheats are fixed by the protocol, so its record holds the
+    tables of all eight pairings (four Alices, two Bobs); every call returns
+    the same objects.  Their arrays are read-only, because every caller
+    shares them.  Any other pairing is refused with ``ParamOutOfRange``.
     """
-    store = p._table_store
     try:
-        return store[alice, bob]
+        return p._analysis.tables[alice, bob]
     except (KeyError, TypeError):  # TypeError: an unhashable strategy
         raise ParamOutOfRange(f"unknown strategy pairing: alice={alice!r}, bob={bob!r}") from None
 
 
-def _build_strategy_tables(p: PurificationProtocol) -> dict:
-    """Build the exact tables of all eight strategy pairings.
+def _analyze(p: PurificationProtocol) -> _Analysis:
+    """Build the analysis record of a protocol, every field in one pass.
 
-    Both cheats are one-sided, so every step is a product with the stack of
-    commitment matrices A (context, proof, token) = (chi0, chi1, psi_max):
-    Bob's Helstrom collapse onto estimate e is A P_e^T, steering toward
-    target t is S_ct A (the kit's u_t in the cheat context, the identity in
-    the honest ones, where Alice unveils her commitment whatever the
-    target), and verification reads |<chi_b|A>|^2.  No operator on the
-    whole proof ⊗ token space is formed.  One cheat kit and one Helstrom
-    measurement serve every pairing.
+    D and F take the sweep's route, and the kit is :func:`optimal_cheat_kit`'s.
+    Both cheats are one-sided, so every step of the eight tables is a
+    product with the stack of commitment matrices A (context, proof, token)
+    = (chi0, chi1, psi_max): Bob's Helstrom collapse onto estimate e is
+    A P_e^T, steering toward target t is S_ct A (the kit's u_t in the cheat
+    context, the identity u0 in the honest ones, where Alice unveils her
+    commitment whatever the target), and verification reads |<chi_b|A>|^2.
+    No operator on the whole proof ⊗ token space is formed.
     """
-    kit = optimal_cheat_kit(p)
-    measurement = helstrom(*honest_reduced_states(p))
     chi = p.as_matrices()
-    committed = np.concatenate([chi, [kit.psi_max.as_matrix()]])
-    eye = np.eye(p.dim_proof, dtype=np.complex128)
-    steer = np.array([[eye, eye], [eye, eye], [kit.u0, kit.u1]])  # (context, target, proof, proof)
+    d, f = distance_fidelity(chi[:, None])
+    rho0, rho1 = (DensityOperator(rho) for rho in token_reductions(chi))
+    measurement = helstrom(rho0, rho1)
+    u1, vec, overlap = aligned_superposition(p.chi0.as_matrix(), p.chi1.as_matrix())
+    u0 = np.eye(p.dim_proof, dtype=np.complex128)
+    u0.flags.writeable = u1.flags.writeable = False
+    psi_max = bipartite(p.dim_proof, p.dim_token, vec)
+    kit = CheatKit(psi_max, u0, u1, (1.0 + min(float(overlap), 1.0)) / 2.0)
+    committed = np.concatenate([chi, [psi_max.as_matrix()]])
+    steer = np.array([[u0, u0], [u0, u0], [u0, u1]])  # (context, target, proof, proof)
 
     token_projs = np.array([measurement.projector0, measurement.projector1])
     prob0 = np.einsum("cpt,ts,cps->c", committed.conj(), token_projs[0], committed).real
@@ -590,7 +600,7 @@ def _build_strategy_tables(p: PurificationProtocol) -> dict:
         out_cum.flags.writeable = est_prob0.flags.writeable = False
         for alice, (first, count) in _ALICE_CONTEXTS.items():
             tables[alice, bob] = StrategyTables(first, count, est is not None, est, out_cum)
-    return tables
+    return _Analysis(SecurityReport(float(d[0]), float(f[0])), (rho0, rho1), kit, measurement, tables)
 
 
 def simulate_run(

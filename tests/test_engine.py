@@ -18,10 +18,12 @@
   allocation stays within 16 bytes per run (one block of all the uniforms
   would take 32) and at most one chunk's per worker at 1e6 and 4e6 runs
   alike; no pool thread outlives a call, even one whose chunk fails.
-* Table store: each protocol builds the tables of all eight pairings at
-  once, from one cheat kit and one Helstrom measurement, keeps them
-  read-only, serves every sampler from them without a decomposition and
-  refuses any other pairing.
+* Analysis record: the first call of any of the four readers
+  (``security_report``, ``honest_reduced_states``, ``optimal_cheat_kit``,
+  ``strategy_tables``) builds a protocol's report, reductions, cheat kit,
+  Helstrom measurement and the tables of all eight pairings at once; the
+  protocol keeps them read-only, serves every reader and sampler from them
+  without a decomposition and refuses any other pairing.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from qbc import (
     honest_reduced_states,
     optimal_cheat_kit,
     projector,
+    security_report,
     simulate_run,
     simulate_toss,
     tensor_product,
@@ -567,7 +570,8 @@ def test_primed_protocol_samples_without_decompositions(monkeypatch):
 def test_stored_tables_are_read_only():
     p = PROTOCOLS["pure-pair"]()
     tables = strategy_tables(p, HonestAlice(), HelstromBob())
-    for array in (tables.out_cum, tables.est_prob0):
+    kit = optimal_cheat_kit(p)
+    for array in (tables.out_cum, tables.est_prob0, kit.u0, kit.u1):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.5
     for alice in ALICES:  # the four Alices facing one Bob share his arrays
@@ -585,9 +589,20 @@ def test_table_store_is_not_a_field():
     assert repr(p) == before
 
 
-def test_one_kit_and_one_helstrom_serve_every_pairing(monkeypatch):
-    """Priming all eight pairings of a fresh protocol builds the cheat kit
-    once, the Helstrom measurement once and decomposes four matrices."""
+# The four readers of a protocol's analysis record.
+READERS = (
+    security_report,
+    honest_reduced_states,
+    optimal_cheat_kit,
+    lambda p: strategy_tables(p, CheatingAlice(), HelstromBob()),
+)
+
+
+def test_the_first_reader_call_builds_the_whole_record(monkeypatch):
+    """Whichever reader comes first on a fresh protocol, it builds one cheat
+    kit and one Helstrom measurement and makes at most six LAPACK calls (four
+    at token dim 2, where D and F take no LAPACK call); no later call of any
+    reader makes one, and every call returns the same kit."""
     calls = collections.Counter()
 
     def counting(module, name):
@@ -599,15 +614,25 @@ def test_one_kit_and_one_helstrom_serve_every_pairing(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    counting(qbc.protocol, "optimal_cheat_kit")
+    counting(qbc.protocol, "aligned_superposition")
     counting(qbc.protocol, "helstrom")
-    for name in ("eigh", "eigvalsh", "svd"):
+    kernels = ("eigh", "eigvalsh", "svd", "qr")
+    for name in kernels:
         counting(np.linalg, name)
-    p = PROTOCOLS["random8x8"]()
-    for alice, bob in itertools.product(ALICES, BOBS):
-        strategy_tables(p, alice, bob)
-    assert calls["optimal_cheat_kit"] == calls["helstrom"] == 1
-    assert calls["eigh"] + calls["eigvalsh"] + calls["svd"] <= 4
+    for name, most in (("random8x8", 6), ("pure-pair", 4)):
+        for first in READERS:
+            p = PROTOCOLS[name]()
+            calls.clear()
+            first(p)
+            assert calls["aligned_superposition"] == calls["helstrom"] == 1
+            assert sum(calls[k] for k in kernels) <= most
+            calls.clear()
+            for read in READERS:
+                read(p)
+            for alice, bob in itertools.product(ALICES, BOBS):
+                strategy_tables(p, alice, bob)
+            assert not calls
+            assert optimal_cheat_kit(p) is optimal_cheat_kit(p)
 
 
 @pytest.mark.parametrize(
@@ -632,4 +657,4 @@ def test_unknown_pairings_are_refused(alice, bob):
     for call in calls:
         with pytest.raises(ValueError, match="unknown strategy pairing"):
             call()
-    assert set(p._table_store) == set(itertools.product(ALICES, BOBS))
+    assert set(p._analysis.tables) == set(itertools.product(ALICES, BOBS))

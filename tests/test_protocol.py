@@ -90,7 +90,7 @@ class TestMakeProtocol:
         assert qbc.CoinTossProtocol(p) == qbc.CoinTossProtocol(p)
         assert qbc.CoinTossProtocol(p) != qbc.CoinTossProtocol(q)
         kit = optimal_cheat_kit(p)
-        assert kit == kit and kit != optimal_cheat_kit(p)
+        assert kit == kit and kit != optimal_cheat_kit(q)
         assert len({kit, kit.psi_max.state, qbc.helstrom(*honest_reduced_states(p))}) == 3
 
     def test_numpy_integer_dims_reach_the_cheat_search(self):
@@ -865,8 +865,30 @@ REFUSED_INPUTS = {
         lambda p: qbc.random_density(2, 3, 1),
         "rank must be an integer with 1 <= rank <= 2, got 3",
     ),
+    "empty-density": (
+        lambda p: DensityOperator(np.zeros((0, 0))),
+        "density operator must be square and nonempty, got (0, 0)",
+    ),
+    "empty-token-stack": (
+        lambda p: checked_stacks(np.zeros((2, 1, 3, 0))),
+        "protocol stack shape (2, 1, 3, 0) is not (2, n, dim_proof, dim_token)",
+    ),
+    "empty-proof-stack": (
+        lambda p: checked_stacks(np.zeros((2, 1, 0, 3))),
+        "protocol stack shape (2, 1, 0, 3) is not (2, n, dim_proof, dim_token)",
+    ),
+    "nan-projector": (
+        lambda p: born_sample(
+            PureState([1, 0]), [np.full((2, 2), np.nan), np.eye(2)], np.random.default_rng(0)
+        ),
+        "projectors do not sum to the identity",
+    ),
+    "list-projector": (
+        lambda p: born_sample(PureState([1, 0]), [[[1]], np.eye(2)], np.random.default_rng(0)),
+        "projector shape (1, 1) does not match dim 2",
+    ),
 }
-# Refused inputs whose invariant is not a parameter range: a dimension or a rank.
+# Refused inputs whose invariant is not a parameter range: a dimension, a rank or a measurement.
 REFUSED_AS = {
     "protocol-dim": DimMismatch,
     "token-dim": DimMismatch,
@@ -877,6 +899,11 @@ REFUSED_AS = {
     "rank": BadRank,
     "rank-bool": BadRank,
     "rank-too-large": BadRank,
+    "empty-density": DimMismatch,
+    "empty-token-stack": DimMismatch,
+    "empty-proof-stack": DimMismatch,
+    "nan-projector": NotAMeasurement,
+    "list-projector": NotAMeasurement,
 }
 
 
