@@ -74,6 +74,9 @@ def fair_toss_protocol() -> CoinTossProtocol:
     return CoinTossProtocol(family_protocol(Commuting3D(0.5)))
 
 
+_FLAG_TYPES = (bool, np.bool_)
+
+
 def simulate_toss(
     ct: CoinTossProtocol, alice_cheats: bool, bob_cheats: bool, rng
 ) -> TossResult:
@@ -87,7 +90,13 @@ def simulate_toss(
     Draw order: honest Alice consumes one uniform for her bit, then Bob one
     for his guess (his Helstrom estimate when he cheats); against cheating
     Alice, Bob consumes one for his guess and her unveiling one more.
+    A cheat flag that is not a ``bool`` (NumPy's included) is refused with
+    ``ParamOutOfRange`` before any draw.
     """
+    if not isinstance(alice_cheats, _FLAG_TYPES):
+        raise ParamOutOfRange(f"alice_cheats must be a bool, got {alice_cheats!r}")
+    if not isinstance(bob_cheats, _FLAG_TYPES):
+        raise ParamOutOfRange(f"bob_cheats must be a bool, got {bob_cheats!r}")
     if alice_cheats and bob_cheats:
         raise BothCheat("one-sided cheating only")
     p = ct.base

@@ -307,16 +307,19 @@ def inequalities_at(
     the stronger lower bound 1 - F^2 <= D applies.  Each check is granted
     ``TOL`` of slack.  ``rho`` and ``sigma`` decide only which
     checks apply.
+
+    The upper bound and the equality are measured squared, with no square
+    root: their slacks are 1 - F^2 - D^2 and -|1 - F^2 - D^2|.  So an F
+    that rounds to 1 at a D of 1e-8 reads a slack of -1e-16, not -1e-8.
     """
     pure = (is_pure(rho), is_pure(sigma))
     strong_applicable = any(pure) or combined_support_rank(rho, sigma) <= 2
-    upper = float(np.sqrt(max(0.0, 1.0 - f * f)))
+    upper_gap = 1.0 - f * f - d * d
 
-    # The equality's slack is -|sqrt(1 - F^2) - D|, so it holds within the tolerance either side.
     checks = (
         InequalityCheck("fidelity_lower_bound", True, d - (1.0 - f)),
-        InequalityCheck("fidelity_upper_bound", True, upper - d),
-        InequalityCheck("pure_pair_equality", all(pure), -abs(upper - d)),
+        InequalityCheck("fidelity_upper_bound", True, upper_gap),
+        InequalityCheck("pure_pair_equality", all(pure), -abs(upper_gap)),
         InequalityCheck("squared_fidelity_lower_bound", strong_applicable, d - (1.0 - f * f)),
     )
     return InequalityReport(d, f, checks)

@@ -26,10 +26,12 @@ Both optimal strategies are constructed explicitly and can be run through
 a Born-rule Monte Carlo, either one transcript at a time
 (:func:`simulate_run`) or in bulk (:func:`estimate_statistics`).  Both
 read the exact per-configuration :class:`StrategyTables`, which the coin
-toss samples too.  A protocol's report, reductions, cheat kit, Helstrom
-measurement and the tables of all eight strategy pairings are one read-only
-record, which :func:`_analyze` builds on the first call of any reader and
-the protocol keeps.
+toss samples too.  A protocol keeps two cached values, each with one
+builder, each built only when first read: its security report, which
+:func:`security_report` takes from the core on a stack of one, and one
+read-only analysis record of its reductions, cheat kit and the tables of
+all eight strategy pairings, which :func:`_analyze` builds on the first
+call of any of the other three readers.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .distinguish import HelstromMeasurement, aligned_superposition, helstrom
+from .distinguish import aligned_superposition, helstrom
 from .errors import DimMismatch, NotAMeasurement, NotOrthogonal, ParamOutOfRange, QbcError
 from .linalg import (
     TOL,
@@ -91,6 +93,12 @@ class PurificationProtocol:
     def as_matrices(self) -> np.ndarray:
         """chi0 and chi1 as one (2, dim_proof, dim_token) array: a stack of one, less its n axis."""
         return np.array([self.chi0.as_matrix(), self.chi1.as_matrix()])
+
+    @cached_property
+    def _report(self) -> SecurityReport:
+        """The security report, from :func:`distance_fidelity` on first use; not a field either."""
+        (d,), (f,) = distance_fidelity(self.as_matrices()[:, None])
+        return SecurityReport(float(d), float(f))
 
     @cached_property
     def _analysis(self) -> _Analysis:
@@ -253,12 +261,14 @@ class CheatKit:
 
 @dataclass(frozen=True, eq=False)
 class _Analysis:
-    """What a protocol's four readers return, and the Helstrom measurement of its tables."""
+    """What the Monte Carlo engine is built from and builds: the reductions, the kit and the tables.
 
-    report: SecurityReport
+    The tables are built from the kit and the Helstrom measurement of the
+    reductions; the security report is not here but cached on its own.
+    """
+
     reductions: tuple[DensityOperator, DensityOperator]
     kit: CheatKit
-    helstrom: HelstromMeasurement
     tables: dict  # (alice, bob) -> StrategyTables of the eight pairings
 
 
@@ -308,8 +318,12 @@ def distance_fidelity(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def security_report(p: PurificationProtocol) -> SecurityReport:
-    """D and F of the protocol, from :func:`distance_fidelity` on a stack of one."""
-    return p._analysis.report
+    """D and F of the protocol, from :func:`distance_fidelity` on a stack of one.
+
+    This is the sweep's own call; the protocol keeps its result, and no
+    other part of the analysis record is built for it.
+    """
+    return p._report
 
 
 def optimal_cheat_kit(p: PurificationProtocol) -> CheatKit:
@@ -560,8 +574,9 @@ def strategy_tables(
 def _analyze(p: PurificationProtocol) -> _Analysis:
     """Build the analysis record of a protocol, every field in one pass.
 
-    D and F take the sweep's route, and the kit is :func:`optimal_cheat_kit`'s.
-    Both cheats are one-sided, so every step of the eight tables is a
+    The kit is :func:`optimal_cheat_kit`'s, and the Helstrom measurement of
+    the reductions serves the tables only; the record is never read for D
+    and F.  Both cheats are one-sided, so every step of the eight tables is a
     product with the stack of commitment matrices A (context, proof, token)
     = (chi0, chi1, psi_max): Bob's Helstrom collapse onto estimate e is
     A P_e^T, steering toward target t is S_ct A (the kit's u_t in the cheat
@@ -570,7 +585,6 @@ def _analyze(p: PurificationProtocol) -> _Analysis:
     No operator on the whole proof ⊗ token space is formed.
     """
     chi = p.as_matrices()
-    d, f = distance_fidelity(chi[:, None])
     rho0, rho1 = (DensityOperator(rho) for rho in token_reductions(chi))
     measurement = helstrom(rho0, rho1)
     u1, vec, overlap = aligned_superposition(p.chi0.as_matrix(), p.chi1.as_matrix())
@@ -600,7 +614,7 @@ def _analyze(p: PurificationProtocol) -> _Analysis:
         out_cum.flags.writeable = est_prob0.flags.writeable = False
         for alice, (first, count) in _ALICE_CONTEXTS.items():
             tables[alice, bob] = StrategyTables(first, count, est is not None, est, out_cum)
-    return _Analysis(SecurityReport(float(d[0]), float(f[0])), (rho0, rho1), kit, measurement, tables)
+    return _Analysis((rho0, rho1), kit, tables)
 
 
 def simulate_run(

@@ -331,6 +331,20 @@ class TestCheck:
         assert f"OK point gMax={format_float(report.g_max)} cMax={format_float(report.c_max)} above_curve_I" in lines
         assert report.fidelity == pytest.approx(1e-7, rel=1e-9)
 
+    @pytest.mark.parametrize("spec", ["pure-pair-2e-9", "pure-pair-1e-8", "random-3x1"])
+    def test_fidelity_rounding_to_one_is_no_violation(self, tmp_path, capsys, spec):
+        """F rounds to 1 (cos(1e-8) == 1.0; at token dim 1, F = 1 - 1 ulp) while
+        D is of order 1e-8: the squared upper bound 1 - F^2 - D^2 reads
+        rounding noise, where the square-root form sqrt(1 - F^2) - D would read -D."""
+        if spec == "random-3x1":
+            path = tmp_path / "protocol.json"
+            write_protocol_spec(qbc.random_protocol(3, 1, 0), path)
+        else:
+            path = make_spec_file(tmp_path, "pure-pair", spec.removeprefix("pure-pair-"))
+        assert run_cli(["check", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "VIOLATION" not in out and "OK pure_pair_equality" in out
+
     def test_impossible_point_fails(self, capsys):
         assert run_cli(["check", "--point", "0.1", "0.1"]) == 1
         assert "below_curve_I" in capsys.readouterr().out
@@ -553,15 +567,15 @@ class TestPinnedAnalyzeCheckStdout:
     }
     DIGESTS = {
         "commuting3d-0": "b5102c57bc96fbd4fecd0bd8b7b2de3c4931afbb3ba07ef4e8136f165f4d7dec",
-        "commuting3d-0.3": "295d3927d5012e5f307c179c28188fb977a27b9f2f60373ae9679105d2da7c1e",
+        "commuting3d-0.3": "6a6a4fec358161408b0cf8110bc287c62de30dc35f09583fa414dd086f29c238",
         "commuting3d-1": "793e501c347c79b5d8a0ec0ed2d6559832ed9ec9b2c693b228c8947ddaaace36",
         "pure-pair-0": "928f66fcac6d701d49018268a6b687657e4706a85c20d50cd3cd86015e4d3e6f",
-        "pure-pair-0.7": "d8c85908143c1af6d194d8bdb3ece6ea37126eb4e98e1afc314e34d39e983b47",
+        "pure-pair-0.7": "1cc297ae116d1fc84202e391c21ca81b1452732c0d7eab115530a365f4f77d91",
         "pure-pair-pi/2": "d2ab9b7c257426d92ea76dac61c75cd594c41de9f2421bbdbdb05b48ecce48b5",
         "qubit-pure-mixed-0": "4db65b5187a78c5b592cc0582e89caeeb2a9952b4341bb7ecdecf16b72d9af6f",
-        "qubit-pure-mixed-0.3": "45897671e6a79644603ff365fcdbdd49511aac9218c836278b2c5eac3695787f",
+        "qubit-pure-mixed-0.3": "3f10b3c5800708bc904003bec110f3bc4a5840e7efa2e8d61a62de7f45893cc8",
         "qubit-pure-mixed-1": "439e9eaf6a485d62b6c13c676b17824a7242ba929819ad1bd35882da9366f596",
-        "random-4x3": "b77d5e0ac47be64a0bb3ef147c4650c5699db8306a7768b1ebdc40a4545033f8",
+        "random-4x3": "a95a407a6a5c511b9198801c506f5aca8eb6709ff32692294e935344fddd7857",
         "violating-point": "53936a6ad18204aeab646ce3522ece3462794b81effc68ea9ab567d16a6c74c9",
     }
 

@@ -59,6 +59,20 @@ class TestSimulateToss:
         with pytest.raises(BothCheat):
             simulate_toss(fair_toss_protocol(), True, True, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("flags", [("no", False), (1, False), (False, None), (True, 1.0)])
+    def test_non_bool_cheat_flag_is_refused_before_any_draw(self, flags):
+        """A truthy string or number is not a cheat flag: no cheat is played and no draw made."""
+        rng = np.random.default_rng(0)
+        with pytest.raises(qbc.ParamOutOfRange, match="must be a bool"):
+            simulate_toss(fair_toss_protocol(), *flags, rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_numpy_bool_flags_play_as_bools(self):
+        ct = fair_toss_protocol()
+        for flags in ((False, False), (True, False), (False, True)):
+            played = simulate_toss(ct, *map(np.bool_, flags), np.random.default_rng(4))
+            assert played == simulate_toss(ct, *flags, np.random.default_rng(4))
+
     def test_honest_never_caught(self):
         rng = np.random.default_rng(1)
         ct = fair_toss_protocol()

@@ -399,6 +399,23 @@ class TestInequalities:
                 np.sqrt(1 - report.fidelity**2), abs=1e-9
             )
 
+    def test_equal_pure_states_satisfy_every_check(self):
+        """D = 0 and F = 1 up to rounding: the squared upper bound reads noise, not a violation."""
+        for seed in range(20):
+            rho = density_from_pure(random_pure_state(5, 300 + seed))
+            report = check_inequalities(rho, rho)
+            assert all(c.applicable for c in report.checks)
+            assert report.all_satisfied(), report
+
+    def test_upper_bound_slacks_are_squared(self):
+        """Slacks of the upper bound and the equality are 1 - F^2 - D^2 and its negated size."""
+        pure = density_from_pure(qbc.basis_state(2, 0))
+        slacks = {c.name: c.slack for c in inequalities_at(1e-8, 1.0, pure, pure).checks}
+        assert slacks["fidelity_upper_bound"] == slacks["pure_pair_equality"] == -(1e-8 * 1e-8)
+        slacks = {c.name: c.slack for c in inequalities_at(0.6, 0.6, pure, pure).checks}
+        assert slacks["fidelity_upper_bound"] == 1.0 - 0.36 - 0.36
+        assert slacks["pure_pair_equality"] == -abs(1.0 - 0.36 - 0.36)
+
     def test_commuting_family_saturates_lower_bound(self):
         rho0, rho1 = family_reductions(qbc.Commuting3D(0.35))
         report = check_inequalities(rho0, rho1)

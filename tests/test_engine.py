@@ -18,12 +18,13 @@
   allocation stays within 16 bytes per run (one block of all the uniforms
   would take 32) and at most one chunk's per worker at 1e6 and 4e6 runs
   alike; no pool thread outlives a call, even one whose chunk fails.
-* Analysis record: the first call of any of the four readers
-  (``security_report``, ``honest_reduced_states``, ``optimal_cheat_kit``,
-  ``strategy_tables``) builds a protocol's report, reductions, cheat kit,
-  Helstrom measurement and the tables of all eight pairings at once; the
-  protocol keeps them read-only, serves every reader and sampler from them
-  without a decomposition and refuses any other pairing.
+* Cached values: ``security_report`` builds only the report, from the D/F
+  core; the first call of any of the other three readers
+  (``honest_reduced_states``, ``optimal_cheat_kit``, ``strategy_tables``)
+  builds the analysis record, the reductions, cheat kit and the tables of
+  all eight pairings, at once.  The protocol keeps both read-only, serves
+  every reader and sampler from them without a decomposition and refuses
+  any other pairing.
 """
 
 from __future__ import annotations
@@ -584,12 +585,13 @@ def test_table_store_is_not_a_field():
     names = [f.name for f in dataclasses.fields(PurificationProtocol)]
     assert names == ["chi0", "chi1"]
     before = repr(p)
+    security_report(p)
     for alice, bob in itertools.product(ALICES, BOBS):
         strategy_tables(p, alice, bob)
     assert repr(p) == before
 
 
-# The four readers of a protocol's analysis record.
+# The readers of a protocol's two cached values: the report, then the analysis record's three.
 READERS = (
     security_report,
     honest_reduced_states,
@@ -598,11 +600,16 @@ READERS = (
 )
 
 
-def test_the_first_reader_call_builds_the_whole_record(monkeypatch):
-    """Whichever reader comes first on a fresh protocol, it builds one cheat
-    kit and one Helstrom measurement and makes at most six LAPACK calls (four
-    at token dim 2, where D and F take no LAPACK call); no later call of any
-    reader makes one, and every call returns the same kit."""
+def test_each_cached_value_is_built_once_by_its_own_builder(monkeypatch):
+    """The report and the analysis record are built apart, each once, on first read.
+
+    ``security_report`` on a fresh protocol builds no cheat kit and no Helstrom
+    measurement and makes at most two LAPACK calls (none at token dim 2, where
+    D and F have closed forms).  Whichever of the other three readers comes
+    first builds the record: one kit, one Helstrom measurement and at most four
+    LAPACK calls (two ``eigvalsh``, one ``eigh``, one ``svd``).  No later call
+    of any reader makes a LAPACK call, and every call returns the same kit.
+    """
     calls = collections.Counter()
 
     def counting(module, name):
@@ -619,16 +626,22 @@ def test_the_first_reader_call_builds_the_whole_record(monkeypatch):
     kernels = ("eigh", "eigvalsh", "svd", "qr")
     for name in kernels:
         counting(np.linalg, name)
-    for name, most in (("random8x8", 6), ("pure-pair", 4)):
-        for first in READERS:
+
+    def read(reader, p, builds_record, most_lapack):
+        calls.clear()
+        reader(p)
+        assert calls["aligned_superposition"] == calls["helstrom"] == int(builds_record)
+        assert sum(calls[k] for k in kernels) <= most_lapack
+
+    for name, report_most in (("random8x8", 2), ("pure-pair", 0)):
+        read(security_report, PROTOCOLS[name](), False, report_most)
+        for first in READERS[1:]:
             p = PROTOCOLS[name]()
+            read(first, p, True, 4)
+            read(security_report, p, False, report_most)
             calls.clear()
-            first(p)
-            assert calls["aligned_superposition"] == calls["helstrom"] == 1
-            assert sum(calls[k] for k in kernels) <= most
-            calls.clear()
-            for read in READERS:
-                read(p)
+            for reader in READERS:
+                reader(p)
             for alice, bob in itertools.product(ALICES, BOBS):
                 strategy_tables(p, alice, bob)
             assert not calls

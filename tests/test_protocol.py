@@ -826,6 +826,14 @@ REFUSED_INPUTS = {
         lambda p: qbc.toss_statistics(qbc.CoinTossProtocol(p), "both", 10, 0),
         "cheater must be 'none', 'alice' or 'bob', got 'both'",
     ),
+    "alice-cheat-flag": (
+        lambda p: qbc.simulate_toss(qbc.CoinTossProtocol(p), "no", False, np.random.default_rng(0)),
+        "alice_cheats must be a bool, got 'no'",
+    ),
+    "bob-cheat-flag": (
+        lambda p: qbc.simulate_toss(qbc.CoinTossProtocol(p), True, 1, np.random.default_rng(0)),
+        "bob_cheats must be a bool, got 1",
+    ),
     "keep": (lambda p: partial_trace(p.chi0, "both"), "keep must be 'proof' or 'token', got 'both'"),
     "point": (lambda p: qbc.TradeoffPoint(0.25, 0.7, 0.0), "c_max = 0.7 outside [0, 1/2]"),
     "constructor-seed": (
