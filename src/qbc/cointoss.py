@@ -32,6 +32,7 @@ from .protocol import (
     HonestBob,
     Outcome,
     PurificationProtocol,
+    _check_generator,
     binomial_stderr,
     security_report,
     strategy_tables,
@@ -90,13 +91,15 @@ def simulate_toss(
     Draw order: honest Alice consumes one uniform for her bit, then Bob one
     for his guess (his Helstrom estimate when he cheats); against cheating
     Alice, Bob consumes one for his guess and her unveiling one more.
-    A cheat flag that is not a ``bool`` (NumPy's included) is refused with
+    A cheat flag that is not a ``bool`` (NumPy's included), or an ``rng``
+    that is not a ``numpy.random.Generator``, is refused with
     ``ParamOutOfRange`` before any draw.
     """
     if not isinstance(alice_cheats, _FLAG_TYPES):
         raise ParamOutOfRange(f"alice_cheats must be a bool, got {alice_cheats!r}")
     if not isinstance(bob_cheats, _FLAG_TYPES):
         raise ParamOutOfRange(f"bob_cheats must be a bool, got {bob_cheats!r}")
+    _check_generator(rng)
     if alice_cheats and bob_cheats:
         raise BothCheat("one-sided cheating only")
     p = ct.base

@@ -26,12 +26,12 @@ Both optimal strategies are constructed explicitly and can be run through
 a Born-rule Monte Carlo, either one transcript at a time
 (:func:`simulate_run`) or in bulk (:func:`estimate_statistics`).  Both
 read the exact per-configuration :class:`StrategyTables`, which the coin
-toss samples too.  A protocol keeps two cached values, each with one
-builder, each built only when first read: its security report, which
-:func:`security_report` takes from the core on a stack of one, and one
-read-only analysis record of its reductions, cheat kit and the tables of
-all eight strategy pairings, which :func:`_analyze` builds on the first
-call of any of the other three readers.
+toss samples too.  A protocol keeps four cached values, each built only
+when first read, by its own builder: the security report, from the core
+on a stack of one; the token reductions, from one ``token_reductions``
+call; the cheat kit, from one ``aligned_superposition`` call; and the
+tables of all eight strategy pairings, from the kit, the reductions and
+their Helstrom measurement.
 """
 
 from __future__ import annotations
@@ -96,18 +96,68 @@ class PurificationProtocol:
 
     @cached_property
     def _report(self) -> SecurityReport:
-        """The security report, from :func:`distance_fidelity` on first use; not a field either."""
+        """The security report, from :func:`distance_fidelity` on first use.
+
+        No cached value is a field, so equality and repr ignore them; a frozen
+        dataclass allows them, as ``cached_property`` writes the instance ``__dict__``.
+        """
         (d,), (f,) = distance_fidelity(self.as_matrices()[:, None])
         return SecurityReport(float(d), float(f))
 
     @cached_property
-    def _analysis(self) -> _Analysis:
-        """The protocol's analysis record, built on first use by :func:`_analyze`.
+    def _reductions(self) -> tuple[DensityOperator, DensityOperator]:
+        """The token reductions (rho0, rho1), from one ``token_reductions`` call on first use."""
+        return tuple(DensityOperator(rho) for rho in token_reductions(self.as_matrices()))
 
-        Not a field, so equality and repr ignore it; a frozen dataclass
-        allows it because ``cached_property`` writes the instance ``__dict__``.
+    @cached_property
+    def _kit(self) -> CheatKit:
+        """The cheat kit of :func:`optimal_cheat_kit`, from one ``aligned_superposition`` call."""
+        u1, vec, overlap = aligned_superposition(self.chi0.as_matrix(), self.chi1.as_matrix())
+        u0 = np.eye(self.dim_proof, dtype=np.complex128)
+        u0.flags.writeable = u1.flags.writeable = False
+        psi_max = bipartite(self.dim_proof, self.dim_token, vec)
+        return CheatKit(psi_max, u0, u1, (1.0 + min(float(overlap), 1.0)) / 2.0)
+
+    @cached_property
+    def _tables(self) -> dict:
+        """The :class:`StrategyTables` of the eight pairings, keyed (alice, bob), on first use.
+
+        They read the cached kit and reductions and make the one Helstrom
+        measurement of the reductions, which serves the tables only.  Both
+        cheats are one-sided, so every step of the eight tables is a product
+        with the stack of commitment matrices A (context, proof, token) =
+        (chi0, chi1, psi_max): Bob's Helstrom collapse onto estimate e is A
+        P_e^T, steering toward target t is S_ct A (the kit's u_t in the cheat
+        context, the identity u0 in the honest ones, where Alice unveils her
+        commitment whatever the target), and verification reads |<chi_b|A>|^2.
+        No operator on the whole proof ⊗ token space is formed.
         """
-        return _analyze(self)
+        chi = self.as_matrices()
+        measurement = helstrom(*self._reductions)
+        u0, u1 = self._kit.u0, self._kit.u1
+        committed = np.concatenate([chi, [self._kit.psi_max.as_matrix()]])
+        steer = np.array([[u0, u0], [u0, u0], [u0, u1]])  # (context, target, proof, proof)
+
+        token_projs = np.array([measurement.projector0, measurement.projector1])
+        prob0 = np.einsum("cpt,ts,cps->c", committed.conj(), token_projs[0], committed).real
+        est_prob0 = np.clip(prob0, 0.0, 1.0)
+        collapsed = committed[:, None] @ np.swapaxes(token_projs, -2, -1)
+        norms = np.linalg.norm(collapsed, axis=(-2, -1), keepdims=True)
+        # A branch of probability ~0 is never sampled; it stays zero.
+        collapsed = np.divide(collapsed, norms, out=np.zeros_like(collapsed), where=norms >= 1e-12)
+
+        tables = {}
+        for bob, est, branches in (  # branches: (context, estimate, proof, token)
+            (HonestBob(), None, committed[:, None]), (HelstromBob(), est_prob0, collapsed)
+        ):
+            steered = steer[:, None] @ branches[:, :, None]  # one more axis: the target
+            out_cum = np.abs(np.einsum("bpt,...pt->...b", chi.conj(), steered)) ** 2
+            out_cum[..., 1] += out_cum[..., 0]  # P(0), P(0 or 1), each capped at 1 against rounding
+            np.minimum(out_cum, 1.0, out=out_cum)
+            out_cum.flags.writeable = est_prob0.flags.writeable = False
+            for alice, (first, count) in _ALICE_CONTEXTS.items():
+                tables[alice, bob] = StrategyTables(first, count, est, out_cum)
+        return tables
 
 
 def checked_stacks(a: np.ndarray) -> np.ndarray:
@@ -162,6 +212,12 @@ def _checked_bit(value, name: str) -> int:
     if not _is_integer(value) or value not in (0, 1):
         raise ParamOutOfRange(f"{name} must be the integer 0 or 1, got {value!r}")
     return int(value)
+
+
+def _check_generator(rng) -> None:
+    """Refuse any ``rng`` but a ``numpy.random.Generator``: a seed per call would replay one run."""
+    if not isinstance(rng, np.random.Generator):
+        raise ParamOutOfRange(f"rng must be a numpy.random.Generator, got {rng!r}")
 
 
 @dataclass(frozen=True)
@@ -259,26 +315,13 @@ class CheatKit:
         return self.u1 if bit else self.u0
 
 
-@dataclass(frozen=True, eq=False)
-class _Analysis:
-    """What the Monte Carlo engine is built from and builds: the reductions, the kit and the tables.
-
-    The tables are built from the kit and the Helstrom measurement of the
-    reductions; the security report is not here but cached on its own.
-    """
-
-    reductions: tuple[DensityOperator, DensityOperator]
-    kit: CheatKit
-    tables: dict  # (alice, bob) -> StrategyTables of the eight pairings
-
-
 # --------------------------------------------------------------------------
 # closed-form analysis
 
 
 def honest_reduced_states(p: PurificationProtocol) -> tuple[DensityOperator, DensityOperator]:
-    """Token-side reductions (rho0, rho1) of the honest commitment states."""
-    return p._analysis.reductions
+    """Token-side reductions (rho0, rho1) of the honest commitment states, kept by the protocol."""
+    return p._reductions
 
 
 def distance_fidelity(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -321,7 +364,7 @@ def security_report(p: PurificationProtocol) -> SecurityReport:
     """D and F of the protocol, from :func:`distance_fidelity` on a stack of one.
 
     This is the sweep's own call; the protocol keeps its result, and no
-    other part of the analysis record is built for it.
+    other cached value is built for it.
     """
     return p._report
 
@@ -341,7 +384,7 @@ def optimal_cheat_kit(p: PurificationProtocol) -> CheatKit:
     is that float with c capped at 1, as :func:`~qbc.distinguish.max_fidelity_sq_sum`
     caps it, so rounding at F = 1 cannot give a probability above 1.
     """
-    return p._analysis.kit
+    return p._kit
 
 
 # --------------------------------------------------------------------------
@@ -352,8 +395,10 @@ def born_sample(state: PureState, projectors: Sequence[np.ndarray], rng) -> int:
     """Sample an outcome index of a projective measurement on a pure state.
 
     The projectors must sum to the identity and be mutually orthogonal
-    (tolerance ``MEASUREMENT_TOL``); exactly one uniform draw is consumed.
+    (tolerance ``MEASUREMENT_TOL``); exactly one uniform draw is consumed
+    from ``rng``, a ``numpy.random.Generator`` (``ParamOutOfRange`` otherwise).
     """
+    _check_generator(rng)
     dim = state.dim
     projectors = [np.asarray(proj) for proj in projectors]
     for proj in projectors:
@@ -434,7 +479,6 @@ class StrategyTables:
 
     first: int
     count: int
-    bob_cheats: bool
     est_prob0: np.ndarray | None
     out_cum: np.ndarray
     _thresholds: tuple = field(init=False, repr=False)
@@ -449,6 +493,11 @@ class StrategyTables:
             est = np.ceil(est * 2.0**53).astype(np.uint64)
         edges = np.ceil(self.out_cum.reshape(-1, 2) * 2.0**53).astype(np.uint64)
         object.__setattr__(self, "_thresholds", (est, edges))
+
+    @property
+    def bob_cheats(self) -> bool:
+        """Whether Bob measures the token: exactly when the table has ``est_prob0``."""
+        return self.est_prob0 is not None
 
     def draw_commit(self, rng) -> int:
         """Commitment context of one run; a uniform is drawn only between two contexts."""
@@ -560,61 +609,15 @@ def strategy_tables(
 ) -> StrategyTables:
     """Exact tables of a strategy pairing; shared by every sampler.
 
-    Both optimal cheats are fixed by the protocol, so its record holds the
-    tables of all eight pairings (four Alices, two Bobs); every call returns
-    the same objects.  Their arrays are read-only, because every caller
-    shares them.  Any other pairing is refused with ``ParamOutOfRange``.
+    Both optimal cheats are fixed by the protocol, so it keeps the tables of
+    all eight pairings (four Alices, two Bobs), built on the first call;
+    every call returns the same objects.  Their arrays are read-only, because
+    every caller shares them.  Any other pairing is refused with ``ParamOutOfRange``.
     """
     try:
-        return p._analysis.tables[alice, bob]
+        return p._tables[alice, bob]
     except (KeyError, TypeError):  # TypeError: an unhashable strategy
         raise ParamOutOfRange(f"unknown strategy pairing: alice={alice!r}, bob={bob!r}") from None
-
-
-def _analyze(p: PurificationProtocol) -> _Analysis:
-    """Build the analysis record of a protocol, every field in one pass.
-
-    The kit is :func:`optimal_cheat_kit`'s, and the Helstrom measurement of
-    the reductions serves the tables only; the record is never read for D
-    and F.  Both cheats are one-sided, so every step of the eight tables is a
-    product with the stack of commitment matrices A (context, proof, token)
-    = (chi0, chi1, psi_max): Bob's Helstrom collapse onto estimate e is
-    A P_e^T, steering toward target t is S_ct A (the kit's u_t in the cheat
-    context, the identity u0 in the honest ones, where Alice unveils her
-    commitment whatever the target), and verification reads |<chi_b|A>|^2.
-    No operator on the whole proof ⊗ token space is formed.
-    """
-    chi = p.as_matrices()
-    rho0, rho1 = (DensityOperator(rho) for rho in token_reductions(chi))
-    measurement = helstrom(rho0, rho1)
-    u1, vec, overlap = aligned_superposition(p.chi0.as_matrix(), p.chi1.as_matrix())
-    u0 = np.eye(p.dim_proof, dtype=np.complex128)
-    u0.flags.writeable = u1.flags.writeable = False
-    psi_max = bipartite(p.dim_proof, p.dim_token, vec)
-    kit = CheatKit(psi_max, u0, u1, (1.0 + min(float(overlap), 1.0)) / 2.0)
-    committed = np.concatenate([chi, [psi_max.as_matrix()]])
-    steer = np.array([[u0, u0], [u0, u0], [u0, u1]])  # (context, target, proof, proof)
-
-    token_projs = np.array([measurement.projector0, measurement.projector1])
-    prob0 = np.einsum("cpt,ts,cps->c", committed.conj(), token_projs[0], committed).real
-    est_prob0 = np.clip(prob0, 0.0, 1.0)
-    collapsed = committed[:, None] @ np.swapaxes(token_projs, -2, -1)
-    norms = np.linalg.norm(collapsed, axis=(-2, -1), keepdims=True)
-    # A branch of probability ~0 is never sampled; it stays zero.
-    collapsed = np.divide(collapsed, norms, out=np.zeros_like(collapsed), where=norms >= 1e-12)
-
-    tables = {}
-    for bob, est, branches in (  # branches: (context, estimate, proof, token)
-        (HonestBob(), None, committed[:, None]), (HelstromBob(), est_prob0, collapsed)
-    ):
-        steered = steer[:, None] @ branches[:, :, None]  # one more axis: the target
-        out_cum = np.abs(np.einsum("bpt,...pt->...b", chi.conj(), steered)) ** 2
-        out_cum[..., 1] += out_cum[..., 0]  # P(0), P(0 or 1), each capped at 1 against rounding
-        np.minimum(out_cum, 1.0, out=out_cum)
-        out_cum.flags.writeable = est_prob0.flags.writeable = False
-        for alice, (first, count) in _ALICE_CONTEXTS.items():
-            tables[alice, bob] = StrategyTables(first, count, est is not None, est, out_cum)
-    return _Analysis((rho0, rho1), kit, tables)
 
 
 def simulate_run(
@@ -631,8 +634,10 @@ def simulate_run(
     measurement (which collapses the token by normalized projection); the
     final verification measurement always consumes one.  ``target_bit`` is
     the bit a cheating Alice steers toward and is ignored by honest Alice.
+    Any ``rng`` but a ``numpy.random.Generator`` is refused before any draw.
     """
     target_bit = _checked_bit(target_bit, "target_bit")
+    _check_generator(rng)
     tables = strategy_tables(p, alice, bob)
     commit = tables.draw_commit(rng)
     estimate = tables.draw_estimate(commit, rng) if tables.bob_cheats else None

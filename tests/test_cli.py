@@ -472,6 +472,37 @@ def test_light_commands_do_not_import_the_sampling_pool(tmp_path):
     assert result.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
+@pytest.mark.parametrize("command, most_lapack", [("analyze", 3), ("check", 5)])
+def test_light_commands_build_only_what_they_print(tmp_path, monkeypatch, capsys, command, most_lapack):
+    """``analyze`` reads the report and the cheat kit, ``check`` the report and
+    the reductions; neither builds a Helstrom measurement or strategy tables.
+
+    On a fresh 8x8 spec the report makes two LAPACK calls, the kit one and the
+    reductions two, and ``check``'s inequalities one more (the support rank).
+    """
+    spec = tmp_path / "random8x8.json"
+    write_protocol_spec(qbc.random_protocol(8, 8, 1), spec)
+    calls = {"lapack": 0, "helstrom": 0, "tables": 0}
+
+    def counting(module, name, key):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("eigh", "eigvalsh", "svd", "qr"):
+        counting(np.linalg, name, "lapack")
+    counting(qbc.protocol, "helstrom", "helstrom")
+    counting(qbc.protocol, "StrategyTables", "tables")
+    assert run_cli([command, str(spec)]) == 0
+    assert capsys.readouterr().out
+    assert calls["helstrom"] == calls["tables"] == 0
+    assert calls["lapack"] <= most_lapack
+
+
 def cli_stdout(*args) -> str:
     """stdout of a ``python -m qbc.cli`` child that must exit 0."""
     env = dict(os.environ, PYTHONPATH=str(Path(qbc.__file__).parents[1]))

@@ -18,13 +18,14 @@
   allocation stays within 16 bytes per run (one block of all the uniforms
   would take 32) and at most one chunk's per worker at 1e6 and 4e6 runs
   alike; no pool thread outlives a call, even one whose chunk fails.
-* Cached values: ``security_report`` builds only the report, from the D/F
-  core; the first call of any of the other three readers
-  (``honest_reduced_states``, ``optimal_cheat_kit``, ``strategy_tables``)
-  builds the analysis record, the reductions, cheat kit and the tables of
-  all eight pairings, at once.  The protocol keeps both read-only, serves
-  every reader and sampler from them without a decomposition and refuses
-  any other pairing.
+* Cached values: a protocol keeps four, each built on first read by its
+  own builder: the report (``security_report``, from the D/F core), the
+  reductions (``honest_reduced_states``), the cheat kit
+  (``optimal_cheat_kit``) and the tables of all eight pairings
+  (``strategy_tables``), which read the kit and the reductions and make
+  the one Helstrom measurement.  A reader builds only what it reads.  The
+  protocol keeps them read-only, serves every reader and sampler from them
+  without a decomposition and refuses any other pairing.
 """
 
 from __future__ import annotations
@@ -373,7 +374,7 @@ def test_integer_thresholds_are_the_rule_on_doubles():
 
     p = EDGE_PROBABILITIES
     out_cum = np.repeat(p, 2).reshape(len(p), 1, 1, 2)
-    thresholds, edges = StrategyTables(0, 1, True, p, out_cum)._thresholds
+    thresholds, edges = StrategyTables(0, 1, p, out_cum)._thresholds
     assert (edges == thresholds[:, None]).all()
     assert thresholds[p == 0.5] == FAIR_THRESHOLD
     for p_i, k in zip(p, thresholds):
@@ -591,24 +592,26 @@ def test_table_store_is_not_a_field():
     assert repr(p) == before
 
 
-# The readers of a protocol's two cached values: the report, then the analysis record's three.
+# The readers of a protocol's four cached values, each with the values it builds on a
+# fresh protocol: its own, and for the tables also the reductions and the kit they read.
 READERS = (
-    security_report,
-    honest_reduced_states,
-    optimal_cheat_kit,
-    lambda p: strategy_tables(p, CheatingAlice(), HelstromBob()),
+    (security_report, {"_report"}),
+    (honest_reduced_states, {"_reductions"}),
+    (optimal_cheat_kit, {"_kit"}),
+    (lambda p: strategy_tables(p, CheatingAlice(), HelstromBob()), {"_reductions", "_kit", "_tables"}),
 )
 
 
 def test_each_cached_value_is_built_once_by_its_own_builder(monkeypatch):
-    """The report and the analysis record are built apart, each once, on first read.
+    """Each cached value is built on its first read, by its own builder, and only then.
 
-    ``security_report`` on a fresh protocol builds no cheat kit and no Helstrom
-    measurement and makes at most two LAPACK calls (none at token dim 2, where
-    D and F have closed forms).  Whichever of the other three readers comes
-    first builds the record: one kit, one Helstrom measurement and at most four
-    LAPACK calls (two ``eigvalsh``, one ``eigh``, one ``svd``).  No later call
-    of any reader makes a LAPACK call, and every call returns the same kit.
+    Whatever the order of the first reads, a reader builds only the values it
+    reads, none of them twice, and each value makes a fixed number of LAPACK
+    calls: the report two (none at token dim 2, where D and F have closed
+    forms), the reductions two ``eigvalsh``, the kit one ``svd`` and the tables
+    one ``eigh``, in their one Helstrom measurement.  Only the kit calls
+    ``aligned_superposition`` and only the tables call ``helstrom``.  Once all
+    four are built, no read makes a LAPACK call, and every call returns the same kit.
     """
     calls = collections.Counter()
 
@@ -627,20 +630,22 @@ def test_each_cached_value_is_built_once_by_its_own_builder(monkeypatch):
     for name in kernels:
         counting(np.linalg, name)
 
-    def read(reader, p, builds_record, most_lapack):
-        calls.clear()
-        reader(p)
-        assert calls["aligned_superposition"] == calls["helstrom"] == int(builds_record)
-        assert sum(calls[k] for k in kernels) <= most_lapack
-
-    for name, report_most in (("random8x8", 2), ("pure-pair", 0)):
-        read(security_report, PROTOCOLS[name](), False, report_most)
-        for first in READERS[1:]:
+    for name, report_lapack in (("random8x8", 2), ("pure-pair", 0)):
+        lapack = {"_report": report_lapack, "_reductions": 2, "_kit": 1, "_tables": 1}
+        for order in itertools.permutations(READERS):
             p = PROTOCOLS[name]()
-            read(first, p, True, 4)
-            read(security_report, p, False, report_most)
+            built = set()
+            for reader, reads in order:
+                calls.clear()
+                reader(p)
+                new = reads - built
+                built |= reads
+                assert set(vars(p)) - {"chi0", "chi1"} == built, reader
+                assert calls["aligned_superposition"] == int("_kit" in new)
+                assert calls["helstrom"] == int("_tables" in new)
+                assert sum(calls[k] for k in kernels) == sum(lapack[value] for value in new)
             calls.clear()
-            for reader in READERS:
+            for reader, _ in READERS:
                 reader(p)
             for alice, bob in itertools.product(ALICES, BOBS):
                 strategy_tables(p, alice, bob)
@@ -670,4 +675,4 @@ def test_unknown_pairings_are_refused(alice, bob):
     for call in calls:
         with pytest.raises(ValueError, match="unknown strategy pairing"):
             call()
-    assert set(p._analysis.tables) == set(itertools.product(ALICES, BOBS))
+    assert set(p._tables) == set(itertools.product(ALICES, BOBS))

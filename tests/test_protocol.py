@@ -392,8 +392,9 @@ class TestBornSample:
             assert abs(counts[k] / n - exact[k]) <= 3 * sigma + 1e-12
 
     def test_consumes_one_draw(self):
-        class CountingRng:
+        class CountingRng(np.random.Generator):  # born_sample takes only a Generator
             def __init__(self):
+                super().__init__(np.random.PCG64(0))
                 self.calls = 0
 
             def random(self):
@@ -833,6 +834,18 @@ REFUSED_INPUTS = {
     "bob-cheat-flag": (
         lambda p: qbc.simulate_toss(qbc.CoinTossProtocol(p), True, 1, np.random.default_rng(0)),
         "bob_cheats must be a bool, got 1",
+    ),
+    "run-rng-none": (
+        lambda p: simulate_run(p, HonestAlice(), HelstromBob(), 0, None),
+        "rng must be a numpy.random.Generator, got None",
+    ),
+    "toss-rng-seed": (
+        lambda p: qbc.simulate_toss(qbc.CoinTossProtocol(p), False, True, 7),
+        "rng must be a numpy.random.Generator, got 7",
+    ),
+    "born-rng-string": (
+        lambda p: born_sample(PureState([1, 0]), [np.eye(2)], "seed"),
+        "rng must be a numpy.random.Generator, got 'seed'",
     ),
     "keep": (lambda p: partial_trace(p.chi0, "both"), "keep must be 'proof' or 'token', got 'both'"),
     "point": (lambda p: qbc.TradeoffPoint(0.25, 0.7, 0.0), "c_max = 0.7 outside [0, 1/2]"),
