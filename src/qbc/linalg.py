@@ -9,12 +9,14 @@ arrays to every caller.  A record holding arrays compares and hashes by
 identity (``eq=False``), as arrays give ``==`` no single truth value.
 
 Each state invariant is one function here, which the single objects and
-the stacked core of :mod:`qbc.protocol` both call: the norm rule
+the stacked core of :mod:`qbc.protocol` both call: the entry rule
+(:func:`_checked_entries`), through which the state types, the stacked
+core and :func:`apply_to_proof` take a caller's array, the norm rule
 (:func:`normalize_states`), the density rule (:func:`check_spectra`), the
 token reduction (:func:`token_reductions`) and the square-root floor
-(:func:`sqrt_psd`).  The closed forms that the core uses for qubit tokens
-in place of ``eigvalsh`` and ``svd`` are one function too
-(:func:`qubit_token_core`).
+(:func:`sqrt_psd`).  The closed forms that the
+core uses for qubit tokens in place of ``eigvalsh`` and ``svd`` are one
+function too (:func:`qubit_token_core`).
 
 Index convention, fixed globally: the amplitude of a bipartite state at
 (proof index p, token index t) sits at flat index ``p * dim_token + t``.
@@ -60,19 +62,38 @@ def _unit_deviation(values: np.ndarray, name: str) -> float:
     return worst
 
 
+def _checked_entries(value, name: str) -> np.ndarray:
+    """The entry rule: ``value`` as a new C-ordered complex128 array, refused before any arithmetic.
+
+    A value NumPy cannot read as numbers (a string, a mapping, a ragged
+    nesting) raises ``ParamOutOfRange``, naming ``name``.  An entry with a
+    real or imaginary part that is NaN, infinite or above 2 raises
+    ``NotNormalized``, naming the entry: no part of a unit vector, a
+    density operator or a unitary exceeds 1, and below 2 no square, product
+    or difference that follows can overflow or warn.  A scalar gives a 0-d array.
+    """
+    try:
+        arr = np.array(value, dtype=np.complex128, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParamOutOfRange(f"{name} is not an array of numbers: {exc}") from None
+    parts = np.abs(arr.reshape(-1).view(np.float64))  # a 0-d array has no float64 view
+    if not parts.max(initial=0.0) <= 2.0:  # a NaN compares False
+        raise NotNormalized(f"{name} entry {arr.flat[parts.argmax() // 2]} is not finite or exceeds 1")
+    return arr
+
+
 def normalize_states(states: np.ndarray) -> np.ndarray:
     """The norm rule, applied to each row of a C-contiguous (count, dim) complex array.
 
-    Every row's norm must be finite and within ``TOL`` of 1.  A row off
-    by more than 1e-12 is rescaled in place to unit norm; any other keeps
-    its bits, so re-checking a state never moves it.  A NaN, infinite or
-    overflowing amplitude raises NotNormalized without a floating-point
-    warning.  Returns ``states``.
+    Every caller passes entries that passed the entry rule of
+    :func:`_checked_entries` (:func:`~qbc.distinguish.max_fidelity_sq_sum`
+    passes square roots of density operators, whose entries are at most 1),
+    so no square here can overflow.  Every row's norm must be within
+    ``TOL`` of 1.  A row off by more than 1e-12 is rescaled in place to
+    unit norm; any other keeps its bits, so re-checking a state never
+    moves it.  Returns ``states``.
     """
-    parts = states.view(np.float64)  # real squares: inf * conj(inf) would warn
-    largest = np.maximum.reduce(np.abs(parts), axis=None, initial=0.0)
-    if largest > 2.0:  # no part of a unit vector exceeds 1; squaring 1e200 would overflow
-        raise NotNormalized(f"state amplitude part {largest} cannot belong to a unit vector")
+    parts = states.view(np.float64)  # real squares, with no complex multiply
     norms = np.sqrt(np.add.reduce(parts * parts, axis=-1))
     if _unit_deviation(norms, "state norm") > 1e-12:
         off = np.abs(norms - 1.0) > 1e-12
@@ -168,14 +189,16 @@ def _seeded_generator(seed) -> np.random.Generator:
 class PureState:
     """Normalized complex amplitude vector.
 
-    Construction applies the norm rule of :func:`normalize_states`, so
-    downstream traces are clean to machine precision.
+    Construction copies ``amplitudes`` through the entry rule of
+    :func:`_checked_entries` and applies the norm rule of
+    :func:`normalize_states`, so downstream traces are clean to machine
+    precision.  A scalar is a 1-dim state.
     """
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = normalize_states(np.array(self.amplitudes, dtype=np.complex128).reshape(1, -1))[0]
+        arr = normalize_states(_checked_entries(self.amplitudes, "state").reshape(1, -1))[0]
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
@@ -186,20 +209,20 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Hermitian, positive-semidefinite, unit-trace matrix."""
+    """Hermitian, positive-semidefinite, unit-trace matrix.
+
+    Construction copies ``matrix`` through the entry rule of
+    :func:`_checked_entries`, so a NaN, infinite or huge entry is refused
+    before the Hermiticity check, and applies the density rule of
+    :func:`check_spectra`.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.matrix, dtype=np.complex128)
+        arr = _checked_entries(self.matrix, "density operator")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
             raise DimMismatch(f"density operator must be square and nonempty, got {arr.shape}")
-        finite = np.isfinite(arr)  # before any arithmetic: inf - inf would warn
-        if not finite.all():
-            raise NotNormalized(f"density operator entry {arr[~finite][0]} is not finite")
-        parts = np.abs(arr.view(np.float64))  # real and imaginary parts: no check can overflow
-        if parts.max(initial=0.0) > 2.0:  # no entry exceeds 1; 1e308 - (-1e308) would overflow
-            raise NotNormalized(f"density operator entry {arr.flat[parts.argmax() // 2]} exceeds 1")
         herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
         if herm_dev > TOL:
             raise NotHermitian(f"Hermiticity deviation {herm_dev} exceeds {TOL}")
@@ -281,9 +304,13 @@ def partial_trace(state: BipartiteState, keep: Factor) -> DensityOperator:
 
 
 def apply_to_proof(u, state: BipartiteState) -> BipartiteState:
-    """Apply (u ⊗ I) to the proof factor; ``u`` is any (dim_proof, dim_proof) array-like."""
+    """Apply (u ⊗ I) to the proof factor; ``u`` is any (dim_proof, dim_proof) array-like.
+
+    ``u`` enters through the entry rule of :func:`_checked_entries`: no
+    entry of a unitary exceeds 1.
+    """
     a = state.as_matrix()
-    u = np.asarray(u, dtype=np.complex128)
+    u = _checked_entries(u, "unitary")
     if u.shape != (state.dim_proof, state.dim_proof):
         raise DimMismatch(f"unitary shape {u.shape} does not act on proof dim {state.dim_proof}")
     return bipartite(state.dim_proof, state.dim_token, (u @ a).reshape(-1))

@@ -52,6 +52,7 @@ from .linalg import (
     BipartiteState,
     DensityOperator,
     PureState,
+    _checked_entries,
     _checked_integer,
     _is_integer,
     _seeded_generator,
@@ -62,8 +63,6 @@ from .linalg import (
     random_pure_state,
     token_reductions,
 )
-
-MEASUREMENT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -163,13 +162,14 @@ class PurificationProtocol:
 def checked_stacks(a: np.ndarray) -> np.ndarray:
     """Validate n protocols given as one (2, n, dim_proof, dim_token) array, chi0 at index 0.
 
+    ``a`` is copied through the entry rule of :func:`~qbc.linalg._checked_entries`.
     Any other shape, or a zero dim, is a ``DimMismatch``.  Each state must pass the
     norm rule of :func:`~qbc.linalg.normalize_states` (and may be renormalized), and no
     pair may overlap by more than ``TOL`` (``NotOrthogonal``); a
     :class:`PurificationProtocol` is checked by the same call with n = 1.
     Returns a validated complex copy; the caller's array is never written.
     """
-    stacks = np.array(a, dtype=np.complex128)
+    stacks = _checked_entries(a, "protocol stack")
     if stacks.ndim != 4 or stacks.shape[0] != 2 or 0 in stacks.shape[2:]:
         raise DimMismatch(f"protocol stack shape {stacks.shape} is not (2, n, dim_proof, dim_token)")
     normalize_states(stacks.reshape(-1, stacks.shape[-2] * stacks.shape[-1]))
@@ -394,9 +394,10 @@ def optimal_cheat_kit(p: PurificationProtocol) -> CheatKit:
 def born_sample(state: PureState, projectors: Sequence[np.ndarray], rng) -> int:
     """Sample an outcome index of a projective measurement on a pure state.
 
-    The projectors must sum to the identity and be mutually orthogonal
-    (tolerance ``MEASUREMENT_TOL``); exactly one uniform draw is consumed
-    from ``rng``, a ``numpy.random.Generator`` (``ParamOutOfRange`` otherwise).
+    The projectors must sum to the identity and be mutually orthogonal to
+    within ``TOL``, the slack of every identity check.  Exactly one uniform
+    draw is consumed from ``rng``, a ``numpy.random.Generator``
+    (``ParamOutOfRange`` otherwise).
     """
     _check_generator(rng)
     dim = state.dim
@@ -404,11 +405,11 @@ def born_sample(state: PureState, projectors: Sequence[np.ndarray], rng) -> int:
     for proj in projectors:
         if proj.shape != (dim, dim):
             raise NotAMeasurement(f"projector shape {proj.shape} does not match dim {dim}")
-    if not np.max(np.abs(sum(projectors) - np.eye(dim))) <= MEASUREMENT_TOL:  # a NaN compares False
+    if not np.max(np.abs(sum(projectors) - np.eye(dim))) <= TOL:  # a NaN compares False
         raise NotAMeasurement("projectors do not sum to the identity")
     for i in range(len(projectors)):
         for j in range(i + 1, len(projectors)):
-            if not np.max(np.abs(projectors[i] @ projectors[j])) <= MEASUREMENT_TOL:
+            if not np.max(np.abs(projectors[i] @ projectors[j])) <= TOL:
                 raise NotAMeasurement(f"projectors {i} and {j} are not orthogonal")
 
     vec = state.amplitudes

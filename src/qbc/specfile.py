@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import QbcError
-from .linalg import bipartite
+from .linalg import _is_integer, bipartite
 from .protocol import PurificationProtocol
 
 SCHEMA_VERSION = 1
@@ -76,11 +76,6 @@ def write_protocol_spec(p: PurificationProtocol, path: str | Path) -> None:
     Path(path).write_text(dumps_deterministic(protocol_to_spec(p)) + "\n", encoding="utf-8")
 
 
-def _is_json_type(value, types) -> bool:
-    """True for a JSON number of the given Python types; a JSON bool is never a number."""
-    return isinstance(value, types) and not isinstance(value, bool)
-
-
 def _parse_amplitudes(entries, dim: int, label: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != dim:
         raise SpecFileError(f"{label} must be a list of {dim} [re, im] pairs")
@@ -88,7 +83,7 @@ def _parse_amplitudes(entries, dim: int, label: str) -> np.ndarray:
     for i, pair in enumerate(entries):
         if not isinstance(pair, list) or len(pair) != 2:
             raise SpecFileError(f"{label}[{i}] must be a [re, im] pair")
-        if not all(_is_json_type(x, (int, float)) for x in pair):
+        if not all(_is_integer(x) or isinstance(x, float) for x in pair):  # a bool is not a number
             raise SpecFileError(f"{label}[{i}] holds a non-number")
         try:
             vec[i] = complex(float(pair[0]), float(pair[1]))
@@ -116,13 +111,13 @@ def parse_protocol_spec(source: str | Path | dict) -> PurificationProtocol:
     if not isinstance(doc, dict):
         raise SpecFileError("top level must be a JSON object")
     version = doc.get("schemaVersion")
-    if not _is_json_type(version, int) or version != SCHEMA_VERSION:
+    if not _is_integer(version) or version != SCHEMA_VERSION:
         raise SpecFileError(f"unsupported schemaVersion {version!r}")
     for key in ("dimProof", "dimToken", "chi0", "chi1"):
         if key not in doc:
             raise SpecFileError(f"missing key {key!r}")
     dim_proof, dim_token = doc["dimProof"], doc["dimToken"]
-    if not (_is_json_type(dim_proof, int) and _is_json_type(dim_token, int)):
+    if not (_is_integer(dim_proof) and _is_integer(dim_token)):
         raise SpecFileError("dimProof and dimToken must be integers")
     if dim_proof < 1 or dim_token < 1 or dim_proof * dim_token > 64:
         raise SpecFileError(f"dims {dim_proof} x {dim_token} outside the supported range (<= 64)")

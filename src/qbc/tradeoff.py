@@ -164,8 +164,18 @@ class Curve(Enum):
     equality only when rho0 = rho1, or when one reduction is pure and the
     other's Bloch vector lies on the line through the pure one's and the
     origin (``QubitPureMixed`` up to rotation).  The README's conventions
-    sketch the proof.  Curve II is first reached at dim_token = 3
-    (``Commuting3D``).
+    sketch the proof.  The least dims that reach each curve:
+
+    * dim_proof = 1: one point, (D, F) = (1, 0).  Both states are products,
+      so orthogonality forces orthogonal pure tokens.
+    * dim_token = 2: never below curve III, which is first reached at 2x2
+      (chi0 = |0>|0>, chi1 = √λ|1>|0> + √(1-λ)|0>|1>: D = 1 - λ, F = √λ).
+    * dim_proof >= 2 and dim_token >= 3: curve II is first reached at 2x3
+      (chi0 = √λ|0>|0> + √(1-λ)|1>|1>, chi1 = √λ|1>|2> + √(1-λ)|0>|1>:
+      D = λ, F = 1 - λ).
+
+    The families use more proof dims than their curves need: ``Commuting3D``
+    is 4x3 and ``QubitPureMixed`` 3x2.
     """
 
     I = "I"

@@ -158,7 +158,7 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
     def test_density_non_finite(self, bad):
         """Refused before the Hermiticity check, whose inf - inf would warn."""
-        with pytest.raises(NotNormalized, match=r"^density operator entry .* is not finite$"):
+        with pytest.raises(NotNormalized, match=r"^density operator entry .* is not finite or exceeds 1$"):
             DensityOperator(np.array([[bad, 0.0], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("matrix", [[[0.5, 1e308], [-1e308, 0.5]], [[0.5, 1e308j], [1e308j, 0.5]]])
@@ -188,6 +188,10 @@ class TestValidation:
             apply_to_proof(np.eye(3), bipartite(2, 2, np.eye(4)[0]))
         with pytest.raises(DimMismatch, match="does not act on proof dim 2"):
             apply_to_proof(np.eye(3).tolist(), bipartite(2, 2, np.eye(4)[0]))
+
+    def test_scalar_is_a_one_dim_state(self):
+        """A scalar passes the entry rule as a 0-d array; ``REFUSED_INPUTS`` has the other entry points."""
+        assert PureState(1.0).amplitudes.tobytes() == np.array([1.0 + 0.0j]).tobytes()
 
     def test_apply_to_proof_takes_a_nested_list(self):
         chi = BipartiteState(2, 3, random_pure_state(6, 3))

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import itertools
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +198,13 @@ class TestStackedCore:
         c = checked_stacks(a)
         assert abs(np.linalg.norm(c[0, 2]) - 1.0) <= 1e-15
         assert a.tobytes() == given and c[0, 2].tobytes() != a[0, 2].tobytes()
+
+    def test_checked_stacks_renormalizes_any_memory_order(self):
+        """A Fortran-ordered stack gives the same C-ordered copy, renormalized too."""
+        _, a = self.stacks()
+        a[0, 2] *= 1.0 + 1e-10
+        c = checked_stacks(np.asfortranarray(a))
+        assert c.flags.c_contiguous and c.tobytes() == checked_stacks(a).tobytes()
 
     @pytest.mark.parametrize("shape", [(5, 3, 4), (3, 5, 3, 4)], ids=["3-D", "leading-3"])
     def test_checked_stacks_rejects_other_layouts(self, shape):
@@ -908,8 +917,29 @@ REFUSED_INPUTS = {
         lambda p: born_sample(PureState([1, 0]), [[[1]], np.eye(2)], np.random.default_rng(0)),
         "projector shape (1, 1) does not match dim 2",
     ),
+    "string-state": (lambda p: PureState(["a", 1]), "state is not an array of numbers"),
+    "mapping-state": (lambda p: PureState({"a": 1}), "state is not an array of numbers"),
+    "ragged-density": (
+        lambda p: DensityOperator([[1, 0], [0]]),
+        "density operator is not an array of numbers",
+    ),
+    "string-stack": (lambda p: checked_stacks("abc"), "protocol stack is not an array of numbers"),
+    "ragged-stack": (
+        lambda p: checked_stacks([[[[1, 0]]], [[[0]]]]),
+        "protocol stack is not an array of numbers",
+    ),
+    "string-unitary": (lambda p: apply_to_proof("x", p.chi0), "unitary is not an array of numbers"),
+    "scalar-density": (
+        lambda p: DensityOperator(1.0),
+        "density operator must be square and nonempty, got ()",
+    ),
+    "scalar-stack": (
+        lambda p: checked_stacks(1.0),
+        "protocol stack shape () is not (2, n, dim_proof, dim_token)",
+    ),
+    "empty-amplitudes": (lambda p: PureState([]), "state norm 0.0 not within 1e-09 of 1"),
 }
-# Refused inputs whose invariant is not a parameter range: a dimension, a rank or a measurement.
+# Refused inputs whose invariant is not a parameter range: a dimension, a rank, a measurement or a norm.
 REFUSED_AS = {
     "protocol-dim": DimMismatch,
     "token-dim": DimMismatch,
@@ -925,7 +955,24 @@ REFUSED_AS = {
     "empty-proof-stack": DimMismatch,
     "nan-projector": NotAMeasurement,
     "list-projector": NotAMeasurement,
+    "scalar-density": DimMismatch,
+    "scalar-stack": DimMismatch,
+    "empty-amplitudes": NotNormalized,
 }
+# The entry rule at each entry point: a NaN, an infinite or a huge entry, refused before any arithmetic.
+ENTRY_POINTS = {
+    "state": lambda p, z: PureState([z, 1.0]),
+    "density operator": lambda p, z: DensityOperator([[z, 0.0], [0.0, 1.0]]),
+    "protocol stack": lambda p, z: checked_stacks(np.full((2, 1, 2, 2), z)),
+    "unitary": lambda p, z: apply_to_proof(np.diag([z, 1.0, 1.0, 1.0]), p.chi0),
+}
+for (_where, _call), _bad in itertools.product(ENTRY_POINTS.items(), (np.nan, np.inf, 1e200)):
+    _name = f"{_where.replace(' ', '-')}-{_bad}"
+    REFUSED_INPUTS[_name] = (
+        lambda p, call=_call, z=_bad: call(p, z),
+        f"{_where} entry ({_bad}+0j) is not finite or exceeds 1",
+    )
+    REFUSED_AS[_name] = NotNormalized
 
 
 @pytest.mark.parametrize("name", sorted(REFUSED_INPUTS))
@@ -939,6 +986,29 @@ def test_every_refused_input_is_a_qbc_error(name):
         call(p)
     assert type(caught.value) is REFUSED_AS.get(name, qbc.ParamOutOfRange)
     assert isinstance(caught.value, ValueError)
+
+
+# The two raises of a TypeError that ``qbc.errors`` allows: objects of the wrong kind.
+ALLOWED_TYPE_ERRORS = {("tradeoff.py", "_curve"), ("specfile.py", "dumps_deterministic")}
+
+
+def test_package_raises_no_plain_value_or_type_error():
+    """The failure contract, read from the source: no ``raise ValueError`` at all, and
+    no ``raise TypeError`` outside the functions ``ALLOWED_TYPE_ERRORS`` names."""
+    raised = []
+    for path in sorted(Path(qbc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scope = {}  # node -> innermost enclosing function; ast.walk reaches outer ones first
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update(dict.fromkeys(ast.walk(func), func.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)  # raise E(...) or raise E
+                raised.append((getattr(exc, "id", None), path.name, scope.get(node)))
+    assert raised, "the walk found none of the package's raises"
+    assert [r for r in raised if r[0] == "ValueError"] == []
+    assert {r[1:] for r in raised if r[0] == "TypeError"} <= ALLOWED_TYPE_ERRORS
 
 
 def test_seeded_constructors_take_a_generator_or_an_integer_seed():

@@ -18,7 +18,7 @@ from conftest import known_answer_amplitudes
 from qbc.distinguish import BlochVector, bloch_fidelity_sq, bloch_trace_distance
 from qbc.errors import ParamOutOfRange
 from qbc.linalg import TOL
-from qbc.protocol import checked_stacks, distance_fidelity
+from qbc.protocol import checked_stacks, distance_fidelity, random_protocol
 from qbc.tradeoff import (
     SWEEP_CHUNK_POINTS,
     Commuting3D,
@@ -349,6 +349,44 @@ class TestQubitTokensAboveCurveIII:
         assert min(slack.values()) >= -TOL
         collinear = [v for (a, _, psi), v in slack.items() if a == 1.0 and psi in (0.0, np.pi)]
         assert len(collinear) == 42 and max(map(abs, collinear)) <= 1e-14
+
+
+class TestLeastDimensions:
+    """The least (dim_proof, dim_token) that reach each curve, as ``Curve`` tabulates them.
+
+    Each construction is a stack of (2, 1001, 2, dim_token) amplitudes over a
+    λ grid, through ``checked_stacks`` and the core.
+    """
+
+    lam = np.linspace(0.0, 1.0, 1001)
+
+    def figures(self, dim_token: int, layout: dict) -> tuple[np.ndarray, np.ndarray]:
+        """D and F of the 2 x dim_token protocols whose nonzero amplitudes ``layout`` maps."""
+        a = np.zeros((2, self.lam.size, 2, dim_token), dtype=np.complex128)
+        for (bit, p, t), values in layout.items():
+            a[bit, :, p, t] = values
+        return distance_fidelity(checked_stacks(a))
+
+    def test_curve_ii_at_2x3(self):
+        """chi0 = √λ|0⟩|0⟩ + √(1−λ)|1⟩|1⟩, chi1 = √λ|1⟩|2⟩ + √(1−λ)|0⟩|1⟩: D = λ, F = 1 − λ."""
+        s, r = np.sqrt(self.lam), np.sqrt(1.0 - self.lam)
+        d, f = self.figures(3, {(0, 0, 0): s, (0, 1, 1): r, (1, 1, 2): s, (1, 0, 1): r})
+        assert np.abs(d - self.lam).max() <= 1e-14
+        assert np.abs(f - (1.0 - self.lam)).max() <= 1e-14
+
+    def test_curve_iii_at_2x2(self):
+        """chi0 = |0⟩|0⟩, chi1 = √λ|1⟩|0⟩ + √(1−λ)|0⟩|1⟩: D = 1 − λ, F = √λ."""
+        s, r = np.sqrt(self.lam), np.sqrt(1.0 - self.lam)
+        d, f = self.figures(2, {(0, 0, 0): 1.0, (1, 1, 0): s, (1, 0, 1): r})
+        assert np.abs(d - (1.0 - self.lam)).max() <= 1e-14
+        assert np.abs(f - s).max() <= 1e-14
+
+    @pytest.mark.parametrize("dim_token", [2, 3, 4, 8])
+    def test_one_proof_dim_is_one_point(self, dim_token):
+        """Product states: orthogonality forces orthogonal pure tokens, so (D, F) = (1, 0)."""
+        a = np.stack([random_protocol(1, dim_token, seed).as_matrices() for seed in range(50)], axis=1)
+        d, f = distance_fidelity(checked_stacks(a))
+        assert np.abs(d - 1.0).max() <= 1e-13 and np.abs(f).max() <= 1e-13
 
 
 class TestCurveValue:
