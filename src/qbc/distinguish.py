@@ -15,11 +15,12 @@ For qubits, the Bloch-vector forms are provided:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NotQubit
+from .errors import DimMismatch, NotQubit, ParamOutOfRange
 from .linalg import (
     TOL,
     BipartiteState,
@@ -200,13 +201,21 @@ def max_fidelity_sq_sum(
 
 @dataclass(frozen=True)
 class BlochVector:
-    """Bloch-sphere representation of a qubit state; |r| <= 1."""
+    """Bloch-sphere representation of a qubit state; |r| <= 1.
+
+    A component that is not a real number (a string, ``None``, a complex
+    number) is refused with ``ParamOutOfRange``, as the entry rule refuses a
+    value that is not numbers: it is a bad argument, not a state.  A real
+    vector off the unit ball, NaN included, is ``NotQubit``.
+    """
 
     x: float
     y: float
     z: float
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Real) for v in (self.x, self.y, self.z)):
+            raise ParamOutOfRange(f"Bloch vector components must be real numbers, got {self}")
         if not self.norm_sq() <= 1.0 + TOL:  # a NaN compares False
             raise NotQubit(f"Bloch vector norm^2 {self.norm_sq()} exceeds 1")
 

@@ -37,7 +37,7 @@ their Helstrom measurement.
 from __future__ import annotations
 
 import os
-from collections import deque
+import threading
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
@@ -395,13 +395,18 @@ def born_sample(state: PureState, projectors: Sequence[np.ndarray], rng) -> int:
     """Sample an outcome index of a projective measurement on a pure state.
 
     The projectors must sum to the identity and be mutually orthogonal to
-    within ``TOL``, the slack of every identity check.  Exactly one uniform
+    within ``TOL``, the slack of every identity check; a projector that
+    NumPy cannot read as complex numbers (a string, a ragged nesting) is
+    refused with ``NotAMeasurement`` too.  Exactly one uniform
     draw is consumed from ``rng``, a ``numpy.random.Generator``
     (``ParamOutOfRange`` otherwise).
     """
     _check_generator(rng)
     dim = state.dim
-    projectors = [np.asarray(proj) for proj in projectors]
+    try:
+        projectors = [np.asarray(proj, dtype=np.complex128) for proj in projectors]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise NotAMeasurement(f"projector is not an array of numbers: {exc}") from None
     for proj in projectors:
         if proj.shape != (dim, dim):
             raise NotAMeasurement(f"projector shape {proj.shape} does not match dim {dim}")
@@ -529,41 +534,57 @@ class StrategyTables:
 
         The runs are cut into chunks of ``MC_CHUNK_RUNS``, each counted by
         :meth:`_chunk_counts` from its own generator advanced to the chunk's
-        first run, and the integer counts are summed.  The chunks run on a
-        thread pool of one worker per available CPU, at most one per chunk
-        and ``MC_MAX_WORKERS`` in all, made and shut down within the call,
-        with at most two chunks per worker in flight; a single chunk or CPU
-        is counted inline.  Counts are therefore those of a single
-        ``(n_runs, 4)`` block whatever the core count or the order in which
-        chunks finish, and memory (about 1.6 MiB per worker) does not grow
-        with ``n_runs``.  A bool, non-integral or negative ``seed`` is
-        refused with ``ParamOutOfRange``.
+        first run, and the integer counts are summed.  ``workers`` threads
+        count chunks, one per available CPU, at most one per chunk and
+        ``MC_MAX_WORKERS`` in all: the caller's thread and a pool of
+        ``workers - 1`` threads, made and shut down within the call (no pool
+        for one worker).  Each takes the next chunk from one lock-guarded
+        counter and adds its counts into an array of its own.  Once a chunk
+        fails or the caller is interrupted, no thread takes another chunk,
+        so at most ``workers - 1`` chunks start after it.  Counts are
+        therefore those of a single ``(n_runs, 4)`` block whatever the core
+        count or the order in which chunks finish, and memory (about 1.6 MiB
+        per worker, the caller included) does not grow with ``n_runs``.  A
+        bool, non-integral or negative ``seed`` is refused with
+        ``ParamOutOfRange``.
         """
         n_runs = _checked_integer(n_runs, "the run count", 1)
         seed = _checked_integer(seed, "the seed", 0)
-        chunks = (
-            (seed, start, min(MC_CHUNK_RUNS, n_runs - start), against_guess)
-            for start in range(0, n_runs, MC_CHUNK_RUNS)
-        )
         workers = min(_available_cpus(), -(-n_runs // MC_CHUNK_RUNS), MC_MAX_WORKERS)
         shape = self.out_cum.shape[:3] + (3,)
-        counts = np.zeros(np.prod(shape), dtype=np.int64)
-        if workers == 1:
-            for chunk in chunks:
-                counts += self._chunk_counts(*chunk)
-        else:
-            # Imported here, so that commands which never sample never import it.
-            from concurrent.futures import ThreadPoolExecutor
+        lock = threading.Lock()
+        next_start = 0  # a Python int: any run count is reached
 
-            pending = deque()
-            with ThreadPoolExecutor(workers) as pool:
-                for chunk in chunks:
-                    if len(pending) == 2 * workers:
-                        counts += pending.popleft().result()
-                    pending.append(pool.submit(self._chunk_counts, *chunk))
-                while pending:
-                    counts += pending.popleft().result()
-        return counts.reshape(shape)
+        def count_chunks(pool=None):
+            # The loop of every counting thread.  Given the pool, the caller
+            # also starts its threads, holding the lock so that no chunk starts
+            # while an interrupt could cut a thread start short, and adds in
+            # their arrays.  A thread that leaves, at the end or by an exception
+            # (an interrupt included), moves the counter to the end: no thread
+            # takes another chunk.
+            nonlocal next_start
+            counts = np.zeros(np.prod(shape), dtype=np.int64)
+            try:
+                with lock:
+                    helpers = [pool.submit(count_chunks) for _ in range(workers - 1) if pool]
+                while True:
+                    with lock:
+                        start, next_start = next_start, next_start + MC_CHUNK_RUNS
+                    if start >= n_runs:
+                        return counts + sum(helper.result() for helper in helpers)
+                    size = min(MC_CHUNK_RUNS, n_runs - start)
+                    counts += self._chunk_counts(seed, start, size, against_guess)
+            finally:
+                with lock:
+                    next_start = n_runs
+
+        if workers == 1:
+            return count_chunks().reshape(shape)
+        # Imported here, so that commands which never sample never import it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers - 1) as pool:
+            return count_chunks(pool).reshape(shape)
 
     def _chunk_counts(self, seed: int, start: int, count: int, against_guess: bool) -> np.ndarray:
         """Flat cell counts of runs ``start`` to ``start + count`` of the stream keyed by ``seed``.
@@ -714,8 +735,11 @@ def estimate_statistics(
 
     Per-run probabilities are computed exactly once per configuration; the
     runs are counted per table cell by
-    :meth:`StrategyTables.sample_cells`, vectorized, streamed in bounded
-    memory and spread over every available core.  Run i consumes the four
+    :meth:`StrategyTables.sample_cells`, vectorized and streamed in chunks
+    (about 1.6 MiB per worker), on every available core: the caller's thread
+    counts chunks beside a pool of ``workers - 1`` threads, and at most
+    ``workers - 1`` chunks start after a chunk fails or the caller is
+    interrupted.  Run i consumes the four
     64-bit words of counter step i of a Philox stream keyed by ``seed``
     (columns: committed bit, target bit, holding-phase estimate, final
     outcome), so results are reproducible and independent of any execution

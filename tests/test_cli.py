@@ -519,9 +519,9 @@ class TestPinnedBulkStdout:
 
     Recorded from the sampler that compared ``Generator.random`` doubles;
     the integer rule on raw words gives the same bytes.  On several CPUs
-    the runs are counted on the thread pool, and under a one-CPU affinity
-    set (``taskset -c 0``) inline, so running this class both ways shows
-    both paths give these bytes.
+    the runs are counted by the caller's thread and a thread pool, and under
+    a one-CPU affinity set (``taskset -c 0``) by the caller alone, so running
+    this class both ways shows both give these bytes.
     """
 
     SIMULATE = (

@@ -18,6 +18,8 @@
   allocation stays within 16 bytes per run (one block of all the uniforms
   would take 32) and at most one chunk's per worker at 1e6 and 4e6 runs
   alike; no pool thread outlives a call, even one whose chunk fails.
+  After a failing chunk or an interrupt, at most ``workers - 1`` further
+  chunks start, and eight threads on tiny chunks still count every run once.
 * Cached values: a protocol keeps four, each built on first read by its
   own builder: the report (``security_report``, from the D/F core), the
   reductions (``honest_reduced_states``), the cheat kit
@@ -30,9 +32,11 @@
 
 from __future__ import annotations
 
+import _thread
 import collections
 import dataclasses
 import itertools
+import sys
 import threading
 import tracemalloc
 
@@ -527,6 +531,76 @@ def test_a_failing_chunk_fails_the_call(monkeypatch):
         with pytest.raises(RuntimeError, match="chunk 5 failed"):
             estimate_statistics(p, HonestAlice(), HelstromBob(), 1_000_003, 2)
         assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_failing_chunk_stops_every_thread(workers, monkeypatch):
+    """After a chunk raises, at most ``workers - 1`` further chunks start:
+    no thread takes a chunk once the failing one has left its loop."""
+    original = qbc.protocol.StrategyTables._chunk_counts
+    failed = threading.Event()
+    started_after = []
+
+    def fail_in_chunk_5(self, seed, start, count, against_guess):
+        started_after.append(failed.is_set())
+        if start == 5 * MC_CHUNK_RUNS:
+            failed.set()
+            raise RuntimeError("chunk 5 failed")
+        return original(self, seed, start, count, against_guess)
+
+    monkeypatch.setattr(qbc.protocol.StrategyTables, "_chunk_counts", fail_in_chunk_5)
+    monkeypatch.setattr(qbc.protocol, "_available_cpus", lambda: workers)
+    p = PROTOCOLS["commuting3d"]()
+    with pytest.raises(RuntimeError, match="chunk 5 failed"):
+        estimate_statistics(p, HonestAlice(), HelstromBob(), 1_000_003, 2)
+    assert sum(started_after) <= workers - 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_an_interrupt_stops_every_thread(workers, monkeypatch):
+    """A ``KeyboardInterrupt`` sent to the caller from inside a chunk reaches
+    it, no thread outlives the call, and at most ``workers - 1`` further
+    chunks start.  The interrupt is sent from a chunk on the caller's own
+    thread, which raises it at once; sent from a pool thread, it would wait
+    for the caller's next bytecode, however long that takes to come."""
+    original = qbc.protocol.StrategyTables._chunk_counts
+    interrupted = threading.Event()
+    started_after = []
+
+    def interrupt_from_chunk_5_on(self, seed, start, count, against_guess):
+        started_after.append(interrupted.is_set())
+        caller = threading.current_thread() is threading.main_thread()
+        if caller and start >= 5 * MC_CHUNK_RUNS and not interrupted.is_set():
+            interrupted.set()
+            _thread.interrupt_main()
+        return original(self, seed, start, count, against_guess)
+
+    monkeypatch.setattr(qbc.protocol.StrategyTables, "_chunk_counts", interrupt_from_chunk_5_on)
+    monkeypatch.setattr(qbc.protocol, "_available_cpus", lambda: workers)
+    baseline = threading.active_count()
+    p = PROTOCOLS["commuting3d"]()
+    with pytest.raises(KeyboardInterrupt):
+        estimate_statistics(p, HonestAlice(), HelstromBob(), 1_000_003, 2)
+    assert threading.active_count() == baseline
+    assert sum(started_after) <= workers - 1
+
+
+def test_the_chunk_counter_loses_no_update(monkeypatch):
+    """Eight threads on tiny chunks, switching as often as the interpreter
+    lets them, count every run once: a chunk taken twice or skipped would
+    move the counts off the one-worker counts."""
+    tables = strategy_tables(PROTOCOLS["random8x8"](), CheatingAlice(), HelstromBob())
+    monkeypatch.setattr(qbc.protocol, "_available_cpus", lambda: 1)
+    expected = tables.sample_cells(100_003, 17)
+    monkeypatch.setattr(qbc.protocol, "_available_cpus", lambda: MC_MAX_WORKERS)
+    monkeypatch.setattr(qbc.protocol, "MC_CHUNK_RUNS", 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert (tables.sample_cells(100_003, 17) == expected).all()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_tables_are_built_once_per_pairing():

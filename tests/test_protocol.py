@@ -917,6 +917,26 @@ REFUSED_INPUTS = {
         lambda p: born_sample(PureState([1, 0]), [[[1]], np.eye(2)], np.random.default_rng(0)),
         "projector shape (1, 1) does not match dim 2",
     ),
+    "ragged-projector": (
+        lambda p: born_sample(
+            PureState([1, 0]), [[[1, 0], [0]], np.eye(2)], np.random.default_rng(0)
+        ),
+        "projector is not an array of numbers",
+    ),
+    "string-projector": (
+        lambda p: born_sample(
+            PureState([1, 0]), [np.full((2, 2), "a"), np.eye(2)], np.random.default_rng(0)
+        ),
+        "projector is not an array of numbers",
+    ),
+    "string-bloch": (
+        lambda p: qbc.BlochVector("a", 0, 0),
+        "Bloch vector components must be real numbers",
+    ),
+    "none-bloch": (
+        lambda p: qbc.BlochVector(0, None, 0),
+        "Bloch vector components must be real numbers",
+    ),
     "string-state": (lambda p: PureState(["a", 1]), "state is not an array of numbers"),
     "mapping-state": (lambda p: PureState({"a": 1}), "state is not an array of numbers"),
     "ragged-density": (
@@ -955,6 +975,8 @@ REFUSED_AS = {
     "empty-proof-stack": DimMismatch,
     "nan-projector": NotAMeasurement,
     "list-projector": NotAMeasurement,
+    "ragged-projector": NotAMeasurement,
+    "string-projector": NotAMeasurement,
     "scalar-density": DimMismatch,
     "scalar-stack": DimMismatch,
     "empty-amplitudes": NotNormalized,
