@@ -23,7 +23,6 @@ from .distinguish import (
     InequalityReport,
     ParallelPurificationResult,
     bloch_fidelity_sq,
-    bloch_to_density,
     bloch_trace_distance,
     check_inequalities,
     fidelity,
@@ -50,7 +49,6 @@ from .linalg import (
     BipartiteState,
     DensityOperator,
     PureState,
-    basis_state,
     bipartite,
     density_from_pure,
     partial_trace,
@@ -58,7 +56,6 @@ from .linalg import (
     random_density,
     random_pure_state,
     sqrt_psd,
-    tensor_product,
 )
 from .protocol import (
     AliceStrategy,

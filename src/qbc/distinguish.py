@@ -203,10 +203,10 @@ def max_fidelity_sq_sum(
 class BlochVector:
     """Bloch-sphere representation of a qubit state; |r| <= 1.
 
-    A component that is not a real number (a string, ``None``, a complex
-    number) is refused with ``ParamOutOfRange``, as the entry rule refuses a
-    value that is not numbers: it is a bad argument, not a state.  A real
-    vector off the unit ball, NaN included, is ``NotQubit``.
+    A component that is not a real number (a string, ``None``, a bool, a
+    complex number) is refused with ``ParamOutOfRange``, as the entry rule
+    refuses a value that is not numbers: it is a bad argument, not a state.
+    A real vector off the unit ball, NaN included, is ``NotQubit``.
     """
 
     x: float
@@ -214,7 +214,8 @@ class BlochVector:
     z: float
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Real) for v in (self.x, self.y, self.z)):
+        components = (self.x, self.y, self.z)
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in components):
             raise ParamOutOfRange(f"Bloch vector components must be real numbers, got {self}")
         if not self.norm_sq() <= 1.0 + TOL:  # a NaN compares False
             raise NotQubit(f"Bloch vector norm^2 {self.norm_sq()} exceeds 1")
@@ -233,12 +234,6 @@ def qubit_bloch(rho: DensityOperator) -> BlochVector:
         float(np.trace(m @ PAULI_Y).real),
         float(np.trace(m @ PAULI_Z).real),
     )
-
-
-def bloch_to_density(r: BlochVector) -> DensityOperator:
-    """Qubit state (I + x X + y Y + z Z) / 2."""
-    m = (np.eye(2, dtype=np.complex128) + r.x * PAULI_X + r.y * PAULI_Y + r.z * PAULI_Z) / 2.0
-    return DensityOperator(m)
 
 
 def bloch_trace_distance(r: BlochVector, s: BlochVector) -> float:

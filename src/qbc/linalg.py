@@ -10,18 +10,17 @@ identity (``eq=False``), as arrays give ``==`` no single truth value.
 
 Each state invariant is one function here, which the single objects and
 the stacked core of :mod:`qbc.protocol` both call: the entry rule
-(:func:`_checked_entries`), through which the state types, the stacked
-core and :func:`apply_to_proof` take a caller's array, the norm rule
-(:func:`normalize_states`), the density rule (:func:`check_spectra`), the
-token reduction (:func:`token_reductions`) and the square-root floor
-(:func:`sqrt_psd`).  The closed forms that the
-core uses for qubit tokens in place of ``eigvalsh`` and ``svd`` are one
-function too (:func:`qubit_token_core`).
+(:func:`_checked_entries`), through which the state types and the stacked
+core take a caller's array, the norm rule (:func:`normalize_states`), the
+density rule (:func:`check_spectra`), the token reduction
+(:func:`token_reductions`) and the square-root floor (:func:`sqrt_psd`).
+The closed forms that the core uses for qubit tokens in place of
+``eigvalsh`` and ``svd`` are one function too (:func:`qubit_token_core`).
 
 Index convention, fixed globally: the amplitude of a bipartite state at
 (proof index p, token index t) sits at flat index ``p * dim_token + t``.
-Equivalently, ``amplitudes.reshape(dim_proof, dim_token)[p, t]``.  Tensor
-products, partial traces and proof-side unitaries below all assume this.
+Equivalently, ``amplitudes.reshape(dim_proof, dim_token)[p, t]``.  Partial
+traces and token reductions below assume this.
 """
 
 from __future__ import annotations
@@ -260,20 +259,6 @@ class BipartiteState:
         return self.amplitudes.reshape(self.dim_proof, self.dim_token)
 
 
-def basis_state(dim: int, index: int) -> PureState:
-    """Computational basis vector |index> in the given dimension.
-
-    ``index`` must be an integer in [0, dim); anything else, a bool
-    included, is refused with ``ParamOutOfRange``.
-    """
-    dim = _checked_integer(dim, "dim", 1, DimMismatch)
-    if not _is_integer(index) or not 0 <= index < dim:
-        raise ParamOutOfRange(f"index must be an integer in [0, {dim}), got {index!r}")
-    amp = np.zeros(dim, dtype=np.complex128)
-    amp[index] = 1.0
-    return PureState(amp)
-
-
 def bipartite(dim_proof: int, dim_token: int, amplitudes) -> BipartiteState:
     return BipartiteState(dim_proof, dim_token, PureState(amplitudes))
 
@@ -288,11 +273,6 @@ def density_from_pure(psi: PureState) -> DensityOperator:
     return DensityOperator(projector(psi))
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; row/column indices compose as (i_a * dim_b + i_b)."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
-
-
 def partial_trace(state: BipartiteState, keep: Factor) -> DensityOperator:
     """Reduced density operator of one factor of a bipartite pure state."""
     a = state.as_matrix()
@@ -301,19 +281,6 @@ def partial_trace(state: BipartiteState, keep: Factor) -> DensityOperator:
     elif keep != "token":
         raise ParamOutOfRange(f"keep must be 'proof' or 'token', got {keep!r}")
     return DensityOperator(token_reductions(a))
-
-
-def apply_to_proof(u, state: BipartiteState) -> BipartiteState:
-    """Apply (u ⊗ I) to the proof factor; ``u`` is any (dim_proof, dim_proof) array-like.
-
-    ``u`` enters through the entry rule of :func:`_checked_entries`: no
-    entry of a unitary exceeds 1.
-    """
-    a = state.as_matrix()
-    u = _checked_entries(u, "unitary")
-    if u.shape != (state.dim_proof, state.dim_proof):
-        raise DimMismatch(f"unitary shape {u.shape} does not act on proof dim {state.dim_proof}")
-    return bipartite(state.dim_proof, state.dim_token, (u @ a).reshape(-1))
 
 
 def sqrt_psd(rho: DensityOperator) -> np.ndarray:

@@ -76,7 +76,8 @@ class PurificationProtocol:
         (p0, t0), (p1, t1) = ((chi.dim_proof, chi.dim_token) for chi in (self.chi0, self.chi1))
         if (p0, t0) != (p1, t1):
             raise DimMismatch(f"commitment state dims {p0}x{t0} != {p1}x{t1}")
-        checked_stacks(self.as_matrices()[:, None])
+        # Each state passed the entry and norm rules as a PureState; only the overlap is left.
+        _check_orthogonal(self.as_matrices()[:, None])
 
     @property
     def dim_proof(self) -> int:
@@ -85,9 +86,6 @@ class PurificationProtocol:
     @property
     def dim_token(self) -> int:
         return self.chi0.dim_token
-
-    def chi(self, bit: int) -> BipartiteState:
-        return self.chi1 if bit else self.chi0
 
     def as_matrices(self) -> np.ndarray:
         """chi0 and chi1 as one (2, dim_proof, dim_token) array: a stack of one, less its n axis."""
@@ -166,17 +164,22 @@ def checked_stacks(a: np.ndarray) -> np.ndarray:
     Any other shape, or a zero dim, is a ``DimMismatch``.  Each state must pass the
     norm rule of :func:`~qbc.linalg.normalize_states` (and may be renormalized), and no
     pair may overlap by more than ``TOL`` (``NotOrthogonal``); a
-    :class:`PurificationProtocol` is checked by the same call with n = 1.
+    :class:`PurificationProtocol` takes the same overlap check with n = 1.
     Returns a validated complex copy; the caller's array is never written.
     """
     stacks = _checked_entries(a, "protocol stack")
     if stacks.ndim != 4 or stacks.shape[0] != 2 or 0 in stacks.shape[2:]:
         raise DimMismatch(f"protocol stack shape {stacks.shape} is not (2, n, dim_proof, dim_token)")
     normalize_states(stacks.reshape(-1, stacks.shape[-2] * stacks.shape[-1]))
+    _check_orthogonal(stacks)
+    return stacks
+
+
+def _check_orthogonal(stacks: np.ndarray) -> None:
+    """``NotOrthogonal`` if a pair of a (2, n, dim_proof, dim_token) stack overlaps by more than ``TOL``."""
     overlap = float(np.abs(np.einsum("npt,npt->n", stacks[0].conj(), stacks[1])).max(initial=0.0))
     if overlap > TOL:
         raise NotOrthogonal(f"|<chi0|chi1>| = {overlap} exceeds {TOL}")
-    return stacks
 
 
 def random_protocol(dim_proof: int, dim_token: int, seed) -> PurificationProtocol:
@@ -310,9 +313,6 @@ class CheatKit:
     u0: np.ndarray
     u1: np.ndarray
     per_bit_success: float
-
-    def unveil_unitary(self, bit: int) -> np.ndarray:
-        return self.u1 if bit else self.u0
 
 
 # --------------------------------------------------------------------------
@@ -540,8 +540,11 @@ class StrategyTables:
         ``workers - 1`` threads, made and shut down within the call (no pool
         for one worker).  Each takes the next chunk from one lock-guarded
         counter and adds its counts into an array of its own.  Once a chunk
-        fails or the caller is interrupted, no thread takes another chunk,
-        so at most ``workers - 1`` chunks start after it.  Counts are
+        fails, no thread takes another chunk, so at most ``workers - 1``
+        chunks start after it.  An interrupt stops the count the same way
+        once the caller's thread raises it, which Python does only at that
+        thread's next bytecode: while the caller sits in NumPy or waits for
+        the GIL, the pool threads go on taking chunks.  Counts are
         therefore those of a single ``(n_runs, 4)`` block whatever the core
         count or the order in which chunks finish, and memory (about 1.6 MiB
         per worker, the caller included) does not grow with ``n_runs``.  A
@@ -738,8 +741,9 @@ def estimate_statistics(
     :meth:`StrategyTables.sample_cells`, vectorized and streamed in chunks
     (about 1.6 MiB per worker), on every available core: the caller's thread
     counts chunks beside a pool of ``workers - 1`` threads, and at most
-    ``workers - 1`` chunks start after a chunk fails or the caller is
-    interrupted.  Run i consumes the four
+    ``workers - 1`` chunks start after a chunk fails or the caller's thread
+    raises an interrupt (the pool goes on taking chunks until it does).
+    Run i consumes the four
     64-bit words of counter step i of a Philox stream keyed by ``seed``
     (columns: committed bit, target bit, holding-phase estimate, final
     outcome), so results are reproducible and independent of any execution

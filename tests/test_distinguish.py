@@ -10,10 +10,12 @@ import pytest
 import qbc
 from conftest import ENGINE_PROTOCOLS, random_density_pair, random_protocols
 from qbc.distinguish import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     BlochVector,
     aligned_superposition,
     bloch_fidelity_sq,
-    bloch_to_density,
     bloch_trace_distance,
     check_inequalities,
     combined_support_rank,
@@ -32,7 +34,6 @@ from qbc.errors import DimMismatch, NotQubit
 from qbc.linalg import (
     BipartiteState,
     DensityOperator,
-    apply_to_proof,
     density_from_pure,
     partial_trace,
     random_density,
@@ -76,7 +77,7 @@ class TestFidelity:
 
     @pytest.mark.parametrize("phi", [0.0, 0.3, np.pi / 4, np.pi / 2])
     def test_pure_pair(self, phi):
-        zero = density_from_pure(qbc.basis_state(2, 0))
+        zero = density_from_pure(qbc.PureState(np.eye(2)[0]))
         rotated = density_from_pure(qbc.PureState([np.cos(phi), np.sin(phi)]))
         assert fidelity(zero, rotated) == pytest.approx(abs(np.cos(phi)), abs=1e-12)
 
@@ -102,8 +103,8 @@ class TestHelstrom:
         assert helstrom(rho, rho).success_probability == pytest.approx(0.5, abs=1e-12)
 
     def test_orthogonal_pure(self):
-        rho0 = density_from_pure(qbc.basis_state(2, 0))
-        rho1 = density_from_pure(qbc.basis_state(2, 1))
+        rho0 = density_from_pure(qbc.PureState(np.eye(2)[0]))
+        rho1 = density_from_pure(qbc.PureState(np.eye(2)[1]))
         assert helstrom(rho0, rho1).success_probability == pytest.approx(1.0, abs=1e-12)
 
     def test_commuting_family(self):
@@ -164,7 +165,7 @@ class TestMaxParallelOverlap:
         psi = BipartiteState(3, 2, random_pure_state(6, 7))
         chi = BipartiteState(3, 2, random_pure_state(6, 8))
         res = max_parallel_overlap(psi, chi)
-        achieved = np.vdot(psi.amplitudes, apply_to_proof(res.maximizing_unitary, chi).amplitudes)
+        achieved = np.vdot(psi.amplitudes, (res.maximizing_unitary @ chi.as_matrix()).reshape(-1))
         assert abs(achieved.imag) <= 1e-9
         assert achieved.real == pytest.approx(res.overlap, abs=1e-8)
 
@@ -319,8 +320,8 @@ class TestMaxFidelitySqSum:
         assert fidelity(achiever, sigma) == pytest.approx(1.0, abs=1e-7)
 
     def test_orthogonal_pure_targets(self):
-        sigma = density_from_pure(qbc.basis_state(2, 0))
-        omega = density_from_pure(qbc.basis_state(2, 1))
+        sigma = density_from_pure(qbc.PureState(np.eye(2)[0]))
+        omega = density_from_pure(qbc.PureState(np.eye(2)[1]))
         value, achiever = max_fidelity_sq_sum(sigma, omega)
         assert value == pytest.approx(1.0, abs=1e-12)
         attained = fidelity(achiever, sigma) ** 2 + fidelity(achiever, omega) ** 2
@@ -375,8 +376,9 @@ class TestBloch:
 
     def test_round_trip(self):
         rho = random_density(2, 2, 3)
-        rebuilt = bloch_to_density(qubit_bloch(rho))
-        assert np.max(np.abs(rebuilt.matrix - rho.matrix)) <= 1e-12
+        r = qubit_bloch(rho)
+        rebuilt = (np.eye(2) + r.x * PAULI_X + r.y * PAULI_Y + r.z * PAULI_Z) / 2.0
+        assert np.max(np.abs(rebuilt - rho.matrix)) <= 1e-12
 
     def test_not_qubit(self):
         with pytest.raises(NotQubit):
@@ -409,7 +411,7 @@ class TestInequalities:
 
     def test_upper_bound_slacks_are_squared(self):
         """Slacks of the upper bound and the equality are 1 - F^2 - D^2 and its negated size."""
-        pure = density_from_pure(qbc.basis_state(2, 0))
+        pure = density_from_pure(qbc.PureState(np.eye(2)[0]))
         slacks = {c.name: c.slack for c in inequalities_at(1e-8, 1.0, pure, pure).checks}
         assert slacks["fidelity_upper_bound"] == slacks["pure_pair_equality"] == -(1e-8 * 1e-8)
         slacks = {c.name: c.slack for c in inequalities_at(0.6, 0.6, pure, pure).checks}
@@ -457,7 +459,7 @@ class TestInequalities:
     )
     def test_verdict_is_derived_from_slack(self, slack, satisfied):
         """Every check holds exactly when its slack is at least -TOL; NaN fails."""
-        pure = density_from_pure(qbc.basis_state(2, 0))
+        pure = density_from_pure(qbc.PureState(np.eye(2)[0]))
         report = inequalities_at(0.5, 0.5, pure, pure)
         assert [c.applicable for c in report.checks] == [True] * 4
         for check in report.checks:
@@ -467,7 +469,7 @@ class TestInequalities:
             assert edged.all_satisfied() is satisfied
 
     def test_support_rank_detection(self):
-        rho = density_from_pure(qbc.basis_state(4, 0))
+        rho = density_from_pure(qbc.PureState(np.eye(4)[0]))
         sigma = DensityOperator(np.diag([0.5, 0.5, 0.0, 0.0]))
         assert combined_support_rank(rho, sigma) == 2
         assert is_pure(rho) and not is_pure(sigma)

@@ -67,7 +67,6 @@ from qbc import (
     security_report,
     simulate_run,
     simulate_toss,
-    tensor_product,
     toss_statistics,
 )
 from qbc.protocol import (
@@ -94,20 +93,20 @@ class BornReplay:
         measurement = helstrom(*honest_reduced_states(p))
         eye_proof = np.eye(p.dim_proof, dtype=np.complex128)
         self.extended = [
-            tensor_product(eye_proof, measurement.projector0),
-            tensor_product(eye_proof, measurement.projector1),
+            np.kron(eye_proof, measurement.projector0),
+            np.kron(eye_proof, measurement.projector1),
         ]
         p0, p1 = projector(p.chi0.state), projector(p.chi1.state)
         self.final = [p0, p1, np.eye(p.dim_proof * p.dim_token) - p0 - p1]
 
     def steer(self, vec, target):
         matrix = vec.reshape(self.p.dim_proof, self.p.dim_token)
-        return (self.kit.unveil_unitary(target) @ matrix).reshape(-1)
+        return ((self.kit.u0, self.kit.u1)[target] @ matrix).reshape(-1)
 
     def run(self, alice, bob, target_bit, rng) -> RunRecord:
         if isinstance(alice, HonestAlice):
             committed = alice.bit if alice.bit is not None else int(rng.random() >= 0.5)
-            vec = self.p.chi(committed).amplitudes
+            vec = (self.p.chi0, self.p.chi1)[committed].amplitudes
         else:
             committed = None
             vec = self.kit.psi_max.amplitudes
@@ -125,7 +124,7 @@ class BornReplay:
         if not alice_cheats:
             committed = int(rng.random() >= 0.5)
             if bob_cheats:
-                guess = born_sample(self.p.chi(committed).state, self.extended, rng)
+                guess = born_sample((self.p.chi0, self.p.chi1)[committed].state, self.extended, rng)
             else:
                 guess = int(rng.random() >= 0.5)
             return TossResult("bob" if guess == committed else "alice", alice_caught=False)
@@ -166,7 +165,6 @@ def test_engine_forms_no_full_dimension_operator(name, monkeypatch):
         raise AssertionError("formed an operator on the whole proof x token space")
 
     monkeypatch.setattr(np, "kron", refuse)
-    monkeypatch.setattr(qbc.linalg, "tensor_product", refuse)
     rng = np.random.default_rng(0)
     for alice, bob in itertools.product(ALICES, BOBS):
         strategy_tables(p, alice, bob)

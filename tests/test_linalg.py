@@ -17,8 +17,6 @@ from qbc.linalg import (
     BipartiteState,
     DensityOperator,
     PureState,
-    apply_to_proof,
-    basis_state,
     bipartite,
     partial_trace,
     projector,
@@ -26,7 +24,6 @@ from qbc.linalg import (
     random_density,
     random_pure_state,
     sqrt_psd,
-    tensor_product,
 )
 
 
@@ -35,28 +32,10 @@ def random_matrix(rows, cols, seed):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-class TestTensorProduct:
-    def test_identity(self):
-        assert np.array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        out = tensor_product(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        assert np.allclose(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-    def test_index_formula(self):
-        a = random_matrix(2, 2, 1)
-        b = random_matrix(3, 3, 2)
-        out = tensor_product(a, b)
-        for i in range(2):
-            for j in range(2):
-                for k in range(3):
-                    for l in range(3):
-                        assert out[i * 3 + k, j * 3 + l] == pytest.approx(a[i, j] * b[k, l])
-
-
 class TestPartialTrace:
     def test_product_state(self):
-        state = bipartite(2, 2, np.kron(basis_state(2, 0).amplitudes, basis_state(2, 1).amplitudes))
+        zero, one = PureState(np.eye(2)[0]), PureState(np.eye(2)[1])
+        state = bipartite(2, 2, np.kron(zero.amplitudes, one.amplitudes))
         reduced = partial_trace(state, keep="token")
         assert np.allclose(reduced.matrix, np.diag([0.0, 1.0]))
 
@@ -184,19 +163,10 @@ class TestValidation:
             BipartiteState(2, 3, random_pure_state(5, 0))
         with pytest.raises(DimMismatch, match="must be square"):
             DensityOperator(np.eye(2, 3) / 2.0)
-        with pytest.raises(DimMismatch, match="does not act on proof dim 2"):
-            apply_to_proof(np.eye(3), bipartite(2, 2, np.eye(4)[0]))
-        with pytest.raises(DimMismatch, match="does not act on proof dim 2"):
-            apply_to_proof(np.eye(3).tolist(), bipartite(2, 2, np.eye(4)[0]))
 
     def test_scalar_is_a_one_dim_state(self):
         """A scalar passes the entry rule as a 0-d array; ``REFUSED_INPUTS`` has the other entry points."""
         assert PureState(1.0).amplitudes.tobytes() == np.array([1.0 + 0.0j]).tobytes()
-
-    def test_apply_to_proof_takes_a_nested_list(self):
-        chi = BipartiteState(2, 3, random_pure_state(6, 3))
-        expected = apply_to_proof(np.eye(2), chi).amplitudes
-        assert apply_to_proof([[1, 0], [0, 1]], chi).amplitudes.tobytes() == expected.tobytes()
 
     def test_bipartite_numpy_integer_dims_are_stored_as_int(self):
         state = BipartiteState(np.int64(2), np.uint8(3), random_pure_state(6, 0))
@@ -208,19 +178,6 @@ class TestValidation:
         """A float, a bool or a non-positive dim is refused before ``as_matrix`` can fail on it."""
         with pytest.raises(DimMismatch, match="dim_proof must be an integer >= 1"):
             BipartiteState(bad, 1, random_pure_state(1, 0))
-
-    @pytest.mark.parametrize("index", [-1, 2, 5, True, np.True_, 1.0, "1", None])
-    def test_basis_state_index_must_be_an_integer_below_dim(self, index):
-        """A negative index no longer wraps round to the last vector, a bool is
-        not taken for 0 or 1, and an index past the end is not an IndexError."""
-        with pytest.raises(qbc.ParamOutOfRange, match=r"index must be an integer in \[0, 2\)"):
-            basis_state(2, index)
-
-    def test_basis_state_takes_numpy_integer_indices(self):
-        for index in range(3):
-            for kind in (int, np.int64, np.uint8):
-                state = basis_state(np.int32(3), kind(index))
-                assert np.array_equal(state.amplitudes, np.eye(3)[index])
 
     def test_arrays_frozen(self):
         rho = random_density(2, 2, 0)
