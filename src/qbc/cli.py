@@ -1,9 +1,12 @@
 """Command-line front end for protocol analysis, sweeps and simulation.
 
 Subcommands: ``analyze``, ``sweep``, ``simulate``, ``cointoss``, ``check``
-and ``make-spec``.  All output is deterministic: numbers carry 17
-significant digits, key/column order is fixed, and every command honors
-``--seed``, so identical invocations produce byte-identical files.
+and ``make-spec``.  Every command writes to ``--out`` when given, else to
+stdout; the two Monte Carlo commands, ``simulate`` and ``cointoss``, take
+``--runs`` and ``--seed``.  All output is deterministic: numbers carry 17
+significant digits, key/column order is fixed, and the Monte Carlo
+commands draw from ``--seed``, so identical invocations produce
+byte-identical files.
 
 Exit codes: 0 success; 1 bound or inequality violation found by ``check``;
 2 a usage error: argparse's, any :class:`~qbc.errors.QbcError` (the library
@@ -74,10 +77,6 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _key_value_text(doc: dict) -> str:
-    return "".join(f"{key} = {_cell(value)}\n" for key, value in doc.items())
-
-
 def _csv_text(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_cell(v) for v in row) for row in rows)
@@ -90,7 +89,7 @@ def _emit_doc(doc: dict, fmt: str, out: str | None) -> None:
     elif fmt == "csv":
         _emit(_csv_text(list(doc.keys()), [list(doc.values())]), out)
     else:
-        _emit(_key_value_text(doc), out)
+        _emit("".join(f"{key} = {_cell(value)}\n" for key, value in doc.items()), out)
 
 
 # --------------------------------------------------------------------------
@@ -125,12 +124,8 @@ def _cmd_sweep(args) -> int:
         for pt in points
     ]
     if args.format == "json":
-        doc = {
-            "schemaVersion": 1,
-            "family": args.family,
-            "points": [dict(zip(header, row)) for row in rows],
-        }
-        _emit(dumps_deterministic(doc) + "\n", args.out)
+        points = [dict(zip(header, row)) for row in rows]
+        _emit_doc({"family": args.family, "points": points}, "json", args.out)
     else:
         _emit(_csv_text(header, rows), args.out)
     return EXIT_OK
@@ -262,42 +257,46 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Analyze and simulate purification bit-commitment protocols.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The options that several commands share, each declared once: every
+    # command takes --out, and the two Monte Carlo commands --runs and --seed.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    monte_carlo = argparse.ArgumentParser(add_help=False, parents=[out])
+    monte_carlo.add_argument("--runs", type=int, default=100_000)
+    monte_carlo.add_argument("--seed", type=int, default=0)
 
-    analyze = sub.add_parser("analyze", help="closed-form security report for a spec file")
+    def command(name, handler, help_text, shared=out):
+        cmd = sub.add_parser(name, parents=[shared], help=help_text)
+        cmd.set_defaults(handler=handler)
+        return cmd
+
+    analyze = command("analyze", _cmd_analyze, "closed-form security report for a spec file")
     analyze.add_argument("spec", help="protocol spec file (JSON)")
     analyze.add_argument("--format", choices=["text", "json"], default="text")
-    analyze.add_argument("--out", default=None)
-    analyze.set_defaults(handler=_cmd_analyze)
 
-    sweep_cmd = sub.add_parser("sweep", help="trade-off curve sweep for a protocol family")
+    sweep_cmd = command("sweep", _cmd_sweep, "trade-off curve sweep for a protocol family")
     sweep_cmd.add_argument("--family", choices=sorted(FAMILY_KINDS), required=True)
     sweep_cmd.add_argument("--points", type=int, default=101)
     sweep_cmd.add_argument("--format", choices=["csv", "json"], default="csv")
-    sweep_cmd.add_argument("--out", default=None)
-    sweep_cmd.set_defaults(handler=_cmd_sweep)
 
-    simulate = sub.add_parser("simulate", help="Monte Carlo cheat statistics for a spec file")
+    simulate = command(
+        "simulate", _cmd_simulate, "Monte Carlo cheat statistics for a spec file", monte_carlo
+    )
     simulate.add_argument("spec", help="protocol spec file (JSON)")
     simulate.add_argument("--alice", choices=sorted(_ALICE_CHOICES), default="honest0")
     simulate.add_argument("--bob", choices=sorted(_BOB_CHOICES), default="honest")
-    simulate.add_argument("--runs", type=int, default=100_000)
-    simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--format", choices=["csv", "json", "text"], default="csv")
-    simulate.add_argument("--out", default=None)
-    simulate.set_defaults(handler=_cmd_simulate)
 
-    cointoss = sub.add_parser("cointoss", help="coin-toss biases and Monte Carlo win rates")
+    cointoss = command(
+        "cointoss", _cmd_cointoss, "coin-toss biases and Monte Carlo win rates", monte_carlo
+    )
     cointoss.add_argument("spec", nargs="?", default=None, help="base protocol spec file")
     cointoss.add_argument("--family", choices=sorted(FAMILY_KINDS), default=None)
     cointoss.add_argument("--param", type=float, default=None)
     cointoss.add_argument("--cheater", choices=["none", "alice", "bob"], default="none")
-    cointoss.add_argument("--runs", type=int, default=100_000)
-    cointoss.add_argument("--seed", type=int, default=0)
     cointoss.add_argument("--format", choices=["csv", "json", "text"], default="csv")
-    cointoss.add_argument("--out", default=None)
-    cointoss.set_defaults(handler=_cmd_cointoss)
 
-    check = sub.add_parser("check", help="verify distance/fidelity inequalities and bounds")
+    check = command("check", _cmd_check, "verify distance/fidelity inequalities and bounds")
     check.add_argument("spec", nargs="?", default=None, help="protocol spec file")
     check.add_argument(
         "--point",
@@ -307,14 +306,10 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar=("G", "C"),
         help="a (gMax, cMax) point to test against the universal bound",
     )
-    check.add_argument("--out", default=None)
-    check.set_defaults(handler=_cmd_check)
 
-    make_spec = sub.add_parser("make-spec", help="write the spec file of a family protocol")
+    make_spec = command("make-spec", _cmd_make_spec, "write the spec file of a family protocol")
     make_spec.add_argument("--family", choices=sorted(FAMILY_KINDS), required=True)
     make_spec.add_argument("--param", type=float, required=True)
-    make_spec.add_argument("--out", default=None)
-    make_spec.set_defaults(handler=_cmd_make_spec)
 
     return parser
 

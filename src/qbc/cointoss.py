@@ -76,6 +76,12 @@ def fair_toss_protocol() -> CoinTossProtocol:
 
 
 _FLAG_TYPES = (bool, np.bool_)
+# The (Alice, Bob) pairing of each toss: who cheats, and with which commitment cheat.
+_TOSS_PAIRINGS = {
+    "none": (HonestAlice(), HonestBob()),
+    "alice": (CheatingAlice(), HonestBob()),
+    "bob": (HonestAlice(), HelstromBob()),
+}
 
 
 def simulate_toss(
@@ -83,14 +89,14 @@ def simulate_toss(
 ) -> TossResult:
     """Play one coin toss; at most one party may cheat.
 
-    Honest Alice's unveiling always verifies, so the winner is settled by
-    comparing Bob's guess with her committed bit.  Cheating Alice's
-    unveiling is a genuine Born trial on the steered state; a Fail outcome
-    marks her caught and hands the toss to Bob.
+    The winner follows the rule of :func:`toss_statistics`.  Honest Alice's
+    unveiling always verifies; cheating Alice's is a genuine Born trial on
+    the steered state, and a Fail outcome marks her caught.
 
     Draw order: honest Alice consumes one uniform for her bit, then Bob one
     for his guess (his Helstrom estimate when he cheats); against cheating
-    Alice, Bob consumes one for his guess and her unveiling one more.
+    Alice, Bob consumes one for his guess and her unveiling one more.  A
+    toss in which nobody cheats draws two uniforms and builds no tables.
     A cheat flag that is not a ``bool`` (NumPy's included), or an ``rng``
     that is not a ``numpy.random.Generator``, is refused with
     ``ParamOutOfRange`` before any draw.
@@ -102,23 +108,18 @@ def simulate_toss(
     _check_generator(rng)
     if alice_cheats and bob_cheats:
         raise BothCheat("one-sided cheating only")
-    p = ct.base
 
-    if not alice_cheats:
-        committed = int(rng.random() >= 0.5)
-        if bob_cheats:
-            guess = strategy_tables(p, HonestAlice(), HelstromBob()).draw_estimate(committed, rng)
-        else:
-            guess = int(rng.random() >= 0.5)
-        return TossResult("bob" if guess == committed else "alice", alice_caught=False)
-
-    guess = int(rng.random() >= 0.5)
-    target = 1 - guess
-    tables = strategy_tables(p, CheatingAlice(), HonestBob())
-    outcome = tables.draw_outcome(tables.first, 0, target, rng)
-    if outcome == target:
-        return TossResult("alice", alice_caught=False)
-    return TossResult("bob", alice_caught=(outcome == Outcome.FAIL))
+    if alice_cheats:
+        guess = int(rng.random() >= 0.5)
+        tables = strategy_tables(ct.base, *_TOSS_PAIRINGS["alice"])
+        unveiled = tables.draw_outcome(tables.first, 0, 1 - guess, rng)
+    elif bob_cheats:
+        unveiled = int(rng.random() >= 0.5)
+        guess = strategy_tables(ct.base, *_TOSS_PAIRINGS["bob"]).draw_estimate(unveiled, rng)
+    else:
+        unveiled, guess = int(rng.random() >= 0.5), int(rng.random() >= 0.5)
+    caught = unveiled == Outcome.FAIL
+    return TossResult("bob" if caught or guess == unveiled else "alice", alice_caught=caught)
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,17 @@ def toss_statistics(
 ) -> TossStatistics:
     """Vectorized Monte Carlo over many tosses.
 
-    The tosses are commitment runs counted per cell by
+    The toss's convention, in every mode: column 1 of a run is a fair bit
+    g, Bob's guess, and Alice stands behind 1 - g; a cheating Bob guesses
+    his Helstrom estimate in place of g, and honest Alice unveils her
+    commitment whatever she stands behind.  Alice wins where Bob's guess
+    misses the bit she unveils: in the cells where the estimate misses her
+    commitment when Bob measures, and where her unveiling is 1 - g
+    otherwise.  A failed unveiling goes to Bob and marks cheating Alice
+    caught.
+
+    The tosses are commitment runs of the mode's pairing in
+    ``_TOSS_PAIRINGS``, counted per cell by
     :meth:`~qbc.protocol.StrategyTables.sample_cells`: toss i consumes the
     four 64-bit words of counter step i of a Philox stream keyed by
     ``seed`` (columns: commit bit, guess bit, estimate, unveiling outcome),
@@ -147,24 +158,15 @@ def toss_statistics(
     for bit the rule ``u >= p`` on the uniform u = m * 2**-53 of
     ``Generator.random``, through the draw helper the cheat search shares;
     a bool, non-integral or negative ``seed`` is refused with ``ParamOutOfRange``.
-    Bob's guess is the guess bit, or his estimate when he cheats; cheating
-    Alice targets 1 - guess.
     """
-    if cheater not in ("none", "alice", "bob"):
-        raise ParamOutOfRange(f"cheater must be 'none', 'alice' or 'bob', got {cheater!r}")
-    if cheater == "alice":
-        counts = strategy_tables(ct.base, CheatingAlice(), HonestBob()).sample_cells(
-            n_tosses, seed, against_guess=True
-        )
-        _, _, target, outcome = np.indices(counts.shape, sparse=True)
-        wins = counts.sum(where=outcome == target)
-        caught = counts[..., Outcome.FAIL].sum()
-    else:  # honest Alice wins when Bob's guess misses her bit and is never caught
-        bob = HelstromBob() if cheater == "bob" else HonestBob()
-        counts = strategy_tables(ct.base, HonestAlice(), bob).sample_cells(n_tosses, seed)
-        commit, estimate, coin, _ = np.indices(counts.shape, sparse=True)
-        wins = counts.sum(where=(estimate if cheater == "bob" else coin) != commit)
-        caught = 0
+    try:
+        alice, bob = _TOSS_PAIRINGS[cheater]
+    except (KeyError, TypeError):  # TypeError: an unhashable cheater
+        raise ParamOutOfRange(f"cheater must be 'none', 'alice' or 'bob', got {cheater!r}") from None
+    counts = strategy_tables(ct.base, alice, bob).sample_cells(n_tosses, seed, against_guess=True)
+    commit, estimate, target, outcome = np.indices(counts.shape, sparse=True)
+    wins = counts.sum(where=estimate != commit if cheater == "bob" else outcome == target)
+    caught = counts[..., Outcome.FAIL].sum() if cheater == "alice" else 0
 
     rate = float(wins / n_tosses)
     return TossStatistics(

@@ -394,8 +394,10 @@ def optimal_cheat_kit(p: PurificationProtocol) -> CheatKit:
 def born_sample(state: PureState, projectors: Sequence[np.ndarray], rng) -> int:
     """Sample an outcome index of a projective measurement on a pure state.
 
-    The projectors must sum to the identity and be mutually orthogonal to
-    within ``TOL``, the slack of every identity check; a projector that
+    The projectors must sum to the identity, be Hermitian and be mutually
+    orthogonal to within ``TOL``, the slack of every identity check;
+    together these make each one idempotent, so an oblique pair that sums
+    to the identity with zero products fails as not Hermitian.  A projector that
     NumPy cannot read as complex numbers (a string, a ragged nesting) is
     refused with ``NotAMeasurement`` too.  Exactly one uniform
     draw is consumed from ``rng``, a ``numpy.random.Generator``
@@ -413,6 +415,8 @@ def born_sample(state: PureState, projectors: Sequence[np.ndarray], rng) -> int:
     if not np.max(np.abs(sum(projectors) - np.eye(dim))) <= TOL:  # a NaN compares False
         raise NotAMeasurement("projectors do not sum to the identity")
     for i in range(len(projectors)):
+        if not np.max(np.abs(projectors[i] - projectors[i].conj().T)) <= TOL:
+            raise NotAMeasurement(f"projector {i} is not Hermitian")
         for j in range(i + 1, len(projectors)):
             if not np.max(np.abs(projectors[i] @ projectors[j])) <= TOL:
                 raise NotAMeasurement(f"projectors {i} and {j} are not orthogonal")
@@ -529,8 +533,8 @@ class StrategyTables:
         estimate, final outcome), from :func:`_philox_words`, which the cheat
         search shares; a rule ``u >= p`` compares a word's top 53 bits with
         ``ceil(p * 2**53)``, bit for bit.  Alice stands behind the coin, or
-        with ``against_guess`` (the coin toss, where the coin is Bob's
-        guess) behind its complement.
+        with ``against_guess`` behind its complement: the coin toss's
+        convention, stated in :func:`~qbc.cointoss.toss_statistics`.
 
         The runs are cut into chunks of ``MC_CHUNK_RUNS``, each counted by
         :meth:`_chunk_counts` from its own generator advanced to the chunk's

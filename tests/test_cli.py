@@ -382,6 +382,17 @@ class TestCheck:
         assert run_cli(["check"]) == 2
 
 
+# One run of each command, with the exit code it gives; SPEC stands for a spec file.
+OUT_COMMANDS = {
+    "analyze": (["analyze", "SPEC", "--format", "json"], 0),
+    "sweep": (["sweep", "--family", "pure-pair", "--points", "5", "--format", "json"], 0),
+    "simulate": (["simulate", "SPEC", "--alice", "cheat", "--runs", "2000", "--seed", "1"], 0),
+    "cointoss": (["cointoss", "SPEC", "--cheater", "bob", "--runs", "2000", "--seed", "1"], 0),
+    "check": (["check", "SPEC", "--point", "0", "0"], 1),
+    "make-spec": (["make-spec", "--family", "qubit-pure-mixed", "--param", "0.4"], 0),
+}
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert run_cli(["frobnicate"]) == 2
@@ -433,6 +444,21 @@ class TestUsage:
             args = ["sweep", "--family", "pure-pair", "--points", "3", "--out", out]
         assert run_cli(args) == 2
         assert "FileNotFoundError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+    def test_out_writes_what_stdout_shows(self, tmp_path, capsys, command):
+        """Every command takes ``--out`` and writes there the bytes it prints
+        without it, with the same exit code."""
+        spec = str(make_spec_file(tmp_path, "commuting3d", 0.3))
+        args, code = OUT_COMMANDS[command]
+        args = [spec if arg == "SPEC" else arg for arg in args]
+        assert run_cli(args) == code
+        shown = capsys.readouterr().out
+        assert shown
+        out = tmp_path / "out.txt"
+        assert run_cli([*args, "--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == shown.encode("utf-8")
 
     def test_oversized_spec_rejected(self, tmp_path, capsys):
         doc = {

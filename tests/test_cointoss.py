@@ -85,6 +85,23 @@ class TestSimulateToss:
         ct = fair_toss_protocol()
         assert not any(simulate_toss(ct, False, True, rng).alice_caught for _ in range(200))
 
+    def test_honest_toss_builds_nothing(self):
+        """A toss in which nobody cheats draws two coins and builds no cached
+        value of its base; each cheating toss builds the strategy tables."""
+        cached = {"_report", "_reductions", "_kit", "_tables"}
+        rng = np.random.default_rng(5)
+        ct = CoinTossProtocol(qbc.family_protocol(qbc.Commuting3D(0.3)))
+        for _ in range(20):
+            simulate_toss(ct, False, False, rng)
+        assert not cached & set(ct.base.__dict__)
+        reference = np.random.default_rng(5)
+        reference.random(40)
+        assert rng.random() == reference.random()
+        for flags in ((True, False), (False, True)):
+            ct = CoinTossProtocol(qbc.family_protocol(qbc.Commuting3D(0.3)))
+            simulate_toss(ct, *flags, rng)
+            assert "_tables" in ct.base.__dict__
+
     def test_cheating_alice_wins_or_is_scored_for_bob(self):
         rng = np.random.default_rng(3)
         ct = fair_toss_protocol()

@@ -934,6 +934,14 @@ REFUSED_INPUTS = {
         ),
         "projectors do not sum to the identity",
     ),
+    "oblique-projectors": (  # sums to the identity with zero products both ways
+        lambda p: born_sample(
+            PureState(np.ones(2) / np.sqrt(2)),
+            [[[1, 2], [0, 0]], [[0, -2], [0, 1]]],
+            np.random.default_rng(0),
+        ),
+        "projector 0 is not Hermitian",
+    ),
     "list-projector": (
         lambda p: born_sample(PureState([1, 0]), [[[1]], np.eye(2)], np.random.default_rng(0)),
         "projector shape (1, 1) does not match dim 2",
@@ -1003,6 +1011,7 @@ REFUSED_AS = {
     "empty-proof-stack": DimMismatch,
     "nan-projector": NotAMeasurement,
     "list-projector": NotAMeasurement,
+    "oblique-projectors": NotAMeasurement,
     "ragged-projector": NotAMeasurement,
     "string-projector": NotAMeasurement,
     "scalar-density": DimMismatch,
